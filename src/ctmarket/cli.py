@@ -134,21 +134,17 @@ def _build_timeseries(
     if dsol is not None:
         parts.append(dsol.lambda_curve.times)  # duration-price kinks
     grid = np.unique(np.concatenate(parts))
-    cutoff = T - m_floor
-    rows = []
-    for t in grid:
-        t = float(t)
-        pi = dprice.time_view(t) if dprice is not None and t <= cutoff else None
-        rows.append(
-            (
-                t,
-                sol.load.evaluate(t),
-                sol.lambda_curve.evaluate(t),
-                pi,
-                *(curve.evaluate(t) for curve in sol.outputs.values()),
-            )
-        )
-    return rows
+    # pi_time stops at T - m_floor: a prefix of the sorted grid.
+    priced = 0 if dprice is None else int(np.searchsorted(grid, T - m_floor, side="right"))
+    pi = dprice.time_view(grid[:priced]).tolist() if priced else []
+    columns = [
+        grid.tolist(),
+        sol.load.sample(grid).tolist(),
+        sol.lambda_curve.sample(grid).tolist(),
+        pi + [None] * (len(grid) - priced),
+        *(curve.sample(grid).tolist() for curve in sol.outputs.values()),
+    ]
+    return list(zip(*columns))
 
 
 def _build_duration_series(
@@ -160,7 +156,7 @@ def _build_duration_series(
     grid = np.linspace(m_floor, T, GRID_POINTS + 1)[1:]
     extras = [T - t for t in dsol.lambda_curve.times if m_floor < T - t <= T]
     ms = np.unique(np.concatenate([grid, np.asarray(extras + [T])]))
-    return [(float(m), dprice.measure_view(float(m))) for m in ms]
+    return list(zip(ms.tolist(), dprice.measure_view(ms).tolist()))
 
 
 def _build_settlement_rows(reports: dict[str, SettlementReport]) -> list[tuple]:

@@ -6,12 +6,17 @@ measure function ``m(y)`` -- the total time the trajectory spends strictly
 above power ``y`` -- and the monotone non-decreasing rearrangement, which is
 the curve sharing the original's measure function that the load-duration
 pricing mechanism operates on.
+
+Level-set sums run over every segment at once, but add the per-segment
+contributions in segment order (a sequential ``cumsum`` down the segment
+axis), so each result is bit-for-bit the one a plain segment-by-segment
+loop gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -19,37 +24,64 @@ from .errors import DomainError, UnsupportedOperationError
 
 __all__ = ["LoadCurve", "MeasureFunction", "duration_curve"]
 
+# Elements per (segments x levels) temporary block in the level-set sums;
+# bounds their memory whatever the number of levels asked for.
+_BLOCK = 1 << 16
 
-def _as_breakpoints(points: Iterable[Sequence[float]]) -> tuple[tuple[float, float], ...]:
-    return tuple((float(t), float(p)) for t, p in points)
+
+def _frozen(values) -> np.ndarray:
+    """``values`` as a read-only float array, shared when it already is one."""
+    arr = np.asarray(values, dtype=float)
+    if arr.flags.writeable or arr.base is not None:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class LoadCurve:
     """Continuous piecewise-linear trajectory ``P(t)`` on ``[0, T]``.
 
-    Parameters
-    ----------
-    breakpoints:
-        Ordered ``(time_h, power_mw)`` pairs.  Times must be strictly
-        increasing and start at exactly 0; the last time defines the horizon
-        ``T``.  Powers must be finite and non-negative.  Between breakpoints
-        the curve is the linear interpolant, so it is continuous by
-        construction.
+    Construct from ordered ``(time_h, power_mw)`` pairs,
+    ``LoadCurve(breakpoints)``, or from two equal-length arrays,
+    ``LoadCurve(times=..., powers=...)``.  Times must be strictly increasing
+    and start at exactly 0; the last time defines the horizon ``T``.  Powers
+    must be finite and non-negative.  Between breakpoints the curve is the
+    linear interpolant, so it is continuous by construction.
 
-    Instances are immutable values; they are safe to share between threads.
+    The curve holds only the two read-only arrays ``times`` and ``powers``.
+    A read-only array passed in is kept, not copied, so curves built on one
+    time axis (all outputs of a dispatch solution) share a single ``times``
+    array.  ``breakpoints`` is derived from the arrays on each access.
+
+    Instances are immutable values -- equal when their breakpoints are equal,
+    hashable -- and safe to share between threads.
     """
 
-    breakpoints: tuple[tuple[float, float], ...]
-    _times: np.ndarray = field(init=False, repr=False, compare=False)
-    _powers: np.ndarray = field(init=False, repr=False, compare=False)
+    _times: np.ndarray
+    _powers: np.ndarray
 
-    def __init__(self, breakpoints: Iterable[Sequence[float]]) -> None:
-        pts = _as_breakpoints(breakpoints)
-        if len(pts) < 2:
+    def __init__(
+        self,
+        breakpoints: Iterable[Sequence[float]] | None = None,
+        *,
+        times=None,
+        powers=None,
+    ) -> None:
+        if breakpoints is not None:
+            if times is not None or powers is not None:
+                raise TypeError("pass either breakpoints or times and powers, not both")
+            pts = np.array(list(breakpoints), dtype=float)
+            if pts.size and (pts.ndim != 2 or pts.shape[1] != 2):
+                raise ValueError("breakpoints must be (time, power) pairs")
+            times, powers = pts.reshape(-1, 2).T
+        elif times is None or powers is None:
+            raise TypeError("pass either breakpoints or both times and powers")
+        times, powers = _frozen(times), _frozen(powers)
+        if times.ndim != 1 or times.shape != powers.shape:
+            raise ValueError("times and powers must be 1-D arrays of equal length")
+        if len(times) < 2:
             raise ValueError("a curve needs at least 2 breakpoints")
-        times = np.array([t for t, _ in pts], dtype=float)
-        powers = np.array([p for _, p in pts], dtype=float)
         if times[0] != 0.0:
             raise ValueError(f"first breakpoint time must be 0, got {times[0]!r}")
         if not np.all(np.diff(times) > 0.0):
@@ -58,20 +90,36 @@ class LoadCurve:
             raise ValueError("power values must be finite")
         if np.any(powers < 0.0):
             raise ValueError("power values must be non-negative")
-        times.setflags(write=False)
-        powers.setflags(write=False)
-        object.__setattr__(self, "breakpoints", pts)
         object.__setattr__(self, "_times", times)
         object.__setattr__(self, "_powers", powers)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return bool(
+            np.array_equal(self._times, other._times)
+            and np.array_equal(self._powers, other._powers)
+        )
+
+    def __hash__(self) -> int:
+        return hash(self.breakpoints)
+
+    def __repr__(self) -> str:
+        return f"LoadCurve(times={self._times!r}, powers={self._powers!r})"
 
     # ------------------------------------------------------------------
     # Basic geometry
     # ------------------------------------------------------------------
 
     @property
+    def breakpoints(self) -> tuple[tuple[float, float], ...]:
+        """The ``(time, power)`` pairs, built from the arrays on each access."""
+        return tuple(zip(self._times.tolist(), self._powers.tolist()))
+
+    @property
     def horizon(self) -> float:
         """Length ``T`` of the market cycle in hours."""
-        return self.breakpoints[-1][0]
+        return float(self._times[-1])
 
     @property
     def times(self) -> np.ndarray:
@@ -92,7 +140,7 @@ class LoadCurve:
     @property
     def levels(self) -> tuple[float, ...]:
         """Distinct breakpoint power levels, ascending."""
-        return tuple(np.unique(self._powers))
+        return tuple(np.unique(self._powers).tolist())
 
     @property
     def is_non_decreasing(self) -> bool:
@@ -138,27 +186,11 @@ class LoadCurve:
         measure right-continuous in ``y`` with a downward jump at every
         level carrying a flat segment.
         """
-        y = float(y)
-        total = 0.0
-        for (t0, p0), (t1, p1) in zip(self.breakpoints, self.breakpoints[1:]):
-            dt = t1 - t0
-            if p0 == p1:
-                if p0 > y:
-                    total += dt
-            else:
-                lo, hi = (p0, p1) if p0 < p1 else (p1, p0)
-                frac = (hi - y) / (hi - lo)
-                total += dt * min(max(frac, 0.0), 1.0)
-        return total
+        return MeasureFunction(self)(y)
 
     def flat_duration(self, y: float) -> float:
         """Total length of segments sitting exactly flat at level ``y``."""
-        y = float(y)
-        return sum(
-            t1 - t0
-            for (t0, p0), (t1, p1) in zip(self.breakpoints, self.breakpoints[1:])
-            if p0 == p1 == y
-        )
+        return float(MeasureFunction(self)._flat(float(y)))
 
     def inverse(self, y: float) -> float:
         """The unique ``t`` with ``P(t) == y`` for a strictly increasing curve."""
@@ -176,9 +208,28 @@ class LoadCurve:
         k = int(np.searchsorted(self._powers, y, side="left"))
         if k == 0:
             return float(self._times[0])
-        t0, p0 = self.breakpoints[k - 1]
-        t1, p1 = self.breakpoints[k]
+        t0, t1 = self._times[k - 1 : k + 1].tolist()
+        p0, p1 = self._powers[k - 1 : k + 1].tolist()
         return t0 + (y - p0) * (t1 - t0) / (p1 - p0)
+
+
+def _segment_sum(part: Callable[[np.ndarray], np.ndarray], n_segments: int, ys) -> np.ndarray:
+    """``sum over segments of part(y)`` for every level in ``ys``.
+
+    ``part`` maps a 1-D block of levels to its (segments x levels)
+    contributions.  Each column is added up in segment order, the order of
+    a running total over the segments; levels go in blocks of bounded size.
+    """
+    ys = np.asarray(ys, dtype=float)
+    flat_ys = ys.ravel()
+    out = np.zeros(flat_ys.size)
+    if n_segments:
+        step = max(1, _BLOCK // n_segments)
+        for k in range(0, flat_ys.size, step):
+            block = part(flat_ys[k : k + step])
+            if len(block):
+                out[k : k + step] = np.cumsum(block, axis=0)[-1]
+    return out.reshape(ys.shape)
 
 
 @dataclass(frozen=True)
@@ -191,9 +242,30 @@ class MeasureFunction:
     jump at every level carrying a flat segment.  ``levels`` lists the
     breakpoint levels of the underlying curve; between consecutive levels
     ``m`` is affine, which the quadrature engine exploits for exactness.
+
+    The per-segment geometry -- duration, top power, power span and
+    flatness, as column vectors -- is computed once, at construction.
     """
 
     curve: LoadCurve
+    _dt: np.ndarray = field(init=False, repr=False, compare=False)
+    _hi: np.ndarray = field(init=False, repr=False, compare=False)
+    _width: np.ndarray = field(init=False, repr=False, compare=False)
+    _is_flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        p0, p1 = self.curve.powers[:-1, None], self.curve.powers[1:, None]
+        flat = p0 == p1
+        hi = np.maximum(p0, p1)
+        # A flat segment's width is never divided by; 1.0 keeps it finite.
+        width = np.where(flat, 1.0, hi - np.minimum(p0, p1))
+        for name, arr in (
+            ("_dt", np.diff(self.curve.times)[:, None]),
+            ("_hi", hi),
+            ("_width", width),
+            ("_is_flat", flat),
+        ):
+            object.__setattr__(self, name, arr)
 
     @property
     def y_lo(self) -> float:
@@ -211,25 +283,41 @@ class MeasureFunction:
     def levels(self) -> tuple[float, ...]:
         return self.curve.levels
 
+    def _strict(self, ys) -> np.ndarray:
+        """``m`` at every level in ``ys``: sloped segments contribute the
+        clipped fraction of their duration above ``y``, flat ones all of it
+        when they lie strictly above ``y``."""
+        dt, hi, width, flat = self._dt, self._hi, self._width, self._is_flat
+        any_flat = bool(flat.any())
+
+        def part(y: np.ndarray) -> np.ndarray:
+            # A segment lying wholly at or below every level adds exactly
+            # +0.0 to each running total, so leaving it out changes no bit.
+            keep = ~(hi[:, 0] <= y.min())
+            d, h = dt[keep], hi[keep]
+            sloped = d * np.clip((h - y) / width[keep], 0.0, 1.0)
+            if not any_flat:
+                return sloped
+            return np.where(flat[keep], np.where(h > y, d, 0.0), sloped)
+
+        return _segment_sum(part, len(dt), ys)
+
+    def _flat(self, ys) -> np.ndarray:
+        """Time spent on segments lying exactly flat at each level in ``ys``."""
+        dt, level = self._dt[self._is_flat[:, 0]], self._hi[self._is_flat[:, 0]]
+        return _segment_sum(lambda y: np.where(level == y, dt, 0.0), len(dt), ys)
+
     def __call__(self, y: float) -> float:
-        return self.curve.measure_of(y)
+        return float(self._strict(float(y)))
 
     def sample(self, ys) -> np.ndarray:
         """Vectorised ``m`` over an array of levels."""
-        ys = np.asarray(ys, dtype=float)
-        total = np.zeros_like(ys)
-        for (t0, p0), (t1, p1) in zip(self.curve.breakpoints, self.curve.breakpoints[1:]):
-            dt = t1 - t0
-            if p0 == p1:
-                total += np.where(ys < p0, dt, 0.0)
-            else:
-                lo, hi = (p0, p1) if p0 < p1 else (p1, p0)
-                total += dt * np.clip((hi - ys) / (hi - lo), 0.0, 1.0)
-        return total
+        return self._strict(ys)
 
     def limit_from_below(self, y: float) -> float:
         """Left limit ``m(y^-)``: the strict measure plus flat time exactly at ``y``."""
-        return self.curve.measure_of(y) + self.curve.flat_duration(y)
+        y = float(y)
+        return float(self._strict(y)) + float(self._flat(y))
 
 
 def _merge_collinear(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -259,13 +347,17 @@ def duration_curve(curve: LoadCurve) -> LoadCurve:
     consecutive levels the measure is affine, so ``Q`` is linear there.
     """
     T = curve.horizon
+    measure = MeasureFunction(curve)
+    levels = np.unique(curve.powers)
+    m = measure._strict(levels)
+    d = measure._flat(levels)
+    starts = np.clip(T - m - d, 0.0, T).tolist()
+    ends = np.clip(T - m, 0.0, T).tolist()
     raw: list[tuple[float, float]] = []
-    for y in curve.levels:
-        m = curve.measure_of(y)
-        d = curve.flat_duration(y)
-        raw.append((min(max(T - m - d, 0.0), T), y))
-        if d > 0.0:
-            raw.append((min(max(T - m, 0.0), T), y))
+    for start, end, y, flat in zip(starts, ends, levels.tolist(), d.tolist()):
+        raw.append((start, y))
+        if flat > 0.0:
+            raw.append((end, y))
     # Mathematically the first point is (0, min level) and the last (T, max
     # level); snap float drift from the measure sums.
     raw[0] = (0.0, raw[0][1])

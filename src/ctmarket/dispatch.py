@@ -19,6 +19,7 @@ spot settlement only.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -80,10 +81,12 @@ class ClampEvent(NamedTuple):
 class DispatchSolution:
     """Equilibrium dispatch: shadow-price curve plus per-plant trajectories.
 
-    ``outputs`` maps plant id to its trajectory; all curves share the
-    horizon.  ``clamped`` marks solutions where a capacity bound is active
-    on an interval (``clamp_events`` lists them); duration pricing refuses
-    such solutions.
+    ``outputs`` maps plant id to its trajectory.  ``lambda_curve`` and every
+    output are array-backed :class:`LoadCurve` values on one knot grid:
+    they share a single read-only ``times`` array (the load's own for an
+    interior solution), and only their ``powers`` differ.  ``clamped`` marks
+    solutions where a capacity bound is active on an interval
+    (``clamp_events`` lists them); duration pricing refuses such solutions.
     """
 
     lambda_curve: LoadCurve
@@ -137,6 +140,12 @@ def _violation_intervals(
     return intervals
 
 
+def _curve_on(times: np.ndarray, values: np.ndarray) -> LoadCurve:
+    """A curve on the shared time axis ``times``; ``values`` is handed over."""
+    values.setflags(write=False)
+    return LoadCurve(times=times, powers=values)
+
+
 def solve_equilibrium(
     plants: Sequence[Plant], load: LoadCurve, *, allow_clamp: bool = False
 ) -> DispatchSolution:
@@ -171,8 +180,8 @@ def solve_equilibrium(
 
     if not violations:
         return DispatchSolution(
-            lambda_curve=LoadCurve(zip(times, lam)),
-            outputs={pid: LoadCurve(zip(times, vals)) for pid, vals in outputs.items()},
+            lambda_curve=_curve_on(times, lam),
+            outputs={pid: _curve_on(times, vals) for pid, vals in outputs.items()},
             load=load,
             horizon=load.horizon,
         )
@@ -198,16 +207,15 @@ def solve_equilibrium(
 # ----------------------------------------------------------------------
 
 
-def _clipped_outputs(plants: Sequence[Plant], lam: float) -> np.ndarray:
-    out = np.empty(len(plants))
-    for j, p in enumerate(plants):
-        raw = (lam - p.cost.q1) / (2.0 * p.cost.q2)
-        out[j] = min(max(raw, p.p_min), p.p_max_or_inf)
-    return out
+def _clip(raw, lo, hi):
+    """``min(max(raw, lo), hi)`` elementwise, keeping Python's tie rules."""
+    raw = np.where(lo > raw, lo, raw)
+    return np.where(hi < raw, hi, raw)
 
 
-def _supply(plants: Sequence[Plant], lam: float) -> float:
-    return float(_clipped_outputs(plants, lam).sum())
+def _ordered_sum(values: np.ndarray) -> float:
+    """``0.0 + values[0] + values[1] + ...``, added left to right."""
+    return float(np.cumsum(np.append(0.0, values))[-1])
 
 
 def _thresholds(plants: Sequence[Plant]) -> list[float]:
@@ -219,42 +227,59 @@ def _thresholds(plants: Sequence[Plant]) -> list[float]:
     return sorted(vals)
 
 
-def _lambda_for_demand(plants: Sequence[Plant], demand: float, thr: list[float]) -> float:
+class _Fleet:
+    """Plant coefficients and bounds as arrays in plant order, plus the
+    supply curve's breakpoints: the price thresholds where a plant meets a
+    bound, and the total clipped supply at each."""
+
+    def __init__(self, plants: Sequence[Plant]) -> None:
+        self.q1 = np.array([p.cost.q1 for p in plants])
+        self.two_q2 = np.array([2.0 * p.cost.q2 for p in plants])
+        self.p_min = np.array([p.p_min for p in plants])
+        self.p_max = np.array([p.p_max_or_inf for p in plants])
+        self.unbounded = np.array([p.p_max is None for p in plants])
+        self.lo_thr = np.array([p.cost.marginal(p.p_min) for p in plants])
+        self.hi_thr = np.array([_INF if p.p_max is None else p.cost.marginal(p.p_max) for p in plants])
+        self.slope = 1.0 / self.two_q2  # output per unit price of an interior plant
+        self.offset = self.q1 / self.two_q2
+        self.p_min_sum = _ordered_sum(self.p_min)
+        self.p_max_sum = _ordered_sum(self.p_max)
+        self.thr = _thresholds(plants)
+        self.supplies = [self.supply(v) for v in self.thr]
+
+    def supply(self, lam: float) -> float:
+        return float(_clip((lam - self.q1) / self.two_q2, self.p_min, self.p_max).sum())
+
+
+def _lambda_for_demand(fleet: _Fleet, demand: float) -> float:
     """Smallest lam with total clipped supply equal to ``demand``."""
-    p_min_sum = sum(p.p_min for p in plants)
-    p_max_sum = sum(p.p_max_or_inf for p in plants)
     tol = 1e-9 * max(1.0, abs(demand))
-    if demand < p_min_sum - tol or demand > p_max_sum + tol:
+    if demand < fleet.p_min_sum - tol or demand > fleet.p_max_sum + tol:
         raise InfeasibleDispatchError(
             f"demand {demand:.6g} MW outside the feasible range "
-            f"[{p_min_sum:.6g}, {p_max_sum:.6g}] MW",
+            f"[{fleet.p_min_sum:.6g}, {fleet.p_max_sum:.6g}] MW",
             kind="capacity",
         )
-    supplies = [_supply(plants, v) for v in thr]
+    thr, supplies = fleet.thr, fleet.supplies
     if demand <= supplies[0]:
         return thr[0]
     if demand >= supplies[-1]:
-        active = [p for p in plants if p.p_max is None]
-        fixed = sum(p.p_max_or_inf for p in plants if p.p_max is not None)
-        den = sum(1.0 / (2.0 * p.cost.q2) for p in active)
+        # Beyond the last threshold only the unbounded plants still move.
+        active = fleet.unbounded
+        den = _ordered_sum(fleet.slope[active])
         if den == 0.0:
             return thr[-1]
-        num = demand - fixed + sum(p.cost.q1 / (2.0 * p.cost.q2) for p in active)
+        fixed = _ordered_sum(fleet.p_max[~active])
+        num = demand - fixed + _ordered_sum(fleet.offset[active])
         return max(num / den, thr[-1])
     k = int(np.searchsorted(supplies, demand, side="left"))
     v_lo, v_hi = thr[k - 1], thr[k]
-    active, fixed, den, num = [], 0.0, 0.0, 0.0
-    for p in plants:
-        lo_thr = p.cost.marginal(p.p_min)
-        hi_thr = _INF if p.p_max is None else p.cost.marginal(p.p_max)
-        if hi_thr <= v_lo:
-            fixed += p.p_max_or_inf
-        elif lo_thr >= v_hi:
-            fixed += p.p_min
-        else:
-            active.append(p)
-            den += 1.0 / (2.0 * p.cost.q2)
-            num += p.cost.q1 / (2.0 * p.cost.q2)
+    at_max = fleet.hi_thr <= v_lo
+    at_min = ~at_max & (fleet.lo_thr >= v_hi)
+    active = ~(at_max | at_min)
+    fixed = _ordered_sum(np.where(at_max, fleet.p_max, fleet.p_min)[~active])
+    den = _ordered_sum(fleet.slope[active])
+    num = _ordered_sum(fleet.offset[active])
     if den == 0.0:
         # Supply plateau: demand equals the constant supply on this bracket.
         return v_lo
@@ -262,8 +287,16 @@ def _lambda_for_demand(plants: Sequence[Plant], demand: float, thr: list[float])
     return min(max(lam, v_lo), v_hi)
 
 
+def _clamp_runs(times: np.ndarray, at: np.ndarray) -> list[tuple[float, float]]:
+    """Maximal time intervals whose every knot has ``at`` set."""
+    both = np.concatenate(([False], at[:-1] & at[1:], [False]))
+    edges = np.flatnonzero(both[1:] != both[:-1])
+    return [(float(times[s]), float(times[e])) for s, e in zip(edges[::2], edges[1::2])]
+
+
 def _solve_clamped(plants: Sequence[Plant], load: LoadCurve) -> DispatchSolution:
-    thr = _thresholds(plants)
+    fleet = _Fleet(plants)
+    thr = fleet.thr
     T = load.horizon
     t_tol = 1e-14 * max(T, 1.0)
     knots: list[tuple[float, float]] = []
@@ -278,20 +311,22 @@ def _solve_clamped(plants: Sequence[Plant], load: LoadCurve) -> DispatchSolution
             return
         knots.append((t, lam))
 
-    for i in range(len(load.times) - 1):
-        t0, t1 = float(load.times[i]), float(load.times[i + 1])
-        d0, d1 = float(load.powers[i]), float(load.powers[i + 1])
-        lam0 = _lambda_for_demand(plants, d0, thr)
-        lam1 = _lambda_for_demand(plants, d1, thr)
+    times, powers = load.times.tolist(), load.powers.tolist()
+    lam1 = _lambda_for_demand(fleet, powers[0])
+    for i in range(len(times) - 1):
+        t0, t1 = times[i], times[i + 1]
+        d0, d1 = powers[i], powers[i + 1]
+        lam0, lam1 = lam1, _lambda_for_demand(fleet, d1)
         if not knots:
             knots.append((t0, lam0))
+        # Thresholds strictly between lam0 and lam1, in the order crossed.
         if lam1 > lam0:
-            crossings = [v for v in thr if lam0 < v < lam1]
+            crossed = range(bisect.bisect_right(thr, lam0), bisect.bisect_left(thr, lam1))
         else:
-            crossings = [v for v in reversed(thr) if lam1 < v < lam0]
+            crossed = reversed(range(bisect.bisect_right(thr, lam1), bisect.bisect_left(thr, lam0)))
         prev_supply = None
-        for v in crossings:
-            dv = _supply(plants, v)
+        for k in crossed:
+            dv = fleet.supplies[k]
             if prev_supply is not None and dv == prev_supply:
                 raise UnsupportedOperationError(
                     "shadow price jumps across a merit-order gap (supply "
@@ -299,16 +334,16 @@ def _solve_clamped(plants: Sequence[Plant], load: LoadCurve) -> DispatchSolution
                 )
             prev_supply = dv
             tv = t0 + (dv - d0) * (t1 - t0) / (d1 - d0)
-            push(tv, v)
+            push(tv, thr[k])
         push(t1, lam1)
 
-    times = np.array([t for t, _ in knots])
+    knot_times = np.array([t for t, _ in knots])
+    knot_times.setflags(write=False)
     lam_vals = np.array([v for _, v in knots])
-    out_vals = {p.id: np.empty(len(knots)) for p in plants}
-    for k, (_, lam) in enumerate(knots):
-        clipped = _clipped_outputs(plants, lam)
-        for j, p in enumerate(plants):
-            out_vals[p.id][k] = clipped[j]
+    out_vals = {
+        p.id: _clip((lam_vals - fleet.q1[j]) / fleet.two_q2[j], fleet.p_min[j], fleet.p_max[j])
+        for j, p in enumerate(plants)
+    }
 
     events: list[ClampEvent] = []
     for p in plants:
@@ -317,21 +352,11 @@ def _solve_clamped(plants: Sequence[Plant], load: LoadCurve) -> DispatchSolution
             if bound is None:
                 continue
             at = np.abs(vals - bound) <= 1e-9 * max(1.0, abs(bound))
-            start = None
-            for k in range(len(times) - 1):
-                if at[k] and at[k + 1]:
-                    if start is None:
-                        start = float(times[k])
-                    end = float(times[k + 1])
-                elif start is not None:
-                    events.append(ClampEvent(p.id, start, end, kind, bound))
-                    start = None
-            if start is not None:
-                events.append(ClampEvent(p.id, start, end, kind, bound))
+            events.extend(ClampEvent(p.id, s, e, kind, bound) for s, e in _clamp_runs(knot_times, at))
 
     return DispatchSolution(
-        lambda_curve=LoadCurve(zip(times, lam_vals)),
-        outputs={pid: LoadCurve(zip(times, vals)) for pid, vals in out_vals.items()},
+        lambda_curve=_curve_on(knot_times, lam_vals),
+        outputs={pid: _curve_on(knot_times, vals) for pid, vals in out_vals.items()},
         load=load,
         horizon=T,
         clamped=bool(events),

@@ -10,6 +10,7 @@ of failing on the first.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -129,7 +130,22 @@ class Scenario:
 
 
 def _is_number(x: Any) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+# Characters that break a report line or a CSV cell: the comma, the control
+# characters (Unicode category Cc: newline, tab, ...) and the line and
+# paragraph separators.
+_UNSAFE_ID_CHARS = "[,\x00-\x1f\x7f-\x9f\u2028\u2029]"
+
+
+def _is_safe_id(pid: str) -> bool:
+    return re.search(_UNSAFE_ID_CHARS, pid) is None
 
 
 def validate(data: Mapping[str, Any]) -> Scenario:
@@ -268,6 +284,8 @@ def _validate_plants(raw: Any, bad) -> list[PlantSpec]:
             bad(f"{path}.id", f"duplicate plant id {pid!r}")
         else:
             seen.add(pid)
+            if not _is_safe_id(pid):
+                bad(f"{path}.id", f"must not contain a comma or a control character (got {pid!r})")
         ok = True
         q2 = item.get("q2")
         if not _is_number(q2) or q2 <= 0:

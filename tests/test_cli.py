@@ -137,6 +137,33 @@ def test_malformed_json_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_huge_json_integer_exits_1_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"name": "huge", "horizon": 1.0, "load": {"affine": {"base": 100.0, "slope": 0.0}}, '
+        '"plants": [{"id": "a", "q2": 0.001, "q1": 0.1, "q0": ' + "9" * 400 + "}]}"
+    )
+    assert main(["--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: plants[0].q0: must be a finite number >= 0 (plant 'a')"]
+
+
+def test_plant_id_with_newline_exits_1(tmp_path, capsys):
+    path = write_scenario(
+        tmp_path,
+        {
+            "name": "ids",
+            "horizon": 1.0,
+            "load": {"affine": {"base": 100.0, "slope": 0.0}},
+            "plants": [{"id": "a\nb", "q2": 0.001, "q1": 0.1, "q0": 0.0}],
+        },
+    )
+    assert main(["--scenario", path]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: plants[0].id:")
+
+
 def _clamping_scenario(tmp_path, mechanisms):
     return write_scenario(
         tmp_path,

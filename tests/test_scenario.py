@@ -136,6 +136,41 @@ class TestValidationDiagnostics:
         data["plants"] = []
         assert any(m.startswith("plants") for m in issues_of(data))
 
+    def test_huge_integer_is_a_field_diagnostic(self):
+        data = self.base()
+        data["plants"][0]["q0"] = int("9" * 400)
+        data["load"] = {"breakpoints": [[0, 10.0], [1, -int("9" * 400)]]}
+        msgs = issues_of(data)
+        assert len(msgs) == 2
+        assert msgs[0].startswith("load.breakpoints[1]:")
+        assert msgs[1].startswith("plants[0].q0:")
+
+    @pytest.mark.parametrize("bad_id", ["a\nb", "tab\there", "x,y", "bell\x07", "del\x7f", "sep\u2028"])
+    def test_unsafe_plant_id_rejected(self, bad_id):
+        data = self.base()
+        data["plants"][0]["id"] = bad_id
+        msgs = issues_of(data)
+        assert msgs == [
+            f"plants[0].id: must not contain a comma or a control character (got {bad_id!r})"
+        ]
+
+    def test_one_diagnostic_per_unsafe_plant(self):
+        data = self.base()
+        plant = data["plants"][0]
+        data["plants"] = [
+            {**plant, "id": "ok"},
+            {**plant, "id": "two\nlines,\tand a comma"},
+            {**plant, "id": "trailing\r"},
+        ]
+        msgs = issues_of(data)
+        assert [m.split(":")[0] for m in msgs] == ["plants[1].id", "plants[2].id"]
+        assert all("\n" not in m and "\r" not in m for m in msgs)
+
+    def test_unicode_plant_id_accepted(self):
+        data = self.base()
+        data["plants"][0]["id"] = "Kraftwerk Süd 2 (CCGT)"
+        assert issues_of(data) == []
+
 
 def random_scenario(rng: np.random.Generator) -> Scenario:
     n_plants = int(rng.integers(1, 5))
