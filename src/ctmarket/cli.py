@@ -4,9 +4,10 @@ Loads a scenario (file or the built-in case study), runs dispatch, pricing
 and settlement for the requested mechanisms, prints a human-readable report
 and optionally writes machine-readable series files:
 
-* ``timeseries.csv`` -- t, load, lambda, pi_time, P_<id>... on a uniform
-  grid united with every curve breakpoint; pi_time is left empty beyond
-  ``T - m_floor`` to keep the singularity explicit.
+* ``timeseries.csv`` -- t, load, lambda, pi_time, P_<id>... on every load,
+  lambda and output breakpoint, plus each duration-price knot and uniform
+  grid point not within ``GRID_TOL * T`` of a time already kept; pi_time is
+  left empty beyond ``T - m_floor`` to keep the singularity explicit.
 * ``duration.csv`` -- m, pi_measure on (m_floor, T].
 * ``settlement.csv`` -- one row per plant per mechanism plus a total row.
 
@@ -37,7 +38,6 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .pricing import DurationPrice, duration_price, spot_price
-from .quadrature import QuadratureConfig
 from .scenario import Scenario, builtin_case_study, validate
 from .settlement import SettlementReport, settle_duration, settle_spot
 
@@ -47,6 +47,7 @@ TIMESERIES_FILE = "timeseries.csv"
 DURATION_FILE = "duration.csv"
 SETTLEMENT_FILE = "settlement.csv"
 GRID_POINTS = 501
+GRID_TOL = 1e-11  # times closer than this, relative to the horizon, are one row
 
 _MECHANISM_FLAG = {"spot": ("spot",), "duration": ("duration",), "both": ("spot", "duration")}
 
@@ -68,13 +69,11 @@ def run_scenario(
     scenario: Scenario,
     *,
     mechanisms: tuple[str, ...] | None = None,
-    grid_n: int | None = None,
     allow_clamp: bool | None = None,
 ) -> RunOutput:
     """Run dispatch, pricing and settlement for the requested mechanisms."""
     opts = scenario.options
     mechs = tuple(mechanisms) if mechanisms is not None else opts.mechanisms
-    cfg = QuadratureConfig(n_panels=grid_n if grid_n is not None else opts.grid_n)
     clamp_ok = opts.allow_clamp if allow_clamp is None else allow_clamp
     load = scenario.load_curve()
     plants = scenario.plant_objects()
@@ -92,7 +91,7 @@ def run_scenario(
 
     reports: dict[str, SettlementReport] = {}
     if "spot" in mechs:
-        reports["spot"] = settle_spot(sol, spot_price(sol), plants, cfg)
+        reports["spot"] = settle_spot(sol, spot_price(sol), plants)
 
     dprice: DurationPrice | None = None
     dsol: DispatchSolution | None = None
@@ -106,7 +105,7 @@ def run_scenario(
                 "refer to the duration-rearranged timeline"
             )
         dprice = duration_price(dsol, m_floor=m_floor)
-        reports["duration"] = settle_duration(dsol, dprice, plants, cfg)
+        reports["duration"] = settle_duration(dsol, dprice, plants)
         diagnostics.append(
             "duration revenues settle every plant at the single market duration price"
         )
@@ -129,11 +128,13 @@ def _build_timeseries(
     m_floor: float,
 ) -> list[tuple]:
     T = sol.horizon
-    parts = [np.linspace(0.0, T, GRID_POINTS), sol.load.times, sol.lambda_curve.times]
+    parts = [sol.load.times, sol.lambda_curve.times]
     parts.extend(curve.times for curve in sol.outputs.values())
-    if dsol is not None:
-        parts.append(dsol.lambda_curve.times)  # duration-price kinks
     grid = np.unique(np.concatenate(parts))
+    tol = GRID_TOL * T
+    if dsol is not None:
+        grid = _unite_apart(grid, dsol.lambda_curve.times, tol)  # duration-price kinks
+    grid = _unite_apart(grid, np.linspace(0.0, T, GRID_POINTS), tol)
     # pi_time stops at T - m_floor: a prefix of the sorted grid.
     priced = 0 if dprice is None else int(np.searchsorted(grid, T - m_floor, side="right"))
     pi = dprice.time_view(grid[:priced]).tolist() if priced else []
@@ -145,6 +146,14 @@ def _build_timeseries(
         *(curve.sample(grid).tolist() for curve in sol.outputs.values()),
     ]
     return list(zip(*columns))
+
+
+def _unite_apart(kept: np.ndarray, extra: np.ndarray, tol: float) -> np.ndarray:
+    """Sorted ``kept`` plus each ``extra`` time farther than ``tol`` from all of them."""
+    above = np.searchsorted(kept, extra)
+    below = np.abs(extra - kept[np.maximum(above - 1, 0)])
+    apart = (below > tol) & (np.abs(kept[np.minimum(above, len(kept) - 1)] - extra) > tol)
+    return np.union1d(kept, extra[apart])
 
 
 def _build_duration_series(
@@ -253,7 +262,6 @@ def main(argv=None) -> int:
         "--case-study", action="store_true", help="run the built-in three-plant scenario"
     )
     parser.add_argument("--mechanism", choices=["spot", "duration", "both"], default=None)
-    parser.add_argument("--grid-n", type=int, default=None, help="quadrature panel count")
     parser.add_argument("--out-dir", metavar="PATH", default=None, help="write series files here")
     parser.add_argument("--allow-clamp", action="store_true", help="permit clamped dispatch")
     parser.add_argument("--quiet", action="store_true", help="suppress the report")
@@ -273,7 +281,6 @@ def main(argv=None) -> int:
         out = run_scenario(
             scenario,
             mechanisms=_MECHANISM_FLAG.get(args.mechanism),
-            grid_n=args.grid_n,
             allow_clamp=True if args.allow_clamp else None,
         )
     except (UnsupportedOperationError, UndefinedPriceError) as exc:

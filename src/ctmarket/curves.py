@@ -314,10 +314,13 @@ class MeasureFunction:
         """Vectorised ``m`` over an array of levels."""
         return self._strict(ys)
 
-    def limit_from_below(self, y: float) -> float:
-        """Left limit ``m(y^-)``: the strict measure plus flat time exactly at ``y``."""
-        y = float(y)
-        return float(self._strict(y)) + float(self._flat(y))
+    def limit_from_below(self, y):
+        """Left limit ``m(y^-)``: the strict measure plus flat time exactly at ``y``.
+
+        A float for a scalar ``y``, an array for an array of levels.
+        """
+        total = self._strict(y) + self._flat(y)
+        return float(total) if total.ndim == 0 else total
 
 
 def _merge_collinear(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:

@@ -30,7 +30,7 @@ import numpy as np
 from .cost import QuadraticCost
 from .curves import LoadCurve
 from .errors import InfeasibleDispatchError, UnsupportedOperationError
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, riemann_integrate
+from .quadrature import riemann_integrate
 
 __all__ = [
     "Plant",
@@ -364,11 +364,7 @@ def _solve_clamped(plants: Sequence[Plant], load: LoadCurve) -> DispatchSolution
     )
 
 
-def dispatch_cost(
-    sol: DispatchSolution,
-    plants: Sequence[Plant],
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> DispatchCost:
+def dispatch_cost(sol: DispatchSolution, plants: Sequence[Plant]) -> DispatchCost:
     """Per-plant generation cost over the cycle plus the market total.
 
     Integrates each plant's quadratic cost along its trajectory; with panel
@@ -382,7 +378,6 @@ def dispatch_cost(
             lambda ts, c=p.cost, k=curve: c.cost(k.sample(ts)),
             0.0,
             sol.horizon,
-            cfg,
             breakpoints=curve.times,
         )
     return DispatchCost(per, math.fsum(per.values()))

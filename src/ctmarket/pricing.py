@@ -37,7 +37,7 @@ import numpy as np
 from .curves import LoadCurve, MeasureFunction
 from .dispatch import DispatchSolution
 from .errors import DomainError, UndefinedPriceError, UnsupportedOperationError
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, lebesgue_integrate, riemann_integrate
+from .quadrature import lebesgue_integrate, riemann_integrate
 
 __all__ = [
     "SpotPrice",
@@ -203,13 +203,7 @@ def duration_price(sol: DispatchSolution, *, m_floor: float | None = None) -> Du
     return duration_price_from_curve(sol.lambda_curve, m_floor=m_floor)
 
 
-def unit_energy_price_spot(
-    price: SpotPrice,
-    plant_curve: LoadCurve,
-    t1: float,
-    t2: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
+def unit_energy_price_spot(price: SpotPrice, plant_curve: LoadCurve, t1: float, t2: float) -> float:
     """Value per MWh of the time-slice commodity ``[t1, t2]`` of a trajectory.
 
     The slice's total settlement divided by its energy:
@@ -222,25 +216,19 @@ def unit_energy_price_spot(
     if not math.isclose(plant_curve.horizon, T, rel_tol=1e-12):
         raise ValueError("price and trajectory horizons differ")
     kinks = np.concatenate([price.curve.times, plant_curve.times])
-    energy = riemann_integrate(plant_curve.sample, t1, t2, cfg, breakpoints=kinks)
+    energy = riemann_integrate(plant_curve.sample, t1, t2, breakpoints=kinks)
     if energy <= 0.0:
         raise UndefinedPriceError(
             f"no energy on [{t1:.6g}, {t2:.6g}] h: unit price undefined"
         )
     value = riemann_integrate(
         lambda ts: price.sample(ts) * plant_curve.sample(ts),
-        t1, t2, cfg, breakpoints=kinks,
+        t1, t2, breakpoints=kinks,
     )
     return value / energy
 
 
-def unit_energy_price_duration(
-    price: DurationPrice,
-    m: MeasureFunction,
-    y1: float,
-    y2: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> float:
+def unit_energy_price_duration(price: DurationPrice, m: MeasureFunction, y1: float, y2: float) -> float:
     """Value per MWh of the power-band commodity ``[y1, y2]`` of a trajectory.
 
     The band's total settlement divided by its energy:
@@ -252,10 +240,10 @@ def unit_energy_price_duration(
         raise DomainError(f"need 0 <= y1 < y2, got [{y1!r}, {y2!r}]")
     if not math.isclose(m.horizon, price.horizon, rel_tol=1e-12):
         raise ValueError("price and measure-function horizons differ")
-    mass = lebesgue_integrate(m, y1, y2, lambda d: d, cfg)
+    mass = lebesgue_integrate(m, y1, y2, lambda d: d)
     if mass <= 0.0:
         raise UndefinedPriceError(
             f"zero measure mass on [{y1:.6g}, {y2:.6g}] MW: unit price undefined"
         )
-    value = lebesgue_integrate(m, y1, y2, price.price_times_duration, cfg)
+    value = lebesgue_integrate(m, y1, y2, price.price_times_duration)
     return value / mass

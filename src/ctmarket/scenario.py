@@ -29,7 +29,6 @@ __all__ = [
 ]
 
 MECHANISMS = ("spot", "duration")
-DEFAULT_GRID_N = 10_000
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,6 @@ class PlantSpec:
 
 @dataclass(frozen=True)
 class Options:
-    grid_n: int = DEFAULT_GRID_N
     m_floor: float | None = None  # None -> 1e-6 * horizon
     allow_clamp: bool = False
     mechanisms: tuple[str, ...] = MECHANISMS
@@ -111,8 +109,6 @@ class Scenario:
             "plants": plants,
         }
         opts: dict[str, Any] = {}
-        if self.options.grid_n != DEFAULT_GRID_N:
-            opts["grid_n"] = self.options.grid_n
         if self.options.m_floor is not None:
             opts["m_floor"] = self.options.m_floor
         if self.options.allow_clamp:
@@ -328,12 +324,8 @@ def _validate_options(raw: Any, horizon: float | None, bad) -> Options:
         bad("options", "must be an object")
         return Options()
     for key in raw:
-        if key not in ("grid_n", "m_floor", "allow_clamp", "mechanisms"):
+        if key not in ("m_floor", "allow_clamp", "mechanisms"):
             bad(f"options.{key}", "unknown field")
-    grid_n = raw.get("grid_n", DEFAULT_GRID_N)
-    if not isinstance(grid_n, int) or isinstance(grid_n, bool) or grid_n < 2 or grid_n % 2 != 0:
-        bad("options.grid_n", "must be an even integer >= 2")
-        grid_n = DEFAULT_GRID_N
     m_floor = raw.get("m_floor")
     if m_floor is not None:
         if not _is_number(m_floor) or m_floor <= 0 or (horizon is not None and m_floor >= horizon):
@@ -356,7 +348,6 @@ def _validate_options(raw: Any, horizon: float | None, bad) -> Options:
         bad("options.mechanisms", f"must be a non-empty subset of {list(MECHANISMS)}")
         mechs = MECHANISMS
     return Options(
-        grid_n=grid_n,
         m_floor=None if m_floor is None else float(m_floor),
         allow_clamp=allow_clamp,
         mechanisms=mechs,

@@ -5,7 +5,9 @@ revenue differs.  Spot revenue integrates price times output over time.
 Duration revenue integrates the bounded product ``pi(m(y)) * m(y)`` over
 the plant's output range and adds the base block ``[0, min output]``,
 which runs the whole cycle and settles at the anchor price ``pi(T)``.
-Every plant settles at the single market duration price.
+Every plant settles at the single market duration price.  Each integral
+runs at the quadrature default: panel edges snap to every kink, so it is
+exact to round-off and has no resolution to choose.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .pricing import (
     unit_energy_price_duration,
     unit_energy_price_spot,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, lebesgue_integrate, riemann_integrate
+from .quadrature import lebesgue_integrate, riemann_integrate
 
 __all__ = [
     "PlantSettlement",
@@ -99,36 +101,28 @@ def _plant_row(plant: str, cost: float, revenue: float, energy: float) -> PlantS
     )
 
 
-def settle_spot(
-    sol: DispatchSolution,
-    price: SpotPrice,
-    plants: Sequence[Plant],
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> SettlementReport:
+def settle_spot(sol: DispatchSolution, price: SpotPrice, plants: Sequence[Plant]) -> SettlementReport:
     """Settle each plant at the spot price: revenue = int lam(t) P_j(t) dt.
 
     The market purchasing cost (total revenue) equals the integral of
     lam times the system load, since outputs balance the load pointwise.
     """
-    costs = dispatch_cost(sol, plants, cfg)
+    costs = dispatch_cost(sol, plants)
     rows = []
     for p in plants:
         curve = sol.outputs[p.id]
         kinks = np.concatenate([price.curve.times, curve.times])
         revenue = riemann_integrate(
             lambda ts, k=curve: price.sample(ts) * k.sample(ts),
-            0.0, sol.horizon, cfg, breakpoints=kinks,
+            0.0, sol.horizon, breakpoints=kinks,
         )
-        energy = riemann_integrate(curve.sample, 0.0, sol.horizon, cfg, breakpoints=curve.times)
+        energy = riemann_integrate(curve.sample, 0.0, sol.horizon, breakpoints=curve.times)
         rows.append(_plant_row(p.id, costs.per_plant[p.id], revenue, energy))
     return _assemble("spot", rows)
 
 
 def settle_duration(
-    sol: DispatchSolution,
-    price: DurationPrice,
-    plants: Sequence[Plant],
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
+    sol: DispatchSolution, price: DurationPrice, plants: Sequence[Plant]
 ) -> SettlementReport:
     """Settle each plant at the market duration price.
 
@@ -141,7 +135,7 @@ def settle_duration(
         raise UnsupportedOperationError(
             "duration settlement is undefined for bound-clamped dispatch"
         )
-    costs = dispatch_cost(sol, plants, cfg)
+    costs = dispatch_cost(sol, plants)
     rows = []
     for p in plants:
         curve = sol.outputs[p.id]
@@ -149,9 +143,9 @@ def settle_duration(
         revenue = price.anchor * curve.min_power * sol.horizon
         if curve.max_power > curve.min_power:
             revenue += lebesgue_integrate(
-                m, curve.min_power, curve.max_power, price.price_times_duration, cfg
+                m, curve.min_power, curve.max_power, price.price_times_duration
             )
-        energy = riemann_integrate(curve.sample, 0.0, sol.horizon, cfg, breakpoints=curve.times)
+        energy = riemann_integrate(curve.sample, 0.0, sol.horizon, breakpoints=curve.times)
         rows.append(_plant_row(p.id, costs.per_plant[p.id], revenue, energy))
     return _assemble("duration", rows)
 
@@ -163,7 +157,6 @@ def value_decomposition(
     *,
     time_edges: Sequence[float] | None = None,
     band_edges: Sequence[float] | None = None,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> tuple[ValueSegment, ...]:
     """Partition each plant's energy into commodity segments and value them.
 
@@ -184,13 +177,13 @@ def value_decomposition(
         edges = list(time_edges) if time_edges is not None else list(price.curve.times)
         for t1, t2 in zip(edges, edges[1:]):
             load_energy = riemann_integrate(
-                sol.load.sample, t1, t2, cfg, breakpoints=sol.load.times
+                sol.load.sample, t1, t2, breakpoints=sol.load.times
             )
             if load_energy <= 0.0:
                 continue
-            unit = unit_energy_price_spot(price, sol.load, t1, t2, cfg)
+            unit = unit_energy_price_spot(price, sol.load, t1, t2)
             for pid, curve in sol.outputs.items():
-                energy = riemann_integrate(curve.sample, t1, t2, cfg, breakpoints=curve.times)
+                energy = riemann_integrate(curve.sample, t1, t2, breakpoints=curve.times)
                 if energy <= 0.0:
                     continue
                 rows.append(ValueSegment("spot", pid, float(t1), float(t2), energy, unit))
@@ -204,10 +197,10 @@ def value_decomposition(
             else:
                 edges = sorted({0.0, *curve.levels})
             for y1, y2 in zip(edges, edges[1:]):
-                energy = lebesgue_integrate(m, y1, y2, lambda d: d, cfg)
+                energy = lebesgue_integrate(m, y1, y2, lambda d: d)
                 if energy <= 0.0:
                     continue
-                unit = unit_energy_price_duration(price, m, y1, y2, cfg)
+                unit = unit_energy_price_duration(price, m, y1, y2)
                 rows.append(ValueSegment("duration", pid, y1, y2, energy, unit))
     else:
         raise ValueError(f"unknown mechanism {mechanism!r}")

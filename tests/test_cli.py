@@ -61,22 +61,6 @@ def test_series_files_content(tmp_path, capsys):
     assert [r for r in st[1:] if r[1] == "total"]
 
 
-def test_grid_resolution_does_not_move_totals(tmp_path, capsys):
-    """Panel edges align with every kink, so totals are grid-independent."""
-    totals = {}
-    for n in (100, 100_000):
-        out = tmp_path / f"g{n}"
-        assert main(
-            ["--case-study", "--mechanism", "spot", "--grid-n", str(n), "--out-dir", str(out)]
-        ) == 0
-        rows = read_csv(out / "settlement.csv")
-        total = next(r for r in rows[1:] if r[1] == "total")
-        totals[n] = [float(v) for v in total[2:]]
-    capsys.readouterr()
-    for a, b in zip(totals[100], totals[100_000]):
-        assert a == pytest.approx(b, rel=1e-6)
-
-
 def test_report_numbers_reappear_in_settlement_file(tmp_path, capsys):
     assert main(["--case-study", "--mechanism", "both", "--out-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
@@ -225,9 +209,48 @@ def test_unwritable_out_dir_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_odd_grid_n_exits_1(capsys):
-    assert main(["--case-study", "--grid-n", "101"]) == 1
-    assert "even" in capsys.readouterr().err
+def test_grid_n_option_is_an_unknown_field(tmp_path, capsys):
+    path = write_scenario(
+        tmp_path,
+        {
+            "name": "panels",
+            "horizon": 1.0,
+            "load": {"affine": {"base": 100.0, "slope": 0.0}},
+            "plants": [{"id": "a", "q2": 0.001, "q1": 0.1, "q0": 0.0}],
+            "options": {"grid_n": 10_000},
+        },
+    )
+    assert main(["--scenario", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: options.grid_n: unknown field"]
+
+
+def test_timeseries_has_no_near_duplicate_times(tmp_path, capsys):
+    """Load breakpoints a few ulps off the uniform grid, and duration-price
+    knots a few ulps off it, give one row per time, not two."""
+    load = [[0, 400], [2.4000000000000004, 500], [7.199999999999999, 300],
+            [16.799999999999997, 400], [24, 600]]
+    path = write_scenario(
+        tmp_path,
+        {
+            "name": "near-duplicates",
+            "horizon": 24.0,
+            "load": {"breakpoints": load},
+            "plants": [
+                {"id": "a", "q2": 0.001, "q1": 0.05, "q0": 1.0},
+                {"id": "b", "q2": 0.002, "q1": 0.04, "q0": 2.0},
+            ],
+        },
+    )
+    assert main(["--scenario", path, "--mechanism", "both", "--quiet", "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    times = [float(r[0]) for r in read_csv(tmp_path / "timeseries.csv")[1:]]
+    assert times == sorted(times)
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    assert min(gaps) > 1e-11 * 24.0
+    for t, _ in load:  # every load breakpoint stays exactly
+        assert float(t) in times
 
 
 def test_scenario_mechanism_subset_respected(tmp_path, capsys):

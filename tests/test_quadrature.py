@@ -79,6 +79,30 @@ class TestRiemann:
         val = riemann_integrate(lambda t: math.sin(t), 0.0, np.pi)
         assert val == pytest.approx(2.0, rel=1e-10)
 
+    def test_raising_integrand_is_called_once(self):
+        """An error from the array call surfaces at once, not after a
+        point-by-point retry."""
+        calls = []
+
+        def f(ts):
+            calls.append(np.size(ts))
+            raise DomainError("outside the integrand's domain")
+
+        with pytest.raises(DomainError, match="outside"):
+            riemann_integrate(f, 0.0, 1.0)
+        assert calls == [10_001]
+
+    def test_raising_weight_is_called_once(self):
+        calls = []
+
+        def weight(ds):
+            calls.append(np.size(ds))
+            raise ValueError("bad duration")
+
+        with pytest.raises(ValueError, match="bad duration"):
+            lebesgue_integrate(MeasureFunction(STEPPED), 0.0, 100.0, weight)
+        assert len(calls) == 1
+
     def test_simpson_exact_for_cubic(self):
         cfg = QuadratureConfig(n_panels=16)
         val = riemann_integrate(lambda t: t**3 - 2 * t * t + 3, 0.0, 2.0, cfg)

@@ -1,0 +1,198 @@
+"""Both integral engines against a plain per-piece reference, bit for bit.
+
+``riemann_integrate`` and ``lebesgue_integrate`` lay out the panels of every
+piece between consecutive kinks at once and evaluate the integrand once.
+The reference below is the straightforward form: one Python loop over the
+pieces, each with its own ``np.linspace`` (or midpoint abscissae), its own
+integrand call and its own weighted sum, added to a running total.  The
+engines compute the same abscissae and add the same per-piece sums in the
+same order, so the results must be equal exactly, for both rules.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_monotone_load, random_plants, random_wiggly_curve
+from ctmarket import (
+    LoadCurve,
+    MeasureFunction,
+    QuadratureConfig,
+    duration_curve,
+    duration_price,
+    lebesgue_integrate,
+    riemann_integrate,
+    solve_equilibrium,
+)
+from test_geometry_reference import curves
+
+# ----------------------------------------------------------------------
+# Scalar reference: one piece at a time
+# ----------------------------------------------------------------------
+
+
+def ref_edges(a: float, b: float, breakpoints) -> list[float]:
+    interior = sorted({float(x) for x in breakpoints if a < float(x) < b})
+    return [a, *interior, b]
+
+
+def ref_panels(edges: list[float], n_total: int, rule: str) -> list[int]:
+    span = edges[-1] - edges[0]
+    minimum = 2 if rule == "simpson" else 1
+    counts = []
+    for e0, e1 in zip(edges, edges[1:]):
+        n = max(minimum, round(n_total * (e1 - e0) / span))
+        if rule == "simpson" and n % 2 != 0:
+            n += 1
+        counts.append(int(n))
+    return counts
+
+
+def ref_panel_sum(vals: np.ndarray, h: float, rule: str) -> float:
+    if rule == "midpoint":
+        return h * float(np.sum(vals))
+    w = np.ones(vals.shape[0])
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return (h / 3.0) * float(np.dot(w, vals))
+
+
+def ref_pieces(a: float, b: float, breakpoints, cfg: QuadratureConfig):
+    """(abscissae, panel width) of each piece, left to right; none if ``a == b``."""
+    if a == b:
+        return
+    edges = ref_edges(a, b, breakpoints)
+    for (e0, e1), n in zip(zip(edges, edges[1:]), ref_panels(edges, cfg.n_panels, cfg.rule)):
+        h = (e1 - e0) / n
+        if cfg.rule == "midpoint":
+            yield e0 + (np.arange(n) + 0.5) * h, h
+        else:
+            yield np.linspace(e0, e1, n + 1), h
+
+
+def ref_riemann(f, a: float, b: float, cfg: QuadratureConfig, breakpoints=()) -> float:
+    total = 0.0
+    for xs, h in ref_pieces(a, b, breakpoints, cfg):
+        total += ref_panel_sum(np.asarray(f(xs), dtype=float), h, cfg.rule)
+    return total
+
+
+def ref_lebesgue(m: MeasureFunction, y_lo: float, y_hi: float, weight, cfg: QuadratureConfig) -> float:
+    total = 0.0
+    for ys, h in ref_pieces(y_lo, y_hi, m.levels, cfg):
+        ms = m.sample(ys)
+        if cfg.rule == "simpson":
+            ms[-1] = m.limit_from_below(float(ys[-1]))
+        total += ref_panel_sum(np.asarray(weight(ms), dtype=float), h, cfg.rule)
+    return total
+
+
+# ----------------------------------------------------------------------
+# Inputs: panel counts, kinks with very short pieces, integrands
+# ----------------------------------------------------------------------
+
+CONFIGS = [
+    QuadratureConfig(n_panels=n, rule=rule)
+    for rule in ("simpson", "midpoint")
+    for n in (2, 4, 10, 64, 10_000)
+] + [QuadratureConfig(n_panels=7, rule="midpoint")]
+
+INTEGRANDS = [
+    lambda t: t**3 - 2.0 * t + 1.0,
+    lambda t: np.abs(t - 0.37),
+    np.sin,
+    lambda t: np.full(np.shape(t), 2.5),
+]
+
+WEIGHTS = [lambda d: d, lambda d: d * d, lambda d: np.sqrt(d) + 1.0]
+
+
+@st.composite
+def kinked_intervals(draw):
+    a = draw(st.floats(-50.0, 50.0))
+    b = a + draw(st.sampled_from([1e-9, 1.0]) | st.floats(1e-6, 100.0))
+    inside = draw(st.lists(st.floats(a, b), max_size=12))
+    # A point and its neighbours a few ulps away make very short pieces.
+    ulps = draw(st.lists(st.integers(1, 4), max_size=len(inside)))
+    near = [float(np.nextafter(x, np.inf) + k * np.spacing(x)) for x, k in zip(inside, ulps)]
+    outside = draw(st.lists(st.floats(-200.0, 200.0), max_size=3))
+    return a, b, inside + near + outside
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    interval=kinked_intervals(),
+    cfg=st.sampled_from(CONFIGS),
+    f=st.sampled_from(INTEGRANDS),
+    as_array=st.booleans(),
+)
+def test_riemann_matches_reference(interval, cfg, f, as_array):
+    a, b, kinks = interval
+    breakpoints = np.array(kinks) if as_array else kinks
+    assert riemann_integrate(f, a, b, cfg, breakpoints=breakpoints) == ref_riemann(f, a, b, cfg, kinks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    curve=curves(),
+    cfg=st.sampled_from(CONFIGS),
+    weight=st.sampled_from(WEIGHTS),
+    band=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+)
+def test_lebesgue_matches_reference(curve, cfg, weight, band):
+    m = MeasureFunction(curve)
+    span = curve.max_power - curve.min_power
+    lo, hi = sorted(band)
+    y_lo, y_hi = curve.min_power + lo * span, curve.min_power + hi * span
+    assert lebesgue_integrate(m, y_lo, y_hi, weight, cfg) == ref_lebesgue(m, y_lo, y_hi, weight, cfg)
+    full = lebesgue_integrate(m, curve.min_power, curve.max_power, weight, cfg)
+    assert full == ref_lebesgue(m, curve.min_power, curve.max_power, weight, cfg)
+
+
+def seeded_settlements():
+    """Plants, dispatch and duration price on seeded loads, as settlement sees them."""
+    rng = np.random.default_rng(4)
+    out = []
+    for _ in range(6):
+        plants = random_plants(rng)
+        load = random_monotone_load(rng, plants)
+        if rng.random() < 0.5:
+            floor = load.min_power
+            wig = random_wiggly_curve(rng)
+            load = duration_curve(LoadCurve(times=wig.times, powers=floor + wig.powers))
+        sol = solve_equilibrium(plants, load)
+        out.append((plants, sol, duration_price(sol)))
+    return out
+
+
+@pytest.mark.parametrize("cfg", CONFIGS, ids=lambda c: f"{c.rule}-{c.n_panels}")
+def test_settlement_integrals_match_reference(cfg):
+    for plants, sol, dprice in seeded_settlements():
+        for p in plants:
+            curve = sol.outputs[p.id]
+            kinks = np.concatenate([sol.lambda_curve.times, curve.times])
+            revenue = lambda ts, k=curve: sol.lambda_curve.sample(ts) * k.sample(ts)
+            got = riemann_integrate(revenue, 0.0, sol.horizon, cfg, breakpoints=kinks)
+            assert got == ref_riemann(revenue, 0.0, sol.horizon, cfg, kinks)
+            cost = lambda ts, c=p.cost, k=curve: c.cost(k.sample(ts))
+            got = riemann_integrate(cost, 0.0, sol.horizon, cfg, breakpoints=curve.times)
+            assert got == ref_riemann(cost, 0.0, sol.horizon, cfg, curve.times)
+            if curve.max_power > curve.min_power:
+                m = MeasureFunction(curve)
+                w = dprice.price_times_duration
+                got = lebesgue_integrate(m, curve.min_power, curve.max_power, w, cfg)
+                assert got == ref_lebesgue(m, curve.min_power, curve.max_power, w, cfg)
+
+
+def test_flat_levels_take_the_limit_from_below():
+    """A flat segment makes ``m`` jump at its level; every band's right edge
+    is the left limit, in the layout as in the reference."""
+    curve = LoadCurve([(0.0, 5.0), (1.0, 5.0), (2.0, 9.0), (3.0, 5.0), (4.0, 5.0), (5.0, 9.0), (6.0, 7.0)])
+    m = MeasureFunction(curve)
+    for cfg in CONFIGS:
+        for weight in WEIGHTS:
+            assert lebesgue_integrate(m, 0.0, 10.0, weight, cfg) == ref_lebesgue(m, 0.0, 10.0, weight, cfg)
+    assert lebesgue_integrate(m, 5.0, 9.0, lambda d: d) == pytest.approx(9.0, rel=1e-14)

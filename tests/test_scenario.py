@@ -42,7 +42,6 @@ class TestBuiltinCaseStudy:
         assert again == case_study
 
     def test_defaults(self, case_study):
-        assert case_study.options.grid_n == 10_000
         assert case_study.options.mechanisms == ("spot", "duration")
         assert case_study.options.allow_clamp is False
         assert case_study.resolved_m_floor() == pytest.approx(1e-6)
@@ -115,11 +114,6 @@ class TestValidationDiagnostics:
         data = self.base()
         data["options"] = {"mechanisms": ["spot", "futures"]}
         assert any("options.mechanisms" in m for m in issues_of(data))
-
-    def test_odd_grid_n_rejected(self):
-        data = self.base()
-        data["options"] = {"grid_n": 101}
-        assert any("even" in m for m in issues_of(data))
 
     def test_m_floor_bounds(self):
         data = self.base()
@@ -194,7 +188,6 @@ def random_scenario(rng: np.random.Generator) -> Scenario:
         times = np.unique(times)
         load = tuple((float(t), float(rng.uniform(0.0, 900.0))) for t in times)
     options = Options(
-        grid_n=int(rng.choice([100, 2000, 10_000])),
         m_floor=float(rng.uniform(1e-6, 1e-2) * T) if rng.random() < 0.3 else None,
         allow_clamp=bool(rng.random() < 0.3),
         mechanisms=("spot",) if rng.random() < 0.3 else ("spot", "duration"),

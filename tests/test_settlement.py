@@ -20,7 +20,7 @@ from ctmarket import (
     spot_price,
     value_decomposition,
 )
-from conftest import affine_product_integral
+from conftest import affine_product_integral, random_monotone_load, random_plants
 
 # Antiderivative oracles for the regression scenario, kept independent of
 # the quadrature path they check.
@@ -233,13 +233,39 @@ def test_level_domain_cost_identity(case_solution, case_plants):
 
 
 def test_settlement_stable_across_panel_counts(case_solution, case_plants):
-    """Panel edges align with every kink, so the integrals are exact and the
-    settlement must not depend on the panel count."""
-    from ctmarket import QuadratureConfig
+    """Panel edges align with every kink, so the integrals are exact: both
+    settlements equal the quadrature oracle at any panel count."""
+    from ctmarket import MeasureFunction, QuadratureConfig, lebesgue_integrate
 
-    price = spot_price(case_solution)
-    coarse = settle_spot(case_solution, price, case_plants, QuadratureConfig(n_panels=100))
-    fine = settle_spot(case_solution, price, case_plants, QuadratureConfig(n_panels=100_000))
-    for c, f in zip(coarse.plants, fine.plants):
-        assert c.revenue == pytest.approx(f.revenue, rel=1e-9)
-        assert c.generation_cost == pytest.approx(f.generation_cost, rel=1e-9)
+    rng = np.random.default_rng(11)
+    plants = random_plants(rng, 4)
+    instances = [
+        (case_plants, case_solution),
+        (plants, solve_equilibrium(plants, random_monotone_load(rng, plants))),
+    ]
+    for plants, sol in instances:
+        spot, dprice = spot_price(sol), duration_price(sol)
+        spot_report = settle_spot(sol, spot, plants)
+        duration_report = settle_duration(sol, dprice, plants)
+        for n in (100, 10_000, 100_000):
+            cfg = QuadratureConfig(n_panels=n)
+            for p, s, d in zip(plants, spot_report.plants, duration_report.plants):
+                curve = sol.outputs[p.id]
+                cost = riemann_integrate(
+                    lambda ts: p.cost.cost(curve.sample(ts)), 0.0, sol.horizon, cfg,
+                    breakpoints=curve.times,
+                )
+                spot_revenue = riemann_integrate(
+                    lambda ts: spot.sample(ts) * curve.sample(ts), 0.0, sol.horizon, cfg,
+                    breakpoints=curve.times,
+                )
+                duration_revenue = dprice.anchor * curve.min_power * sol.horizon
+                if curve.max_power > curve.min_power:
+                    duration_revenue += lebesgue_integrate(
+                        MeasureFunction(curve), curve.min_power, curve.max_power,
+                        dprice.price_times_duration, cfg,
+                    )
+                assert s.generation_cost == pytest.approx(cost, rel=1e-12)
+                assert d.generation_cost == pytest.approx(cost, rel=1e-12)
+                assert s.revenue == pytest.approx(spot_revenue, rel=1e-12)
+                assert d.revenue == pytest.approx(duration_revenue, rel=1e-12)
