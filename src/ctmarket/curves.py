@@ -295,7 +295,10 @@ class MeasureFunction:
             # +0.0 to each running total, so leaving it out changes no bit.
             keep = ~(hi[:, 0] <= y.min())
             d, h = dt[keep], hi[keep]
-            sloped = d * np.clip((h - y) / width[keep], 0.0, 1.0)
+            # A span below ~1e-305 overflows to +-inf, which the clip
+            # saturates to the right fraction; the overflow is intended.
+            with np.errstate(over="ignore"):
+                sloped = d * np.clip((h - y) / width[keep], 0.0, 1.0)
             if not any_flat:
                 return sloped
             return np.where(flat[keep], np.where(h > y, d, 0.0), sloped)

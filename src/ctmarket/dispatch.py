@@ -30,7 +30,7 @@ import numpy as np
 from .cost import QuadraticCost
 from .curves import LoadCurve
 from .errors import InfeasibleDispatchError, UnsupportedOperationError
-from .quadrature import riemann_integrate
+from .quadrature import EXACT_CONFIG, riemann_integrate
 
 __all__ = [
     "Plant",
@@ -367,9 +367,9 @@ def _solve_clamped(plants: Sequence[Plant], load: LoadCurve) -> DispatchSolution
 def dispatch_cost(sol: DispatchSolution, plants: Sequence[Plant]) -> DispatchCost:
     """Per-plant generation cost over the cycle plus the market total.
 
-    Integrates each plant's quadratic cost along its trajectory; with panel
-    edges snapped to the trajectory breakpoints the integrand is piecewise
-    quadratic, so the default Simpson rule is exact to round-off.
+    Integrates each plant's quadratic cost along its trajectory.  Between
+    the trajectory breakpoints the integrand is quadratic, so one Simpson
+    pair per piece (``EXACT_CONFIG``) is exact to round-off.
     """
     per: dict[str, float] = {}
     for p in plants:
@@ -378,6 +378,7 @@ def dispatch_cost(sol: DispatchSolution, plants: Sequence[Plant]) -> DispatchCos
             lambda ts, c=p.cost, k=curve: c.cost(k.sample(ts)),
             0.0,
             sol.horizon,
+            EXACT_CONFIG,
             breakpoints=curve.times,
         )
     return DispatchCost(per, math.fsum(per.values()))

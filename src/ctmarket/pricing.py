@@ -37,7 +37,7 @@ import numpy as np
 from .curves import LoadCurve, MeasureFunction
 from .dispatch import DispatchSolution
 from .errors import DomainError, UndefinedPriceError, UnsupportedOperationError
-from .quadrature import lebesgue_integrate, riemann_integrate
+from .quadrature import EXACT_CONFIG, lebesgue_integrate, riemann_integrate
 
 __all__ = [
     "SpotPrice",
@@ -216,14 +216,14 @@ def unit_energy_price_spot(price: SpotPrice, plant_curve: LoadCurve, t1: float, 
     if not math.isclose(plant_curve.horizon, T, rel_tol=1e-12):
         raise ValueError("price and trajectory horizons differ")
     kinks = np.concatenate([price.curve.times, plant_curve.times])
-    energy = riemann_integrate(plant_curve.sample, t1, t2, breakpoints=kinks)
+    energy = riemann_integrate(plant_curve.sample, t1, t2, EXACT_CONFIG, breakpoints=kinks)
     if energy <= 0.0:
         raise UndefinedPriceError(
             f"no energy on [{t1:.6g}, {t2:.6g}] h: unit price undefined"
         )
     value = riemann_integrate(
         lambda ts: price.sample(ts) * plant_curve.sample(ts),
-        t1, t2, breakpoints=kinks,
+        t1, t2, EXACT_CONFIG, breakpoints=kinks,
     )
     return value / energy
 
@@ -240,10 +240,10 @@ def unit_energy_price_duration(price: DurationPrice, m: MeasureFunction, y1: flo
         raise DomainError(f"need 0 <= y1 < y2, got [{y1!r}, {y2!r}]")
     if not math.isclose(m.horizon, price.horizon, rel_tol=1e-12):
         raise ValueError("price and measure-function horizons differ")
-    mass = lebesgue_integrate(m, y1, y2, lambda d: d)
+    mass = lebesgue_integrate(m, y1, y2, lambda d: d, EXACT_CONFIG)
     if mass <= 0.0:
         raise UndefinedPriceError(
             f"zero measure mass on [{y1:.6g}, {y2:.6g}] MW: unit price undefined"
         )
-    value = lebesgue_integrate(m, y1, y2, price.price_times_duration)
+    value = lebesgue_integrate(m, y1, y2, price.price_times_duration, EXACT_CONFIG)
     return value / mass

@@ -3,13 +3,17 @@
 ``riemann_integrate`` sums a composite rule over interval panels on the time
 axis; ``lebesgue_integrate`` sums the same rules over power-level panels,
 weighting each level by the trajectory's measure function.  Panel edges are
-snapped to curve breakpoints (and to their images on the power axis), so the
-piecewise-polynomial integrands arising from piecewise-linear curves are
-integrated exactly by the Simpson rule at any panel count, so the library
-always runs at ``DEFAULT_CONFIG`` and other configs serve oracle checks; the
-limit constructions behind the two integral notions are exercised as
-convergence tests, not reimplemented as the production algorithm.  Both
-engines lay out the panels of all pieces at once and evaluate once.
+snapped to curve breakpoints (and to their images on the power axis), so a
+piecewise-polynomial integrand of degree <= 3 on those kinks is integrated
+exactly by the Simpson rule at any panel count.  Settlement, cost and unit
+prices integrate only such integrands, so the library runs them at
+``EXACT_CONFIG``: one Simpson pair (three points) per kink piece, the
+closed-form integral of a cubic.  ``DEFAULT_CONFIG`` (10 000 panels) is the
+default for arbitrary integrands and serves, with other configs, as the
+oracle in tests; the limit constructions behind the two integral notions
+are exercised as convergence tests, not reimplemented as the production
+algorithm.  Both engines lay out the panels of all pieces at once and
+evaluate once.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .errors import DomainError, NumericError
 __all__ = [
     "QuadratureConfig",
     "DEFAULT_CONFIG",
+    "EXACT_CONFIG",
     "riemann_integrate",
     "lebesgue_integrate",
     "lebesgue_energy",
@@ -51,6 +56,11 @@ class QuadratureConfig:
 
 
 DEFAULT_CONFIG = QuadratureConfig()
+# Two panels over [a, b] round to exactly two per kink piece under the
+# proportional allocation of ``_composite``: one Simpson pair, exact for a
+# cubic on each piece.  Only for integrands that are polynomials of degree
+# <= 3 between the kinks passed.
+EXACT_CONFIG = QuadratureConfig(n_panels=2)
 
 
 def _evaluate(f: Callable, xs: np.ndarray) -> np.ndarray:

@@ -5,9 +5,12 @@ revenue differs.  Spot revenue integrates price times output over time.
 Duration revenue integrates the bounded product ``pi(m(y)) * m(y)`` over
 the plant's output range and adds the base block ``[0, min output]``,
 which runs the whole cycle and settles at the anchor price ``pi(T)``.
-Every plant settles at the single market duration price.  Each integral
-runs at the quadrature default: panel edges snap to every kink, so it is
-exact to round-off and has no resolution to choose.
+Every plant settles at the single market duration price.  Every integrand
+is a polynomial of degree <= 2 between the kinks passed to the engine
+(piecewise-linear price times piecewise-linear output on the time axis;
+``pi(m) * m`` of a non-decreasing output on its level bands), so each
+integral runs at ``EXACT_CONFIG``: one Simpson pair per kink piece, exact
+to round-off, with no resolution to choose.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .pricing import (
     unit_energy_price_duration,
     unit_energy_price_spot,
 )
-from .quadrature import lebesgue_integrate, riemann_integrate
+from .quadrature import EXACT_CONFIG, lebesgue_integrate, riemann_integrate
 
 __all__ = [
     "PlantSettlement",
@@ -114,9 +117,11 @@ def settle_spot(sol: DispatchSolution, price: SpotPrice, plants: Sequence[Plant]
         kinks = np.concatenate([price.curve.times, curve.times])
         revenue = riemann_integrate(
             lambda ts, k=curve: price.sample(ts) * k.sample(ts),
-            0.0, sol.horizon, breakpoints=kinks,
+            0.0, sol.horizon, EXACT_CONFIG, breakpoints=kinks,
         )
-        energy = riemann_integrate(curve.sample, 0.0, sol.horizon, breakpoints=curve.times)
+        energy = riemann_integrate(
+            curve.sample, 0.0, sol.horizon, EXACT_CONFIG, breakpoints=curve.times
+        )
         rows.append(_plant_row(p.id, costs.per_plant[p.id], revenue, energy))
     return _assemble("spot", rows)
 
@@ -143,9 +148,11 @@ def settle_duration(
         revenue = price.anchor * curve.min_power * sol.horizon
         if curve.max_power > curve.min_power:
             revenue += lebesgue_integrate(
-                m, curve.min_power, curve.max_power, price.price_times_duration
+                m, curve.min_power, curve.max_power, price.price_times_duration, EXACT_CONFIG
             )
-        energy = riemann_integrate(curve.sample, 0.0, sol.horizon, breakpoints=curve.times)
+        energy = riemann_integrate(
+            curve.sample, 0.0, sol.horizon, EXACT_CONFIG, breakpoints=curve.times
+        )
         rows.append(_plant_row(p.id, costs.per_plant[p.id], revenue, energy))
     return _assemble("duration", rows)
 
@@ -177,13 +184,15 @@ def value_decomposition(
         edges = list(time_edges) if time_edges is not None else list(price.curve.times)
         for t1, t2 in zip(edges, edges[1:]):
             load_energy = riemann_integrate(
-                sol.load.sample, t1, t2, breakpoints=sol.load.times
+                sol.load.sample, t1, t2, EXACT_CONFIG, breakpoints=sol.load.times
             )
             if load_energy <= 0.0:
                 continue
             unit = unit_energy_price_spot(price, sol.load, t1, t2)
             for pid, curve in sol.outputs.items():
-                energy = riemann_integrate(curve.sample, t1, t2, breakpoints=curve.times)
+                energy = riemann_integrate(
+                    curve.sample, t1, t2, EXACT_CONFIG, breakpoints=curve.times
+                )
                 if energy <= 0.0:
                     continue
                 rows.append(ValueSegment("spot", pid, float(t1), float(t2), energy, unit))
@@ -197,7 +206,7 @@ def value_decomposition(
             else:
                 edges = sorted({0.0, *curve.levels})
             for y1, y2 in zip(edges, edges[1:]):
-                energy = lebesgue_integrate(m, y1, y2, lambda d: d)
+                energy = lebesgue_integrate(m, y1, y2, lambda d: d, EXACT_CONFIG)
                 if energy <= 0.0:
                     continue
                 unit = unit_energy_price_duration(price, m, y1, y2)

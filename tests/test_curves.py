@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,14 @@ class TestMeasure:
             ys = np.linspace(curve.min_power - 1, curve.max_power + 1, 101)
             ms = MeasureFunction(curve).sample(ys)
             assert np.all(np.diff(ms) <= 1e-15)
+
+    def test_tiny_segment_span_saturates_without_warning(self):
+        # (h - y) / width overflows to inf on a ~1e-310 MW span; the clip
+        # saturates it to the whole segment, with no RuntimeWarning.
+        curve = LoadCurve(times=[0.0, 1.0, 2.0], powers=[0.0, 1e-310, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert MeasureFunction(curve).sample([-1.0]).tolist() == [2.0]
 
     def test_measure_function_bounds(self):
         m = MeasureFunction(VEE)

@@ -55,7 +55,8 @@ def ref_sample(curve: LoadCurve, ys: np.ndarray) -> np.ndarray:
             total += np.where(ys < p0, dt, 0.0)
         else:
             lo, hi = (p0, p1) if p0 < p1 else (p1, p0)
-            total += dt * np.clip((hi - ys) / (hi - lo), 0.0, 1.0)
+            with np.errstate(over="ignore"):
+                total += dt * np.clip((hi - ys) / (hi - lo), 0.0, 1.0)
     return total
 
 

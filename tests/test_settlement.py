@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import inspect
+import json
 import math
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,15 +16,24 @@ from ctmarket import (
     Plant,
     QuadraticCost,
     UnsupportedOperationError,
+    dispatch_cost,
     duration_price,
     riemann_integrate,
     settle_duration,
     settle_spot,
     solve_equilibrium,
     spot_price,
+    validate,
     value_decomposition,
 )
-from conftest import affine_product_integral, random_monotone_load, random_plants
+from conftest import (
+    affine_product_integral,
+    interior_demand_floor,
+    random_monotone_load,
+    random_plants,
+)
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 # Antiderivative oracles for the regression scenario, kept independent of
 # the quadrature path they check.
@@ -269,3 +282,134 @@ def test_settlement_stable_across_panel_counts(case_solution, case_plants):
                 assert d.generation_cost == pytest.approx(cost, rel=1e-12)
                 assert s.revenue == pytest.approx(spot_revenue, rel=1e-12)
                 assert d.revenue == pytest.approx(duration_revenue, rel=1e-12)
+
+
+def _exact_at(curve: LoadCurve, knots: list[Fraction]) -> list[Fraction]:
+    """The curve's values at sorted ``knots``, interpolated in rational arithmetic."""
+    times = [Fraction(x) for x in curve.times.tolist()]
+    powers = [Fraction(x) for x in curve.powers.tolist()]
+    out, k = [], 0
+    for t in knots:
+        while k < len(times) - 2 and times[k + 1] <= t:
+            k += 1
+        slope = (powers[k + 1] - powers[k]) / (times[k + 1] - times[k])
+        out.append(powers[k] + (t - times[k]) * slope)
+    return out
+
+
+def _exact_spot(sol, plant: Plant) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact (revenue, cost, energy) of one plant under spot settlement.
+
+    Price ``a`` and output ``b`` are linear between the union of their
+    knots, so each segment integrates in closed form from its end values.
+    """
+    lam, out = sol.lambda_curve, sol.outputs[plant.id]
+    knots = sorted({Fraction(t) for t in (*lam.times.tolist(), *out.times.tolist())})
+    a, b = _exact_at(lam, knots), _exact_at(out, knots)
+    q2, q1, q0 = (Fraction(plant.cost.q2), Fraction(plant.cost.q1), Fraction(plant.cost.q0))
+    revenue = cost = energy = Fraction(0)
+    for k in range(len(knots) - 1):
+        dt, a0, a1, b0, b1 = knots[k + 1] - knots[k], a[k], a[k + 1], b[k], b[k + 1]
+        revenue += dt * (2 * a0 * b0 + a0 * b1 + a1 * b0 + 2 * a1 * b1) / 6
+        cost += q2 * dt * (b0 * b0 + b0 * b1 + b1 * b1) / 3 + q1 * dt * (b0 + b1) / 2 + q0 * dt
+        energy += dt * (b0 + b1) / 2
+    return revenue, cost, energy
+
+
+def _wide_instance():
+    """8 interior plants on a seeded, non-monotone 120-breakpoint load."""
+    rng = np.random.default_rng(8120)
+    plants = random_plants(rng, 8)
+    times = np.linspace(0.0, 24.0, 120)
+    powers = interior_demand_floor(plants) + rng.uniform(0.0, 500.0, size=len(times))
+    return plants, LoadCurve(times=times, powers=powers), False
+
+
+def _clamped_instance():
+    case = validate(json.loads((GOLDEN / "clamped" / "scenario.json").read_text()))
+    return case.plant_objects(), case.load_curve(), True
+
+
+@pytest.mark.parametrize("make", ["case_study", "clamped", "wide"])
+def test_spot_settlement_matches_exact_rational_integrals(make, case_plants, case_load):
+    """Settlement and cost against closed-form segment integrals computed in
+    ``Fraction`` arithmetic: an oracle that runs no quadrature."""
+    plants, load, clamp = {
+        "case_study": lambda: (case_plants, case_load, False),
+        "clamped": _clamped_instance,
+        "wide": _wide_instance,
+    }[make]()
+    sol = solve_equilibrium(plants, load, allow_clamp=clamp)
+    assert sol.clamped == clamp
+    report = settle_spot(sol, spot_price(sol), plants)
+    costs = dispatch_cost(sol, plants)
+
+    def close(x: float, exact: Fraction) -> bool:
+        return abs(Fraction(x) - exact) <= Fraction(1e-14) * abs(exact)
+
+    total_revenue = total_cost = Fraction(0)
+    for p, row in zip(plants, report.plants):
+        revenue, cost, energy = _exact_spot(sol, p)
+        total_revenue += revenue
+        total_cost += cost
+        assert close(row.revenue, revenue), (p.id, row.revenue, float(revenue))
+        assert close(row.generation_cost, cost), (p.id, row.generation_cost, float(cost))
+        assert close(costs.per_plant[p.id], cost), (p.id, costs.per_plant[p.id], float(cost))
+        assert close(row.energy, energy), (p.id, row.energy, float(energy))
+    assert close(report.total_revenue, total_revenue)
+    assert close(report.total_cost, total_cost)
+    assert close(costs.total, total_cost)
+
+
+def test_settlement_samples_one_simpson_pair_per_kink_piece(
+    monkeypatch, case_solution, case_plants
+):
+    """Every settlement integrand is piecewise <= cubic on the kinks it
+    passes, so each kink piece gets exactly 3 abscissae; a silent fall back
+    to a fine panel count fails here.  Abscissae are counted on the
+    integrand, as the benchmark tracer counts them."""
+    import ctmarket.dispatch
+    import ctmarket.settlement
+
+    def pieces(lo: float, hi: float, kinks) -> int:
+        return len({float(k) for k in kinks if lo < k < hi}) + 1
+
+    calls: dict[str, list[tuple[int, int]]] = {}  # name -> [(points, pieces)]
+
+    def counting(module, name: str, integrand: str, kinks_of) -> None:
+        original = getattr(module, name)
+        signature = inspect.signature(original)
+        key = f"{module.__name__}.{name}"
+        calls[key] = []
+
+        def wrapper(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            f, sizes = bound.arguments[integrand], []
+
+            def counted(xs):
+                sizes.append(int(np.size(xs)))
+                return f(xs)
+
+            bound.arguments[integrand] = counted
+            result = original(*bound.args, **bound.kwargs)
+            calls[key].append((sum(sizes), kinks_of(bound.arguments)))
+            return result
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def time_pieces(a) -> int:
+        return pieces(a["a"], a["b"], a["breakpoints"])
+
+    counting(ctmarket.settlement, "riemann_integrate", "f", time_pieces)
+    counting(ctmarket.dispatch, "riemann_integrate", "f", time_pieces)
+    counting(
+        ctmarket.settlement, "lebesgue_integrate", "weight",
+        lambda a: pieces(a["y_lo"], a["y_hi"], a["m"].levels),
+    )
+    settle_spot(case_solution, spot_price(case_solution), case_plants)
+    settle_duration(case_solution, duration_price(case_solution), case_plants)
+    for key, seen in calls.items():
+        assert seen, f"{key} was never called"
+        for points, n_pieces in seen:
+            assert points == 3 * n_pieces, (key, points, n_pieces)
