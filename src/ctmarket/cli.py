@@ -65,13 +65,20 @@ class RunOutput:
     diagnostics: list[str]
 
 
+@np.errstate(all="ignore")
 def run_scenario(
     scenario: Scenario,
     *,
     mechanisms: tuple[str, ...] | None = None,
     allow_clamp: bool | None = None,
 ) -> RunOutput:
-    """Run dispatch, pricing and settlement for the requested mechanisms."""
+    """Run dispatch, pricing and settlement for the requested mechanisms.
+
+    A number beyond the float range is diagnosed, not warned about: numpy's
+    floating-point warnings are off during the run, and it raises
+    :class:`NumericError` unless every reported number and series cell is
+    finite.
+    """
     opts = scenario.options
     mechs = tuple(mechanisms) if mechanisms is not None else opts.mechanisms
     clamp_ok = opts.allow_clamp if allow_clamp is None else allow_clamp
@@ -121,6 +128,11 @@ def run_scenario(
     )
 
 
+def _require_finite(where: str, values) -> None:
+    if not np.isfinite(values).all():
+        raise NumericError(f"{where} is not finite: the scenario's numbers exceed the float range")
+
+
 def _build_timeseries(
     sol: DispatchSolution,
     dsol: DispatchSolution | None,
@@ -137,14 +149,17 @@ def _build_timeseries(
     grid = _unite_apart(grid, np.linspace(0.0, T, GRID_POINTS), tol)
     # pi_time stops at T - m_floor: a prefix of the sorted grid.
     priced = 0 if dprice is None else int(np.searchsorted(grid, T - m_floor, side="right"))
-    pi = dprice.time_view(grid[:priced]).tolist() if priced else []
+    pi = dprice.time_view(grid[:priced]) if priced else np.empty(0)
     columns = [
-        grid.tolist(),
-        sol.load.sample(grid).tolist(),
-        sol.lambda_curve.sample(grid).tolist(),
-        pi + [None] * (len(grid) - priced),
-        *(curve.sample(grid).tolist() for curve in sol.outputs.values()),
+        grid,
+        sol.load.sample(grid),
+        sol.lambda_curve.sample(grid),
+        pi,
+        *(curve.sample(grid) for curve in sol.outputs.values()),
     ]
+    _require_finite(f"a {TIMESERIES_FILE} cell", np.concatenate(columns))
+    columns = [c.tolist() for c in columns]
+    columns[3] += [None] * (len(grid) - priced)
     return list(zip(*columns))
 
 
@@ -165,7 +180,9 @@ def _build_duration_series(
     grid = np.linspace(m_floor, T, GRID_POINTS + 1)[1:]
     extras = [T - t for t in dsol.lambda_curve.times if m_floor < T - t <= T]
     ms = np.unique(np.concatenate([grid, np.asarray(extras + [T])]))
-    return list(zip(ms.tolist(), dprice.measure_view(ms).tolist()))
+    pis = dprice.measure_view(ms)
+    _require_finite(f"a {DURATION_FILE} cell", pis)
+    return list(zip(ms.tolist(), pis.tolist()))
 
 
 def _build_settlement_rows(reports: dict[str, SettlementReport]) -> list[tuple]:
@@ -178,6 +195,10 @@ def _build_settlement_rows(reports: dict[str, SettlementReport]) -> list[tuple]:
             rows.append((mech, r.plant, r.generation_cost, r.revenue, r.profit, r.profit_rate))
         rows.append(
             (mech, "total", rep.total_cost, rep.total_revenue, rep.total_profit, rep.market_profit_rate)
+        )
+    for row in rows:
+        _require_finite(
+            f"the {row[0]} settlement of {row[1]}", [x for x in row[2:] if x is not None]
         )
     return rows
 
@@ -286,7 +307,7 @@ def main(argv=None) -> int:
     except (UnsupportedOperationError, UndefinedPriceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InfeasibleDispatchError, DomainError, NumericError, ValueError) as exc:
+    except (InfeasibleDispatchError, DomainError, NumericError, OverflowError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -138,6 +138,12 @@ class LoadCurve:
         return float(self._powers.max())
 
     @property
+    def energy(self) -> float:
+        """``int_0^T P(t) dt``: the trapezoid sum, exact for a piecewise-linear curve."""
+        p = self._powers
+        return float(np.dot(np.diff(self._times), p[:-1] + p[1:])) / 2.0
+
+    @property
     def levels(self) -> tuple[float, ...]:
         """Distinct breakpoint power levels, ascending."""
         return tuple(np.unique(self._powers).tolist())

@@ -30,7 +30,6 @@ import numpy as np
 from .cost import QuadraticCost
 from .curves import LoadCurve
 from .errors import InfeasibleDispatchError, UnsupportedOperationError
-from .quadrature import EXACT_CONFIG, riemann_integrate
 
 __all__ = [
     "Plant",
@@ -42,6 +41,10 @@ __all__ = [
 ]
 
 _INF = float("inf")
+_PLATEAU = (
+    "shadow price jumps across a merit-order gap (supply plateau); "
+    "clamped dispatch cannot represent this load"
+)
 
 
 @dataclass(frozen=True)
@@ -304,10 +307,7 @@ def _solve_clamped(plants: Sequence[Plant], load: LoadCurve) -> DispatchSolution
     def push(t: float, lam: float) -> None:
         if knots and t <= knots[-1][0] + t_tol:
             if abs(lam - knots[-1][1]) > 1e-9 * max(1.0, abs(lam)):
-                raise UnsupportedOperationError(
-                    "shadow price jumps across a merit-order gap (supply "
-                    "plateau); clamped dispatch cannot represent this load"
-                )
+                raise UnsupportedOperationError(_PLATEAU)
             return
         knots.append((t, lam))
 
@@ -328,10 +328,7 @@ def _solve_clamped(plants: Sequence[Plant], load: LoadCurve) -> DispatchSolution
         for k in crossed:
             dv = fleet.supplies[k]
             if prev_supply is not None and dv == prev_supply:
-                raise UnsupportedOperationError(
-                    "shadow price jumps across a merit-order gap (supply "
-                    "plateau); clamped dispatch cannot represent this load"
-                )
+                raise UnsupportedOperationError(_PLATEAU)
             prev_supply = dv
             tv = t0 + (dv - d0) * (t1 - t0) / (d1 - d0)
             push(tv, thr[k])
@@ -367,18 +364,14 @@ def _solve_clamped(plants: Sequence[Plant], load: LoadCurve) -> DispatchSolution
 def dispatch_cost(sol: DispatchSolution, plants: Sequence[Plant]) -> DispatchCost:
     """Per-plant generation cost over the cycle plus the market total.
 
-    Integrates each plant's quadratic cost along its trajectory.  Between
-    the trajectory breakpoints the integrand is quadratic, so one Simpson
-    pair per piece (``EXACT_CONFIG``) is exact to round-off.
+    Closed form, no quadrature: a segment of length ``dt`` on which the
+    output runs linearly from ``b0`` to ``b1`` costs
+    ``q2 dt (b0^2 + b0 b1 + b1^2) / 3 + q1 dt (b0 + b1) / 2 + q0 dt``.
     """
     per: dict[str, float] = {}
     for p in plants:
-        curve = sol.outputs[p.id]
-        per[p.id] = riemann_integrate(
-            lambda ts, c=p.cost, k=curve: c.cost(k.sample(ts)),
-            0.0,
-            sol.horizon,
-            EXACT_CONFIG,
-            breakpoints=curve.times,
-        )
+        curve, c = sol.outputs[p.id], p.cost
+        b0, b1 = curve.powers[:-1], curve.powers[1:]
+        square = float(np.dot(np.diff(curve.times), b0 * b0 + b0 * b1 + b1 * b1)) / 3.0
+        per[p.id] = c.q2 * square + c.q1 * curve.energy + c.q0 * sol.horizon
     return DispatchCost(per, math.fsum(per.values()))

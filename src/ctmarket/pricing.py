@@ -173,6 +173,8 @@ def duration_price_from_curve(
         m_floor = DEFAULT_M_FLOOR_FRACTION * T
     if not (0.0 < m_floor < T):
         raise DomainError(f"m_floor must lie in (0, {T!r}), got {m_floor!r}")
+    if T - m_floor == T:
+        raise DomainError(f"m_floor {m_floor!r} is too small: T - m_floor rounds to T = {T!r}")
 
     tau = price_curve.times
     lam = price_curve.powers

@@ -5,15 +5,16 @@ axis; ``lebesgue_integrate`` sums the same rules over power-level panels,
 weighting each level by the trajectory's measure function.  Panel edges are
 snapped to curve breakpoints (and to their images on the power axis), so a
 piecewise-polynomial integrand of degree <= 3 on those kinks is integrated
-exactly by the Simpson rule at any panel count.  Settlement, cost and unit
-prices integrate only such integrands, so the library runs them at
+exactly by the Simpson rule at any panel count.  Revenues and unit values
+integrate only such integrands, so the library runs them at
 ``EXACT_CONFIG``: one Simpson pair (three points) per kink piece, the
-closed-form integral of a cubic.  ``DEFAULT_CONFIG`` (10 000 panels) is the
-default for arbitrary integrands and serves, with other configs, as the
-oracle in tests; the limit constructions behind the two integral notions
-are exercised as convergence tests, not reimplemented as the production
-algorithm.  Both engines lay out the panels of all pieces at once and
-evaluate once.
+closed-form integral of a cubic.  Generation cost and energy are summed in
+closed form on the trajectory knots and do not come here.
+``DEFAULT_CONFIG`` (10 000 panels) is the default for arbitrary integrands
+and serves, with other configs, as the oracle in tests; the limit
+constructions behind the two integral notions are exercised as convergence
+tests, not reimplemented as the production algorithm.  Both engines lay
+out the panels of all pieces at once and evaluate once.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from .cost import QuadraticCost
 from .curves import LoadCurve
 from .dispatch import Plant
 from .errors import ScenarioValidationError, ValidationIssue
+from .pricing import DEFAULT_M_FLOOR_FRACTION
 
 __all__ = [
     "AffineLoad",
@@ -49,7 +50,7 @@ class PlantSpec:
 
 @dataclass(frozen=True)
 class Options:
-    m_floor: float | None = None  # None -> 1e-6 * horizon
+    m_floor: float | None = None  # None -> DEFAULT_M_FLOOR_FRACTION * horizon
     allow_clamp: bool = False
     mechanisms: tuple[str, ...] = MECHANISMS
 
@@ -86,7 +87,7 @@ class Scenario:
     def resolved_m_floor(self) -> float:
         if self.options.m_floor is not None:
             return self.options.m_floor
-        return 1e-6 * self.horizon
+        return DEFAULT_M_FLOOR_FRACTION * self.horizon
 
     def to_dict(self) -> dict[str, Any]:
         """Serialize to the scenario file schema (inverse of ``validate``)."""
@@ -330,6 +331,9 @@ def _validate_options(raw: Any, horizon: float | None, bad) -> Options:
     if m_floor is not None:
         if not _is_number(m_floor) or m_floor <= 0 or (horizon is not None and m_floor >= horizon):
             bad("options.m_floor", "must be a number in (0, horizon)")
+            m_floor = None
+        elif horizon is not None and horizon - m_floor == horizon:
+            bad("options.m_floor", f"too small: horizon - m_floor rounds to the horizon {horizon!r}")
             m_floor = None
     allow_clamp = raw.get("allow_clamp", False)
     if not isinstance(allow_clamp, bool):

@@ -1,12 +1,13 @@
 """Per-plant and market-wide settlement under both pricing mechanisms.
 
-Generation cost is identical under both mechanisms (same dispatch); only
-revenue differs.  Spot revenue integrates price times output over time.
-Duration revenue integrates the bounded product ``pi(m(y)) * m(y)`` over
-the plant's output range and adds the base block ``[0, min output]``,
-which runs the whole cycle and settles at the anchor price ``pi(T)``.
-Every plant settles at the single market duration price.  Every integrand
-is a polynomial of degree <= 2 between the kinks passed to the engine
+Generation cost and energy are the same under both mechanisms (same
+dispatch) and come in closed form from the output knots; only revenue
+differs.  Spot revenue integrates price times output over time.  Duration
+revenue integrates the bounded product ``pi(m(y)) * m(y)`` over the
+plant's output range and adds the base block ``[0, min output]``, which
+runs the whole cycle and settles at the anchor price ``pi(T)``.  Every
+plant settles at the single market duration price.  Every integrand is a
+polynomial of degree <= 2 between the kinks passed to the engine
 (piecewise-linear price times piecewise-linear output on the time axis;
 ``pi(m) * m`` of a non-decreasing output on its level bands), so each
 integral runs at ``EXACT_CONFIG``: one Simpson pair per kink piece, exact
@@ -119,10 +120,7 @@ def settle_spot(sol: DispatchSolution, price: SpotPrice, plants: Sequence[Plant]
             lambda ts, k=curve: price.sample(ts) * k.sample(ts),
             0.0, sol.horizon, EXACT_CONFIG, breakpoints=kinks,
         )
-        energy = riemann_integrate(
-            curve.sample, 0.0, sol.horizon, EXACT_CONFIG, breakpoints=curve.times
-        )
-        rows.append(_plant_row(p.id, costs.per_plant[p.id], revenue, energy))
+        rows.append(_plant_row(p.id, costs.per_plant[p.id], revenue, curve.energy))
     return _assemble("spot", rows)
 
 
@@ -134,7 +132,7 @@ def settle_duration(
     revenue = pi(T) * min_output * T + int pi(m_j(y)) m_j(y) dy over the
     plant's output range; the first term is the base block running the
     whole cycle, priced at the anchor.  Generation cost is the same
-    time-domain integral as under spot settlement.
+    closed form as under spot settlement.
     """
     if sol.clamped:
         raise UnsupportedOperationError(
@@ -150,10 +148,7 @@ def settle_duration(
             revenue += lebesgue_integrate(
                 m, curve.min_power, curve.max_power, price.price_times_duration, EXACT_CONFIG
             )
-        energy = riemann_integrate(
-            curve.sample, 0.0, sol.horizon, EXACT_CONFIG, breakpoints=curve.times
-        )
-        rows.append(_plant_row(p.id, costs.per_plant[p.id], revenue, energy))
+        rows.append(_plant_row(p.id, costs.per_plant[p.id], revenue, curve.energy))
     return _assemble("duration", rows)
 
 

@@ -183,6 +183,71 @@ def test_duration_on_clamped_dispatch_exits_2(tmp_path, capsys):
     assert "duration" in capsys.readouterr().err
 
 
+def test_supply_plateau_exits_2_with_one_error_line(tmp_path, capsys):
+    path = write_scenario(
+        tmp_path,
+        {
+            "name": "plateau",
+            "horizon": 1.0,
+            "load": {"breakpoints": [[0.0, 50.0], [1.0, 150.0]]},
+            "plants": [
+                {"id": "a", "q2": 0.01, "q1": 1.0, "q0": 0.0, "p_max": 100.0},
+                {"id": "b", "q2": 0.01, "q1": 10.0, "q0": 0.0},
+            ],
+        },
+    )
+    assert main(["--scenario", path, "--mechanism", "spot", "--allow-clamp"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: shadow price jumps")
+
+
+def _case_study_variant(horizon, breakpoints, q0=(0.2, 0.4, 0.8), options=None):
+    """The case-study fleet, with fixed costs ``q0``, on a breakpoint load."""
+    plants = [
+        {"id": f"plant{j + 1}", "q2": q2, "q1": q1, "q0": c}
+        for j, (q2, q1, c) in enumerate(zip((0.0005, 0.001, 0.002), (0.07, 0.14, 0.28), q0))
+    ]
+    data = {"name": "variant", "horizon": horizon, "load": {"breakpoints": breakpoints}, "plants": plants}
+    if options is not None:
+        data["options"] = options
+    return data
+
+
+DAY = [[0.0, 350.0], [6.0, 1050.0], [18.0, 700.0], [24.0, 350.0]]
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        # a cost past the float range used to reach settlement.csv as inf/nan
+        (
+            _case_study_variant(24.0, DAY, q0=(1e308, 0.4, 0.8)),
+            "error: the spot settlement of plant1 is not finite",
+        ),
+        # two finite costs whose sum overflows used to end in a traceback
+        (_case_study_variant(24.0, DAY, q0=(7e306, 7e306, 0.8)), "error: intermediate overflow"),
+        # T - m_floor == T used to put pi_time = inf at t = T
+        (
+            _case_study_variant(
+                1.0, [[0.0, 350.0], [0.3, 700.0], [0.6, 900.0], [1.0, 1050.0]],
+                options={"m_floor": 5e-324},
+            ),
+            "error: options.m_floor: ",
+        ),
+    ],
+    ids=["cost-overflow", "total-overflow", "tiny-m-floor"],
+)
+def test_non_finite_result_exits_1_with_one_error_line(tmp_path, capsys, data, message):
+    path = write_scenario(tmp_path, data)
+    out_dir = tmp_path / "out"
+    assert main(["--scenario", path, "--mechanism", "both", "--out-dir", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message), err
+    assert not out_dir.exists()
+
+
 def test_non_monotone_load_rearranged_for_duration(tmp_path, capsys):
     path = write_scenario(
         tmp_path,

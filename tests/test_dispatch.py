@@ -231,9 +231,16 @@ class TestClampedDispatch:
             Plant("low", QuadraticCost(0.001, 0.1, 0.0), p_max=100.0),  # marginal <= 0.3
             Plant("high", QuadraticCost(0.001, 1.0, 0.0)),  # marginal >= 1.0
         ]
-        load = LoadCurve([(0.0, 50.0), (1.0, 150.0)])
-        with pytest.raises(UnsupportedOperationError, match="gap"):
-            solve_equilibrium(plants, load, allow_clamp=True)
+        loads = [
+            # one load segment crosses both ends of the plateau
+            [(0.0, 50.0), (1.0, 150.0)],
+            # a load breakpoint sits on the plateau: the knot at t = 0.5
+            # would carry two prices
+            [(0.0, 50.0), (0.5, 100.0), (1.0, 150.0)],
+        ]
+        for breakpoints in loads:
+            with pytest.raises(UnsupportedOperationError, match="merit-order gap"):
+                solve_equilibrium(plants, LoadCurve(breakpoints), allow_clamp=True)
 
     def test_priced_out_plant_clamps_to_zero(self):
         plants = [

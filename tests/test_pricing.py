@@ -157,6 +157,11 @@ class TestDurationPrice:
         with pytest.raises(DomainError):
             duration_price(case_solution, m_floor=2.0)
 
+    def test_m_floor_lost_in_rounding_rejected(self, case_solution):
+        assert 1.0 - 5e-324 == 1.0
+        with pytest.raises(DomainError, match="m_floor"):
+            duration_price_from_curve(case_solution.lambda_curve, m_floor=5e-324)
+
 
 class TestUnitEnergyPriceSpot:
     def test_plant1_whole_cycle(self, case_solution):

@@ -120,6 +120,14 @@ class TestValidationDiagnostics:
         data["options"] = {"m_floor": 2.0}
         assert any("options.m_floor" in m for m in issues_of(data))
 
+    def test_m_floor_lost_in_rounding_rejected(self):
+        """horizon - m_floor == horizon would let the price's t = T
+        singularity into the time view."""
+        data = self.base()
+        data["options"] = {"m_floor": 5e-324}
+        issues = issues_of(data)
+        assert len(issues) == 1 and issues[0].startswith("options.m_floor: ")
+
     def test_p_max_below_p_min(self):
         data = self.base()
         data["plants"][0].update({"p_min": 50.0, "p_max": 10.0})

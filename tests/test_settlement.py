@@ -364,11 +364,14 @@ def test_spot_settlement_matches_exact_rational_integrals(make, case_plants, cas
 def test_settlement_samples_one_simpson_pair_per_kink_piece(
     monkeypatch, case_solution, case_plants
 ):
-    """Every settlement integrand is piecewise <= cubic on the kinks it
-    passes, so each kink piece gets exactly 3 abscissae; a silent fall back
-    to a fine panel count fails here.  Abscissae are counted on the
-    integrand, as the benchmark tracer counts them."""
-    import ctmarket.dispatch
+    """Only the revenue integrals run on the quadrature engines: one Riemann
+    call per plant under spot, one Lebesgue call per plant under duration,
+    and none for cost or energy.  Each revenue integrand is piecewise <=
+    cubic on the kinks it passes, so each kink piece gets exactly 3
+    abscissae; a silent fall back to a fine panel count fails here.
+    Abscissae are counted on the integrand, as the benchmark tracer counts
+    them; every engine call is counted on the shared ``_composite``."""
+    import ctmarket.quadrature
     import ctmarket.settlement
 
     def pieces(lo: float, hi: float, kinks) -> int:
@@ -402,14 +405,26 @@ def test_settlement_samples_one_simpson_pair_per_kink_piece(
         return pieces(a["a"], a["b"], a["breakpoints"])
 
     counting(ctmarket.settlement, "riemann_integrate", "f", time_pieces)
-    counting(ctmarket.dispatch, "riemann_integrate", "f", time_pieces)
     counting(
         ctmarket.settlement, "lebesgue_integrate", "weight",
         lambda a: pieces(a["y_lo"], a["y_hi"], a["m"].levels),
     )
+    engine_calls = []
+    composite = ctmarket.quadrature._composite
+
+    def counted_composite(*args):
+        engine_calls.append(args[-1])
+        return composite(*args)
+
+    monkeypatch.setattr(ctmarket.quadrature, "_composite", counted_composite)
+
+    dispatch_cost(case_solution, case_plants)
+    assert engine_calls == []
     settle_spot(case_solution, spot_price(case_solution), case_plants)
+    assert engine_calls == ["t"] * len(case_plants)
     settle_duration(case_solution, duration_price(case_solution), case_plants)
+    assert engine_calls == ["t"] * len(case_plants) + ["y"] * len(case_plants)
     for key, seen in calls.items():
-        assert seen, f"{key} was never called"
+        assert len(seen) == len(case_plants), key
         for points, n_pieces in seen:
             assert points == 3 * n_pieces, (key, points, n_pieces)
