@@ -12,8 +12,11 @@ and optionally writes machine-readable series files:
 * ``settlement.csv`` -- one row per plant per mechanism plus a total row.
 
 Report numbers carry 6 significant digits; series files carry full
-round-trip precision.  Exit codes: 0 success, 1 validation/input errors,
-2 unsupported-mechanism errors (e.g. duration pricing on clamped dispatch).
+round-trip precision: a float cell is its ``repr``.  ``csv`` writes the
+headers (plant ids may need quoting) and ``settlement.csv``; the float
+bodies of the other two files are built as text a column at a time and
+written at once.  Exit codes: 0 success, 1 validation/input errors, 2
+unsupported-mechanism errors (e.g. duration pricing on clamped dispatch).
 """
 
 from __future__ import annotations
@@ -84,7 +87,6 @@ def run_scenario(
     clamp_ok = opts.allow_clamp if allow_clamp is None else allow_clamp
     load = scenario.load_curve()
     plants = scenario.plant_objects()
-    m_floor = scenario.resolved_m_floor()
     diagnostics: list[str] = []
 
     sol = solve_equilibrium(plants, load, allow_clamp=clamp_ok)
@@ -111,7 +113,7 @@ def run_scenario(
                 "load is not non-decreasing: duration pricing and settlement "
                 "refer to the duration-rearranged timeline"
             )
-        dprice = duration_price(dsol, m_floor=m_floor)
+        dprice = duration_price(dsol, m_floor=scenario.resolved_m_floor())
         reports["duration"] = settle_duration(dsol, dprice, plants)
         diagnostics.append(
             "duration revenues settle every plant at the single market duration price"
@@ -121,8 +123,8 @@ def run_scenario(
         scenario=scenario,
         reports=reports,
         plant_ids=[p.id for p in plants],
-        timeseries=_build_timeseries(sol, dsol, dprice, m_floor),
-        duration_series=_build_duration_series(dprice, dsol, m_floor),
+        timeseries=_build_timeseries(sol, dsol, dprice),
+        duration_series=_build_duration_series(dprice, dsol),
         settlement_rows=_build_settlement_rows(reports),
         diagnostics=diagnostics,
     )
@@ -137,7 +139,6 @@ def _build_timeseries(
     sol: DispatchSolution,
     dsol: DispatchSolution | None,
     dprice: DurationPrice | None,
-    m_floor: float,
 ) -> list[tuple]:
     T = sol.horizon
     parts = [sol.load.times, sol.lambda_curve.times]
@@ -148,7 +149,7 @@ def _build_timeseries(
         grid = _unite_apart(grid, dsol.lambda_curve.times, tol)  # duration-price kinks
     grid = _unite_apart(grid, np.linspace(0.0, T, GRID_POINTS), tol)
     # pi_time stops at T - m_floor: a prefix of the sorted grid.
-    priced = 0 if dprice is None else int(np.searchsorted(grid, T - m_floor, side="right"))
+    priced = 0 if dprice is None else int(np.searchsorted(grid, T - dprice.m_floor, side="right"))
     pi = dprice.time_view(grid[:priced]) if priced else np.empty(0)
     columns = [
         grid,
@@ -172,11 +173,11 @@ def _unite_apart(kept: np.ndarray, extra: np.ndarray, tol: float) -> np.ndarray:
 
 
 def _build_duration_series(
-    dprice: DurationPrice | None, dsol: DispatchSolution | None, m_floor: float
+    dprice: DurationPrice | None, dsol: DispatchSolution | None
 ) -> list[tuple[float, float]]:
     if dprice is None or dsol is None:
         return []
-    T = dprice.horizon
+    T, m_floor = dprice.horizon, dprice.m_floor
     grid = np.linspace(m_floor, T, GRID_POINTS + 1)[1:]
     extras = [T - t for t in dsol.lambda_curve.times if m_floor < T - t <= T]
     ms = np.unique(np.concatenate([grid, np.asarray(extras + [T])]))
@@ -242,22 +243,32 @@ def _cell(x) -> str:
     return repr(float(x))
 
 
+def _text_column(column) -> list[str]:
+    if None in column:  # only pi_time has empty cells
+        return ["" if x is None else repr(x) for x in column]
+    return list(map(repr, column))
+
+
+def _write_floats(path: Path, header: list[str], rows: list[tuple]) -> None:
+    """A ``csv`` header row, then ``rows`` of floats (None for an empty
+    cell) at one ``repr`` per cell."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        if rows:
+            columns = [_text_column(c) for c in zip(*rows)]
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+
+
 def emit_series(out: RunOutput, directory) -> None:
     """Write the three series files with full round-trip precision."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-
-    with open(directory / TIMESERIES_FILE, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "load", "lambda", "pi_time", *(f"P_{pid}" for pid in out.plant_ids)])
-        for row in out.timeseries:
-            writer.writerow([_cell(v) for v in row])
-
-    with open(directory / DURATION_FILE, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "pi_measure"])
-        for m, pi in out.duration_series:
-            writer.writerow([_cell(m), _cell(pi)])
+    _write_floats(
+        directory / TIMESERIES_FILE,
+        ["t", "load", "lambda", "pi_time", *(f"P_{pid}" for pid in out.plant_ids)],
+        out.timeseries,
+    )
+    _write_floats(directory / DURATION_FILE, ["m", "pi_measure"], out.duration_series)
 
     with open(directory / SETTLEMENT_FILE, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -116,15 +116,24 @@ def _check_plants(plants: Sequence[Plant]) -> None:
         raise ValueError("plant ids must be unique")
 
 
+def _gap(values: np.ndarray, bound: float, below: bool) -> np.ndarray:
+    """How far ``values`` lie past ``bound``: below it if ``below``, else above."""
+    return bound - values if below else values - bound
+
+
+def _crosses(values: np.ndarray, bound: float, below: bool) -> bool:
+    """Whether ``values`` pass ``bound`` by more than the bound tolerance."""
+    return bool(np.any(_gap(values, bound, below) > 1e-9 * max(1.0, abs(bound))))
+
+
 def _violation_intervals(
     times: np.ndarray, values: np.ndarray, bound: float, below: bool
 ) -> list[tuple[float, float]]:
     """Maximal intervals where the piecewise-linear (times, values) path
     crosses strictly past ``bound`` (below it if ``below`` else above)."""
-    gap = bound - values if below else values - bound
-    tol = 1e-9 * max(1.0, abs(bound))
-    if not np.any(gap > tol):
+    if not _crosses(values, bound, below):
         return []
+    gap = _gap(values, bound, below)
     intervals: list[tuple[float, float]] = []
     start: float | None = None
     for i in range(len(times) - 1):
@@ -172,16 +181,13 @@ def solve_equilibrium(
     lam = (load.powers + offset) / denom
     outputs = {p.id: (lam - p.cost.q1) * inv2a[j] for j, p in enumerate(plants)}
 
-    violations: list[tuple[float, float, Plant, str, float]] = []
-    for p in plants:
-        vals = outputs[p.id]
-        for s, e in _violation_intervals(times, vals, p.p_min, below=True):
-            violations.append((s, e, p, "p_min", p.p_min))
-        if p.p_max is not None:
-            for s, e in _violation_intervals(times, vals, p.p_max, below=False):
-                violations.append((s, e, p, "p_max", p.p_max))
-
-    if not violations:
+    bounds = [
+        (p, kind, bound, kind == "p_min")
+        for p in plants
+        for kind, bound in (("p_min", p.p_min), ("p_max", p.p_max))
+        if bound is not None
+    ]
+    if not any(_crosses(outputs[p.id], bound, below) for p, _, bound, below in bounds):
         return DispatchSolution(
             lambda_curve=_curve_on(times, lam),
             outputs={pid: _curve_on(times, vals) for pid, vals in outputs.items()},
@@ -190,6 +196,12 @@ def solve_equilibrium(
         )
 
     if not allow_clamp:
+        # The intervals are needed only to name the first one.
+        violations = [
+            (s, e, p, kind, bound)
+            for p, kind, bound, below in bounds
+            for s, e in _violation_intervals(times, outputs[p.id], bound, below)
+        ]
         s, e, plant, kind, bound = min(violations, key=lambda v: v[0])
         side = "below p_min" if kind == "p_min" else "above p_max"
         raise InfeasibleDispatchError(
@@ -216,9 +228,16 @@ def _clip(raw, lo, hi):
     return np.where(hi < raw, hi, raw)
 
 
-def _ordered_sum(values: np.ndarray) -> float:
-    """``0.0 + values[0] + values[1] + ...``, added left to right."""
-    return float(np.cumsum(np.append(0.0, values))[-1])
+# The bracket sums are taken on (brackets x plants) blocks of at most this
+# many entries, so a large fleet needs no (brackets x plants) matrix at once.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _ordered_sums(values: np.ndarray) -> np.ndarray:
+    """``0.0 + values[..., 0] + values[..., 1] + ...``: each row of ``values``
+    added left to right along its last axis."""
+    start = np.zeros(values.shape[:-1] + (1,))
+    return np.cumsum(np.concatenate([start, values], axis=-1), axis=-1)[..., -1]
 
 
 def _thresholds(plants: Sequence[Plant]) -> list[float]:
@@ -233,29 +252,53 @@ def _thresholds(plants: Sequence[Plant]) -> list[float]:
 class _Fleet:
     """Plant coefficients and bounds as arrays in plant order, plus the
     supply curve's breakpoints: the price thresholds where a plant meets a
-    bound, and the total clipped supply at each."""
+    bound, and the total clipped supply at each.
+
+    Bracket ``k`` is the price range from ``thr[k]`` to ``thr[k + 1]`` (to
+    infinity for the last).  On it each plant is fixed at a bound or moves
+    with the price, so total supply is ``den[k] * lam - num[k] + fixed[k]``.
+    The three sums are taken once for every bracket, as rows of masked
+    (brackets x plants) blocks added left to right; a masked-out plant adds
+    ``+0.0``, so each equals the sum over that bracket's plants alone.
+    """
 
     def __init__(self, plants: Sequence[Plant]) -> None:
         self.q1 = np.array([p.cost.q1 for p in plants])
         self.two_q2 = np.array([2.0 * p.cost.q2 for p in plants])
         self.p_min = np.array([p.p_min for p in plants])
         self.p_max = np.array([p.p_max_or_inf for p in plants])
-        self.unbounded = np.array([p.p_max is None for p in plants])
-        self.lo_thr = np.array([p.cost.marginal(p.p_min) for p in plants])
-        self.hi_thr = np.array([_INF if p.p_max is None else p.cost.marginal(p.p_max) for p in plants])
-        self.slope = 1.0 / self.two_q2  # output per unit price of an interior plant
-        self.offset = self.q1 / self.two_q2
-        self.p_min_sum = _ordered_sum(self.p_min)
-        self.p_max_sum = _ordered_sum(self.p_max)
+        lo_thr = np.array([p.cost.marginal(p.p_min) for p in plants])
+        hi_thr = np.array([_INF if p.p_max is None else p.cost.marginal(p.p_max) for p in plants])
+        self.p_min_sum = float(_ordered_sums(self.p_min))
+        self.p_max_sum = float(_ordered_sums(self.p_max))
         self.thr = _thresholds(plants)
         self.supplies = [self.supply(v) for v in self.thr]
+
+        slope, offset = 1.0 / self.two_q2, self.q1 / self.two_q2
+        edges = np.append(self.thr, _INF)
+        self.fixed, self.den, self.num = [], [], []
+        rows = max(1, _BLOCK_ENTRIES // len(plants))
+        for first in range(0, len(self.thr), rows):
+            last = min(first + rows, len(self.thr))
+            v_lo, v_hi = edges[first:last, None], edges[first + 1 : last + 1, None]
+            at_max = hi_thr <= v_lo
+            at_min = ~at_max & (lo_thr >= v_hi)
+            active = ~(at_max | at_min)
+            at_bound = np.where(at_max, self.p_max, np.where(at_min, self.p_min, 0.0))
+            self.fixed += _ordered_sums(at_bound).tolist()
+            self.den += _ordered_sums(np.where(active, slope, 0.0)).tolist()
+            self.num += _ordered_sums(np.where(active, offset, 0.0)).tolist()
 
     def supply(self, lam: float) -> float:
         return float(_clip((lam - self.q1) / self.two_q2, self.p_min, self.p_max).sum())
 
 
 def _lambda_for_demand(fleet: _Fleet, demand: float) -> float:
-    """Smallest lam with total clipped supply equal to ``demand``."""
+    """Smallest lam with total clipped supply equal to ``demand``.
+
+    The supply breakpoints locate the bracket; its sums, precomputed by
+    :class:`_Fleet`, give lam in closed form.
+    """
     tol = 1e-9 * max(1.0, abs(demand))
     if demand < fleet.p_min_sum - tol or demand > fleet.p_max_sum + tol:
         raise InfeasibleDispatchError(
@@ -266,28 +309,15 @@ def _lambda_for_demand(fleet: _Fleet, demand: float) -> float:
     thr, supplies = fleet.thr, fleet.supplies
     if demand <= supplies[0]:
         return thr[0]
-    if demand >= supplies[-1]:
-        # Beyond the last threshold only the unbounded plants still move.
-        active = fleet.unbounded
-        den = _ordered_sum(fleet.slope[active])
-        if den == 0.0:
-            return thr[-1]
-        fixed = _ordered_sum(fleet.p_max[~active])
-        num = demand - fixed + _ordered_sum(fleet.offset[active])
-        return max(num / den, thr[-1])
-    k = int(np.searchsorted(supplies, demand, side="left"))
-    v_lo, v_hi = thr[k - 1], thr[k]
-    at_max = fleet.hi_thr <= v_lo
-    at_min = ~at_max & (fleet.lo_thr >= v_hi)
-    active = ~(at_max | at_min)
-    fixed = _ordered_sum(np.where(at_max, fleet.p_max, fleet.p_min)[~active])
-    den = _ordered_sum(fleet.slope[active])
-    num = _ordered_sum(fleet.offset[active])
+    # Beyond the last threshold only the unbounded plants still move.
+    last = demand >= supplies[-1]
+    k = len(thr) - 1 if last else bisect.bisect_left(supplies, demand) - 1
+    den = fleet.den[k]
     if den == 0.0:
         # Supply plateau: demand equals the constant supply on this bracket.
-        return v_lo
-    lam = (demand - fixed + num) / den
-    return min(max(lam, v_lo), v_hi)
+        return thr[k]
+    lam = (demand - fleet.fixed[k] + fleet.num[k]) / den
+    return max(lam, thr[k]) if last else min(max(lam, thr[k]), thr[k + 1])
 
 
 def _clamp_runs(times: np.ndarray, at: np.ndarray) -> list[tuple[float, float]]:

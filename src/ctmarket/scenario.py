@@ -17,7 +17,7 @@ from typing import Any, Mapping
 from .cost import QuadraticCost
 from .curves import LoadCurve
 from .dispatch import Plant
-from .errors import ScenarioValidationError, ValidationIssue
+from .errors import DomainError, ScenarioValidationError, ValidationIssue
 from .pricing import DEFAULT_M_FLOOR_FRACTION
 
 __all__ = [
@@ -85,9 +85,20 @@ class Scenario:
         ]
 
     def resolved_m_floor(self) -> float:
+        """``options.m_floor``, else ``DEFAULT_M_FLOOR_FRACTION * horizon``.
+
+        Raises :class:`DomainError` naming the horizon when that default
+        underflows to 0 (a horizon below about 1e-318).
+        """
         if self.options.m_floor is not None:
             return self.options.m_floor
-        return DEFAULT_M_FLOOR_FRACTION * self.horizon
+        m_floor = DEFAULT_M_FLOOR_FRACTION * self.horizon
+        if m_floor == 0.0:
+            raise DomainError(
+                f"horizon: {self.horizon!r} is too small for duration pricing: the default "
+                f"m_floor = {DEFAULT_M_FLOOR_FRACTION!r} * horizon underflows to 0; set options.m_floor"
+            )
+        return m_floor
 
     def to_dict(self) -> dict[str, Any]:
         """Serialize to the scenario file schema (inverse of ``validate``)."""
@@ -287,6 +298,9 @@ def _validate_plants(raw: Any, bad) -> list[PlantSpec]:
         q2 = item.get("q2")
         if not _is_number(q2) or q2 <= 0:
             bad(f"{path}.q2", f"must be > 0 for strict convexity (plant {pid!r})")
+            ok = False
+        elif not math.isfinite(1.0 / (2.0 * q2)):
+            bad(f"{path}.q2", f"too small: 1/(2*q2) overflows the float range (plant {pid!r})")
             ok = False
         q1 = item.get("q1")
         if not _is_number(q1) or q1 < 0:

@@ -248,6 +248,24 @@ def test_non_finite_result_exits_1_with_one_error_line(tmp_path, capsys, data, m
     assert not out_dir.exists()
 
 
+def test_tiny_horizon_names_horizon_under_duration(tmp_path, capsys):
+    """The default m_floor = 1e-6 * horizon underflows to 0 for this horizon;
+    the diagnostic used to blame m_floor, an option the scenario never set."""
+    path = write_scenario(
+        tmp_path,
+        {
+            "name": "tiny",
+            "horizon": 1e-320,
+            "load": {"affine": {"base": 100.0, "slope": 0.0}},
+            "plants": [{"id": "a", "q2": 0.001, "q1": 0.1, "q0": 0.1}],
+        },
+    )
+    assert main(["--scenario", path, "--mechanism", "both", "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: horizon: 1e-320 is too small"), err
+    assert main(["--scenario", path, "--mechanism", "spot", "--quiet"]) == 0
+
+
 def test_non_monotone_load_rearranged_for_duration(tmp_path, capsys):
     path = write_scenario(
         tmp_path,

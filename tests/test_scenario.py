@@ -70,6 +70,19 @@ class TestValidationDiagnostics:
         assert "convexity" in msgs[0]
         assert "'a'" in msgs[0]
 
+    def test_q2_whose_inverse_overflows_names_plant(self):
+        """1/(2*q2) past the float range used to surface as an unnamed
+        'power values must be finite' from the engine."""
+        data = self.base()
+        data["plants"] = [
+            {"id": "a", "q2": 1e-310, "q1": 0.1, "q0": 0.0},
+            {"id": "b", "q2": 1e-310, "q1": 0.1, "q0": 0.0},
+        ]
+        msgs = issues_of(data)
+        assert len(msgs) == 2
+        for j, (msg, pid) in enumerate(zip(msgs, "ab")):
+            assert msg.startswith(f"plants[{j}].q2: ") and f"'{pid}'" in msg
+
     def test_duplicate_breakpoint_times(self):
         data = self.base()
         data["load"] = {"breakpoints": [[0.0, 10.0], [0.5, 20.0], [0.5, 30.0], [1.0, 40.0]]}
