@@ -259,7 +259,8 @@ class _Fleet:
     with the price, so total supply is ``den[k] * lam - num[k] + fixed[k]``.
     The three sums are taken once for every bracket, as rows of masked
     (brackets x plants) blocks added left to right; a masked-out plant adds
-    ``+0.0``, so each equals the sum over that bracket's plants alone.
+    ``+0.0``, so each equals the sum over that bracket's plants alone.  The
+    supplies at the thresholds are taken on the same blocks.
     """
 
     def __init__(self, plants: Sequence[Plant]) -> None:
@@ -272,15 +273,17 @@ class _Fleet:
         self.p_min_sum = float(_ordered_sums(self.p_min))
         self.p_max_sum = float(_ordered_sums(self.p_max))
         self.thr = _thresholds(plants)
-        self.supplies = [self.supply(v) for v in self.thr]
 
         slope, offset = 1.0 / self.two_q2, self.q1 / self.two_q2
         edges = np.append(self.thr, _INF)
-        self.fixed, self.den, self.num = [], [], []
+        self.supplies, self.fixed, self.den, self.num = [], [], [], []
         rows = max(1, _BLOCK_ENTRIES // len(plants))
         for first in range(0, len(self.thr), rows):
             last = min(first + rows, len(self.thr))
             v_lo, v_hi = edges[first:last, None], edges[first + 1 : last + 1, None]
+            # Row by row the same pairwise sum as ``supply`` at each threshold.
+            raw = (v_lo - self.q1) / self.two_q2
+            self.supplies += _clip(raw, self.p_min, self.p_max).sum(axis=1).tolist()
             at_max = hi_thr <= v_lo
             at_min = ~at_max & (lo_thr >= v_hi)
             active = ~(at_max | at_min)

@@ -14,7 +14,8 @@ closed form on the trajectory knots and do not come here.
 and serves, with other configs, as the oracle in tests; the limit
 constructions behind the two integral notions are exercised as convergence
 tests, not reimplemented as the production algorithm.  Both engines lay
-out the panels of all pieces at once and evaluate once.
+out the panels of all pieces at once, evaluate once, and sum every piece
+in one vectorised pass that adds its terms strictly left to right.
 """
 
 from __future__ import annotations
@@ -87,9 +88,11 @@ def _composite(
     width, with the abscissae of ``np.linspace(e0, e1, n + 1)`` (Simpson) or
     ``e0 + (k + 0.5) * h`` (midpoint).  ``values(xs, right)`` gives the
     integrand on all of them at once; ``right`` indexes the pieces' right
-    edges under Simpson and is None under midpoint.  Each piece is one
-    ``np.dot`` / ``np.sum`` on its slice, added left to right, so the total
-    is bit for bit that of integrating the pieces one by one.
+    edges under Simpson and is None under midpoint.  Each piece's terms
+    (weight times value) are added strictly left to right, the scaled piece
+    sums then left to right from 0.0, so the total is bit for bit that of a
+    plain running total over the pieces and their points, independent of
+    the BLAS build.
     """
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -121,17 +124,20 @@ def _composite(
     if bad.any():
         x = float(xs[bad][0])
         raise NumericError(f"integrand is not finite at {axis} = {x!r}", abscissa=x)
-    spans = zip(starts.tolist(), stops.tolist())
     if simpson:
         w = np.where(k % 2.0 == 1.0, 4.0, 2.0)
         w[starts] = w[right] = 1.0
-        sums, scale = [np.dot(w[s:e], vals[s:e]) for s, e in spans], h / 3.0
+        terms, scale = w * vals, h / 3.0
     else:
-        sums, scale = [np.sum(vals[s:e]) for s, e in spans], h
-    total = 0.0
-    for c, v in zip(scale.tolist(), sums):
-        total += c * float(v)
-    return total
+        terms, scale = vals, h
+    # Pieces of one point count are one (pieces x count) gather; cumsum adds
+    # each row left to right.  Gathers cover each point once, so no padding.
+    sums = np.empty(len(counts))
+    order = np.argsort(counts, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
+        rows = terms[starts[group, None] + np.arange(counts[group[0]])]
+        sums[group] = np.cumsum(rows, axis=1)[:, -1]
+    return float(np.cumsum(np.concatenate(([0.0], scale * sums)))[-1])
 
 
 def riemann_integrate(
@@ -174,9 +180,15 @@ def lebesgue_integrate(
     """
 
     def values(ys: np.ndarray, right: np.ndarray | None) -> np.ndarray:
-        ms = m.sample(ys)
-        if right is not None:
-            ms[right] = m.limit_from_below(ys[right])
+        # ``m`` at a level does not depend on the levels sampled with it, so
+        # each abscissa is sampled once: right edges only as the left limit.
+        if right is None:
+            return _evaluate(weight, m.sample(ys))
+        ms = np.empty_like(ys)
+        inner = np.ones(ys.shape, dtype=bool)
+        inner[right] = False
+        ms[inner] = m.sample(ys[inner])
+        ms[right] = m.limit_from_below(ys[right])
         return _evaluate(weight, ms)
 
     return _composite(values, y_lo, y_hi, m.levels, cfg, "y")

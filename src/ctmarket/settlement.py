@@ -24,7 +24,7 @@ import numpy as np
 
 from .curves import MeasureFunction
 from .dispatch import DispatchSolution, Plant, dispatch_cost
-from .errors import UnsupportedOperationError
+from .errors import NumericError, UnsupportedOperationError
 from .pricing import (
     DurationPrice,
     SpotPrice,
@@ -110,16 +110,26 @@ def settle_spot(sol: DispatchSolution, price: SpotPrice, plants: Sequence[Plant]
 
     The market purchasing cost (total revenue) equals the integral of
     lam times the system load, since outputs balance the load pointwise.
+    A revenue past the float range raises :class:`NumericError` naming the
+    plant.
     """
     costs = dispatch_cost(sol, plants)
     rows = []
     for p in plants:
         curve = sol.outputs[p.id]
         kinks = np.concatenate([price.curve.times, curve.times])
-        revenue = riemann_integrate(
-            lambda ts, k=curve: price.sample(ts) * k.sample(ts),
-            0.0, sol.horizon, EXACT_CONFIG, breakpoints=kinks,
-        )
+        try:
+            revenue = riemann_integrate(
+                lambda ts, k=curve: price.sample(ts) * k.sample(ts),
+                0.0, sol.horizon, EXACT_CONFIG, breakpoints=kinks,
+            )
+        except NumericError as exc:
+            # Price and output are finite curves: only their product overflows.
+            raise NumericError(
+                f"the spot settlement of {p.id} is not finite: "
+                "the scenario's numbers exceed the float range",
+                abscissa=exc.abscissa,
+            ) from exc
         rows.append(_plant_row(p.id, costs.per_plant[p.id], revenue, curve.energy))
     return _assemble("spot", rows)
 

@@ -128,6 +128,7 @@ def test_lambda_for_demand_matches_reference(plants, fractions, block_entries):
     # Small blocks split the brackets over several blocks, as a large fleet does.
     with mock.patch.object(dispatch, "_BLOCK_ENTRIES", block_entries):
         fleet = dispatch._Fleet(plants)
+    assert list(map(_bits, fleet.supplies)) == [_bits(fleet.supply(v)) for v in fleet.thr]
     for demand in _demands(fleet, fractions):
         got = _outcome(lambda: _bits(dispatch._lambda_for_demand(fleet, demand)))
         want = _outcome(lambda: _bits(ref_lambda_for_demand(plants, fleet, demand)))

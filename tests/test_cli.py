@@ -224,6 +224,13 @@ DAY = [[0.0, 350.0], [6.0, 1050.0], [18.0, 700.0], [24.0, 350.0]]
             _case_study_variant(24.0, DAY, q0=(1e308, 0.4, 0.8)),
             "error: the spot settlement of plant1 is not finite",
         ),
+        # price times output overflows: spot revenue used to print the
+        # engine's "integrand is not finite at t = 0.0", naming no plant
+        (
+            _case_study_variant(24.0, [[0.0, 1e306], [12.0, 1.5e306], [24.0, 1e306]]),
+            "error: the spot settlement of plant1 is not finite: "
+            "the scenario's numbers exceed the float range",
+        ),
         # two finite costs whose sum overflows used to end in a traceback
         (_case_study_variant(24.0, DAY, q0=(7e306, 7e306, 0.8)), "error: intermediate overflow"),
         # T - m_floor == T used to put pi_time = inf at t = T
@@ -235,7 +242,7 @@ DAY = [[0.0, 350.0], [6.0, 1050.0], [18.0, 700.0], [24.0, 350.0]]
             "error: options.m_floor: ",
         ),
     ],
-    ids=["cost-overflow", "total-overflow", "tiny-m-floor"],
+    ids=["cost-overflow", "revenue-overflow", "total-overflow", "tiny-m-floor"],
 )
 def test_non_finite_result_exits_1_with_one_error_line(tmp_path, capsys, data, message):
     path = write_scenario(tmp_path, data)

@@ -4,12 +4,16 @@
 piece between consecutive kinks at once and evaluate the integrand once.
 The reference below is the straightforward form: one Python loop over the
 pieces, each with its own ``np.linspace`` (or midpoint abscissae), its own
-integrand call and its own weighted sum, added to a running total.  The
-engines compute the same abscissae and add the same per-piece sums in the
-same order, so the results must be equal exactly, for both rules.
+integrand call and its own weighted sum -- a Python running total of
+``w[i] * vals[i]``, scaled by ``h / 3`` or ``h`` -- added to a running
+total.  The engines compute the same abscissae and add the same terms in
+the same order, so the results must be equal exactly, for both rules and
+on any BLAS build.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -52,12 +56,14 @@ def ref_panels(edges: list[float], n_total: int, rule: str) -> list[int]:
 
 
 def ref_panel_sum(vals: np.ndarray, h: float, rule: str) -> float:
-    if rule == "midpoint":
-        return h * float(np.sum(vals))
     w = np.ones(vals.shape[0])
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return (h / 3.0) * float(np.dot(w, vals))
+    if rule == "simpson":
+        w[1:-1:2] = 4.0
+        w[2:-1:2] = 2.0
+    total = 0.0
+    for i in range(vals.shape[0]):
+        total += w[i] * vals[i]
+    return (h / 3.0 if rule == "simpson" else h) * float(total)
 
 
 def ref_pieces(a: float, b: float, breakpoints, cfg: QuadratureConfig):
@@ -196,3 +202,24 @@ def test_flat_levels_take_the_limit_from_below():
         for weight in WEIGHTS:
             assert lebesgue_integrate(m, 0.0, 10.0, weight, cfg) == ref_lebesgue(m, 0.0, 10.0, weight, cfg)
     assert lebesgue_integrate(m, 5.0, 9.0, lambda d: d) == pytest.approx(9.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("rule, n_panels, small", [("simpson", 16, 1.0), ("midpoint", 9, 3.0)])
+def test_piece_terms_are_added_left_to_right(rule, n_panels, small):
+    """One piece of 17 Simpson or 9 midpoint points, ``1e17, small, ...,
+    -1e17``: a running total loses every small term, while a pairwise sum,
+    a BLAS dot and the exact sum keep some.  The engine must give the
+    running total's float."""
+    cfg = QuadratureConfig(n_panels=n_panels, rule=rule)
+    vals = np.full(n_panels + 1 if rule == "simpson" else n_panels, small)
+    vals[0], vals[-1] = 1e17, -1e17
+    f = lambda xs: vals.copy()
+    want = ref_riemann(f, 0.0, 1.0, cfg)
+    terms = vals.copy()
+    if rule == "simpson":
+        terms[1:-1:2] *= 4.0
+        terms[2:-1:2] *= 2.0
+    scale = 1.0 / n_panels / (3.0 if rule == "simpson" else 1.0)
+    assert want == 0.0
+    assert scale * float(np.sum(terms)) != want and scale * math.fsum(terms) != want
+    assert riemann_integrate(f, 0.0, 1.0, cfg) == want
