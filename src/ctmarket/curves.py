@@ -93,6 +93,16 @@ class LoadCurve:
         object.__setattr__(self, "_times", times)
         object.__setattr__(self, "_powers", powers)
 
+    @classmethod
+    def _adopt(cls, times: np.ndarray, powers: np.ndarray) -> LoadCurve:
+        """A curve holding ``times`` and ``powers`` as they are: no copy and
+        no check.  The caller passes read-only arrays that it has already
+        checked as the constructor would."""
+        curve = cls.__new__(cls)
+        object.__setattr__(curve, "_times", times)
+        object.__setattr__(curve, "_powers", powers)
+        return curve
+
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -161,8 +171,12 @@ class LoadCurve:
     # ------------------------------------------------------------------
 
     def _check_domain(self, ts: np.ndarray) -> None:
+        if not ts.size:
+            return
         tol = 1e-12 * max(self.horizon, 1.0)
-        if np.any(ts < -tol) or np.any(ts > self.horizon + tol):
+        # NaN-ignoring extremes: a NaN time passes, as it always has.
+        lo, hi = np.fmin.reduce(ts, axis=None), np.fmax.reduce(ts, axis=None)
+        if lo < -tol or hi > self.horizon + tol:
             bad = ts[(ts < -tol) | (ts > self.horizon + tol)]
             raise DomainError(
                 f"time {float(np.atleast_1d(bad)[0])!r} outside [0, {self.horizon!r}]"

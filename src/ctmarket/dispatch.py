@@ -87,7 +87,9 @@ class DispatchSolution:
     ``outputs`` maps plant id to its trajectory.  ``lambda_curve`` and every
     output are array-backed :class:`LoadCurve` values on one knot grid:
     they share a single read-only ``times`` array (the load's own for an
-    interior solution), and only their ``powers`` differ.  ``clamped`` marks
+    interior solution), and only their ``powers`` differ.  The outputs'
+    ``powers`` are the read-only rows of one (plants x knots) block, so
+    holding any one output curve keeps the whole block alive.  ``clamped`` marks
     solutions where a capacity bound is active on an interval
     (``clamp_events`` lists them); duration pricing refuses such solutions.
     """
@@ -116,24 +118,31 @@ def _check_plants(plants: Sequence[Plant]) -> None:
         raise ValueError("plant ids must be unique")
 
 
-def _gap(values: np.ndarray, bound: float, below: bool) -> np.ndarray:
-    """How far ``values`` lie past ``bound``: below it if ``below``, else above."""
-    return bound - values if below else values - bound
+_KINDS = ("p_min", "p_max")
+
+# Row blocks of the output block, and of the clamped bracket sums, hold at
+# most this many entries: each is filled and reduced while it is in cache,
+# and a large fleet needs no (brackets x plants) matrix at once.
+_BLOCK_ENTRIES = 1 << 16
 
 
-def _crosses(values: np.ndarray, bound: float, below: bool) -> bool:
-    """Whether ``values`` pass ``bound`` by more than the bound tolerance."""
-    return bool(np.any(_gap(values, bound, below) > 1e-9 * max(1.0, abs(bound))))
+def _bound_pairs(p_min: np.ndarray, p_max: np.ndarray) -> np.ndarray:
+    """Each plant's ``(p_min, p_max)`` as a row; an unbounded p_max
+    (``inf``) becomes NaN, which no comparison meets."""
+    return np.column_stack([p_min, np.where(p_max < _INF, p_max, np.nan)])
+
+
+def _tol(bound):
+    """The bound tolerance ``1e-9 * max(1, |bound|)``, elementwise."""
+    return 1e-9 * np.maximum(1.0, np.abs(bound))
 
 
 def _violation_intervals(
     times: np.ndarray, values: np.ndarray, bound: float, below: bool
 ) -> list[tuple[float, float]]:
     """Maximal intervals where the piecewise-linear (times, values) path
-    crosses strictly past ``bound`` (below it if ``below`` else above)."""
-    if not _crosses(values, bound, below):
-        return []
-    gap = _gap(values, bound, below)
+    lies strictly past ``bound`` (below it if ``below`` else above)."""
+    gap = bound - values if below else values - bound
     intervals: list[tuple[float, float]] = []
     start: float | None = None
     for i in range(len(times) - 1):
@@ -152,10 +161,55 @@ def _violation_intervals(
     return intervals
 
 
-def _curve_on(times: np.ndarray, values: np.ndarray) -> LoadCurve:
-    """A curve on the shared time axis ``times``; ``values`` is handed over."""
-    values.setflags(write=False)
-    return LoadCurve(times=times, powers=values)
+def _row_blocks(block: np.ndarray) -> list[slice]:
+    """Consecutive row ranges of ``block`` of at most ``_BLOCK_ENTRIES``
+    entries each (at least one row)."""
+    step = max(1, _BLOCK_ENTRIES // block.shape[1])
+    return [slice(first, first + step) for first in range(0, len(block), step)]
+
+
+def _row_extremes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's NaN-ignoring minimum and maximum, and whether it holds a
+    NaN (``np.minimum`` keeps the NaN that ``np.fmin`` skips)."""
+    return (
+        np.fmin.reduce(rows, axis=1),
+        np.fmax.reduce(rows, axis=1),
+        np.isnan(np.minimum.reduce(rows, axis=1)),
+    )
+
+
+def _solution(
+    plants: Sequence[Plant],
+    load: LoadCurve,
+    times: np.ndarray,
+    lam: np.ndarray,
+    block: np.ndarray,
+    extremes: tuple[np.ndarray, np.ndarray, np.ndarray],
+    events: Sequence[ClampEvent] = (),
+) -> DispatchSolution:
+    """The solution with shadow price ``lam`` and row ``j`` of ``block`` as
+    plant ``j``'s output, all on the shared, already-validated axis ``times``.
+
+    ``extremes`` are :func:`_row_extremes` of ``block``.  ``lam`` and then
+    the rows in plant order are checked as :class:`LoadCurve` checks them;
+    the first refusal is its own ``ValueError``.  Each output curve then
+    adopts a read-only row of ``block`` without a copy.
+    """
+    lam.setflags(write=False)
+    lambda_curve = LoadCurve(times=times, powers=lam)
+    lo, hi, has_nan = extremes
+    bad = np.flatnonzero(has_nan | ~np.isfinite(lo) | ~np.isfinite(hi) | (lo < 0.0))
+    if bad.size:
+        LoadCurve(times=times, powers=block[bad[0]])  # raises: not finite, or below 0
+    block.setflags(write=False)
+    return DispatchSolution(
+        lambda_curve=lambda_curve,
+        outputs={p.id: LoadCurve._adopt(times, row) for p, row in zip(plants, block)},
+        load=load,
+        horizon=load.horizon,
+        clamped=bool(events),
+        clamp_events=tuple(events),
+    )
 
 
 def solve_equilibrium(
@@ -179,42 +233,53 @@ def solve_equilibrium(
 
     times = load.times
     lam = (load.powers + offset) / denom
-    outputs = {p.id: (lam - p.cost.q1) * inv2a[j] for j, p in enumerate(plants)}
+    # Every P_j = (lam - q1_j) / (2 q2_j) is a row of one (plants x knots) block.
+    block = np.empty((len(plants), len(times)))
+    parts = []
+    for rows in _row_blocks(block):
+        out = block[rows]
+        np.subtract(lam, q1[rows, None], out=out)
+        out *= inv2a[rows, None]
+        parts.append(_row_extremes(out))
+    lo, hi, has_nan = (np.concatenate(part) for part in zip(*parts))
 
-    bounds = [
-        (p, kind, bound, kind == "p_min")
-        for p in plants
-        for kind, bound in (("p_min", p.p_min), ("p_max", p.p_max))
-        if bound is not None
-    ]
-    if not any(_crosses(outputs[p.id], bound, below) for p, _, bound, below in bounds):
-        return DispatchSolution(
-            lambda_curve=_curve_on(times, lam),
-            outputs={pid: _curve_on(times, vals) for pid, vals in outputs.items()},
-            load=load,
-            horizon=load.horizon,
-        )
+    # Subtraction is monotone, so ``p_min - lo > tol`` exactly when some
+    # ``p_min - P > tol``, and likewise for p_max; a NaN output decides nothing.
+    bounds = _bound_pairs(
+        np.array([p.p_min for p in plants]), np.array([p.p_max_or_inf for p in plants])
+    )
+    crossed = np.column_stack([bounds[:, 0] - lo, hi - bounds[:, 1]]) > _tol(bounds)
+    if not crossed.any():
+        # An output a rounding below 0 that p_min's tolerance accepts is a
+        # plant at its merit-order entry point: it runs at +0.0.
+        for j in np.flatnonzero(lo < 0.0):
+            row = block[j]
+            row[row < 0.0] = 0.0
+            lo[j] = 0.0
+        return _solution(plants, load, times, lam, block, (lo, hi, has_nan))
 
-    if not allow_clamp:
-        # The intervals are needed only to name the first one.
-        violations = [
-            (s, e, p, kind, bound)
-            for p, kind, bound, below in bounds
-            for s, e in _violation_intervals(times, outputs[p.id], bound, below)
+    if allow_clamp:
+        return _solve_clamped(plants, load)
+    # The intervals are needed only to name the first one.
+    violations = []
+    for j, k in zip(*np.nonzero(crossed)):
+        plant, kind = plants[j], _KINDS[k]
+        bound = getattr(plant, kind)
+        violations += [
+            (s, e, plant, kind, bound)
+            for s, e in _violation_intervals(times, block[j], bound, kind == "p_min")
         ]
-        s, e, plant, kind, bound = min(violations, key=lambda v: v[0])
-        side = "below p_min" if kind == "p_min" else "above p_max"
-        raise InfeasibleDispatchError(
-            f"unconstrained dispatch puts plant {plant.id!r} {side} = {bound:.6g} MW "
-            f"on t in [{s:.6g}, {e:.6g}] h; enable clamped dispatch to proceed "
-            f"(spot settlement only)",
-            plant=plant.id,
-            interval=(s, e),
-            bound=bound,
-            kind=kind,
-        )
-
-    return _solve_clamped(plants, load)
+    s, e, plant, kind, bound = min(violations, key=lambda v: v[0])
+    side = "below p_min" if kind == "p_min" else "above p_max"
+    raise InfeasibleDispatchError(
+        f"unconstrained dispatch puts plant {plant.id!r} {side} = {bound:.6g} MW "
+        f"on t in [{s:.6g}, {e:.6g}] h; enable clamped dispatch to proceed "
+        f"(spot settlement only)",
+        plant=plant.id,
+        interval=(s, e),
+        bound=bound,
+        kind=kind,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -223,14 +288,11 @@ def solve_equilibrium(
 
 
 def _clip(raw, lo, hi):
-    """``min(max(raw, lo), hi)`` elementwise, keeping Python's tie rules."""
-    raw = np.where(lo > raw, lo, raw)
-    return np.where(hi < raw, hi, raw)
-
-
-# The bracket sums are taken on (brackets x plants) blocks of at most this
-# many entries, so a large fleet needs no (brackets x plants) matrix at once.
-_BLOCK_ENTRIES = 1 << 16
+    """Set ``raw`` to ``min(max(raw, lo), hi)`` elementwise, in place and
+    keeping Python's tie rules; return it."""
+    np.copyto(raw, lo, where=lo > raw)
+    np.copyto(raw, hi, where=hi < raw)
+    return raw
 
 
 def _ordered_sums(values: np.ndarray) -> np.ndarray:
@@ -238,15 +300,6 @@ def _ordered_sums(values: np.ndarray) -> np.ndarray:
     added left to right along its last axis."""
     start = np.zeros(values.shape[:-1] + (1,))
     return np.cumsum(np.concatenate([start, values], axis=-1), axis=-1)[..., -1]
-
-
-def _thresholds(plants: Sequence[Plant]) -> list[float]:
-    vals = set()
-    for p in plants:
-        vals.add(p.cost.marginal(p.p_min))
-        if p.p_max is not None:
-            vals.add(p.cost.marginal(p.p_max))
-    return sorted(vals)
 
 
 class _Fleet:
@@ -268,11 +321,14 @@ class _Fleet:
         self.two_q2 = np.array([2.0 * p.cost.q2 for p in plants])
         self.p_min = np.array([p.p_min for p in plants])
         self.p_max = np.array([p.p_max_or_inf for p in plants])
-        lo_thr = np.array([p.cost.marginal(p.p_min) for p in plants])
-        hi_thr = np.array([_INF if p.p_max is None else p.cost.marginal(p.p_max) for p in plants])
+        # ``QuadraticCost.marginal``'s operations in its order; an unbounded
+        # plant's p_max threshold is inf and is no breakpoint.
+        lo_thr = self.two_q2 * self.p_min + self.q1
+        hi_thr = self.two_q2 * self.p_max + self.q1
         self.p_min_sum = float(_ordered_sums(self.p_min))
         self.p_max_sum = float(_ordered_sums(self.p_max))
-        self.thr = _thresholds(plants)
+        listed = np.column_stack([np.full(len(plants), True), self.p_max < _INF])
+        self.thr = sorted(set(np.column_stack([lo_thr, hi_thr])[listed].tolist()))
 
         slope, offset = 1.0 / self.two_q2, self.q1 / self.two_q2
         edges = np.append(self.thr, _INF)
@@ -323,18 +379,12 @@ def _lambda_for_demand(fleet: _Fleet, demand: float) -> float:
     return max(lam, thr[k]) if last else min(max(lam, thr[k]), thr[k + 1])
 
 
-def _clamp_runs(times: np.ndarray, at: np.ndarray) -> list[tuple[float, float]]:
-    """Maximal time intervals whose every knot has ``at`` set."""
-    both = np.concatenate(([False], at[:-1] & at[1:], [False]))
-    edges = np.flatnonzero(both[1:] != both[:-1])
-    return [(float(times[s]), float(times[e])) for s, e in zip(edges[::2], edges[1::2])]
-
-
-def _solve_clamped(plants: Sequence[Plant], load: LoadCurve) -> DispatchSolution:
-    fleet = _Fleet(plants)
+def _clamped_knots(fleet: _Fleet, load: LoadCurve) -> tuple[np.ndarray, np.ndarray]:
+    """The clamped solution's knot times (read-only) and shadow price at
+    each: the load's breakpoints plus every time the price crosses a
+    supply threshold, located analytically."""
     thr = fleet.thr
-    T = load.horizon
-    t_tol = 1e-14 * max(T, 1.0)
+    t_tol = 1e-14 * max(load.horizon, 1.0)
     knots: list[tuple[float, float]] = []
 
     def push(t: float, lam: float) -> None:
@@ -369,29 +419,53 @@ def _solve_clamped(plants: Sequence[Plant], load: LoadCurve) -> DispatchSolution
 
     knot_times = np.array([t for t, _ in knots])
     knot_times.setflags(write=False)
-    lam_vals = np.array([v for _, v in knots])
-    out_vals = {
-        p.id: _clip((lam_vals - fleet.q1[j]) / fleet.two_q2[j], fleet.p_min[j], fleet.p_max[j])
-        for j, p in enumerate(plants)
-    }
+    return knot_times, np.array([v for _, v in knots])
 
-    events: list[ClampEvent] = []
-    for p in plants:
-        vals = out_vals[p.id]
-        for kind, bound in (("p_min", p.p_min), ("p_max", p.p_max)):
-            if bound is None:
-                continue
-            at = np.abs(vals - bound) <= 1e-9 * max(1.0, abs(bound))
-            events.extend(ClampEvent(p.id, s, e, kind, bound) for s, e in _clamp_runs(knot_times, at))
 
-    return DispatchSolution(
-        lambda_curve=_curve_on(knot_times, lam_vals),
-        outputs={pid: _curve_on(knot_times, vals) for pid, vals in out_vals.items()},
-        load=load,
-        horizon=T,
-        clamped=bool(events),
-        clamp_events=tuple(events),
-    )
+def _clamp_events(
+    plants: Sequence[Plant], p_min: np.ndarray, p_max: np.ndarray, times: np.ndarray, rows: np.ndarray
+) -> list[ClampEvent]:
+    """Every maximal run of knots at which an output row sits at a bound,
+    in plant order, ``p_min`` before ``p_max``, then in time."""
+    n = len(times)
+    bounds = _bound_pairs(p_min, p_max)
+    # Line 2j + k of ``at`` marks the knots where plant j sits at bound k.
+    at = np.empty((len(plants), 2, n), dtype=bool)
+    gap = np.empty_like(rows)
+    for k in range(2):
+        np.subtract(rows, bounds[:, k, None], out=gap)
+        np.abs(gap, out=gap)
+        np.less_equal(gap, _tol(bounds[:, k, None]), out=at[:, k])
+    # A run's segments lie between two knots at the bound; padding each line
+    # with False makes every run start and end at a change.
+    runs = np.zeros((2 * len(plants), n + 1), dtype=bool)
+    at = at.reshape(2 * len(plants), n)
+    np.logical_and(at[:, :-1], at[:, 1:], out=runs[:, 1:-1])
+    line, edge = np.divmod(np.flatnonzero(runs[:, 1:] != runs[:, :-1]), n)
+    plant, kind = np.divmod(line[::2], 2)
+    return [
+        ClampEvent(plants[j].id, s, e, _KINDS[k], getattr(plants[j], _KINDS[k]))
+        for j, k, s, e in zip(
+            plant.tolist(), kind.tolist(), times[edge[::2]].tolist(), times[edge[1::2]].tolist()
+        )
+    ]
+
+
+def _solve_clamped(plants: Sequence[Plant], load: LoadCurve) -> DispatchSolution:
+    fleet = _Fleet(plants)
+    times, lam = _clamped_knots(fleet, load)
+    block = np.empty((len(plants), len(times)))
+    parts, events = [], []
+    for rows in _row_blocks(block):
+        out = block[rows]
+        np.subtract(lam, fleet.q1[rows, None], out=out)
+        out /= fleet.two_q2[rows, None]
+        p_min, p_max = fleet.p_min[rows], fleet.p_max[rows]
+        _clip(out, p_min[:, None], p_max[:, None])
+        parts.append(_row_extremes(out))
+        events += _clamp_events(plants[rows], p_min, p_max, times, out)
+    extremes = tuple(np.concatenate(part) for part in zip(*parts))
+    return _solution(plants, load, times, lam, block, extremes, events)
 
 
 def dispatch_cost(sol: DispatchSolution, plants: Sequence[Plant]) -> DispatchCost:

@@ -76,6 +76,16 @@ def ref_lambda_for_demand(plants, fleet, demand: float) -> float:
     return min(max(lam, v_lo), v_hi)
 
 
+def ref_thresholds(plants) -> list[float]:
+    """The distinct marginal costs at each plant's bounds, ascending."""
+    vals = set()
+    for p in plants:
+        vals.add(p.cost.marginal(p.p_min))
+        if p.p_max is not None:
+            vals.add(p.cost.marginal(p.p_max))
+    return sorted(vals)
+
+
 def _outcome(call):
     """A call's result, or the type and message of what it raised."""
     try:
@@ -129,6 +139,7 @@ def test_lambda_for_demand_matches_reference(plants, fractions, block_entries):
     with mock.patch.object(dispatch, "_BLOCK_ENTRIES", block_entries):
         fleet = dispatch._Fleet(plants)
     assert list(map(_bits, fleet.supplies)) == [_bits(fleet.supply(v)) for v in fleet.thr]
+    assert list(map(_bits, fleet.thr)) == list(map(_bits, ref_thresholds(plants)))
     for demand in _demands(fleet, fractions):
         got = _outcome(lambda: _bits(dispatch._lambda_for_demand(fleet, demand)))
         want = _outcome(lambda: _bits(ref_lambda_for_demand(plants, fleet, demand)))

@@ -255,6 +255,18 @@ def test_non_finite_result_exits_1_with_one_error_line(tmp_path, capsys, data, m
     assert not out_dir.exists()
 
 
+def test_load_at_merit_order_entry_point_exits_0(tmp_path, capsys):
+    """The load starts one ulp below 280 MW, where plant3 enters the merit
+    order; its output of about -1e-16 used to end in ``error: power values
+    must be non-negative``, naming nothing."""
+    path = write_scenario(tmp_path, _case_study_variant(1.0, [[0.0, 279.99999999999994], [1.0, 1000.0]]))
+    out_dir = tmp_path / "out"
+    assert main(["--scenario", path, "--mechanism", "both", "--out-dir", str(out_dir), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    rows = read_csv(out_dir / "timeseries.csv")
+    assert rows[1][rows[0].index("P_plant3")] == "0.0"
+
+
 def test_tiny_horizon_names_horizon_under_duration(tmp_path, capsys):
     """The default m_floor = 1e-6 * horizon underflows to 0 for this horizon;
     the diagnostic used to blame m_floor, an option the scenario never set."""

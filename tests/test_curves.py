@@ -74,6 +74,12 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             RAMP.evaluate(1.01)
 
+    def test_domain_check_skips_nan_and_names_first_bad_time(self):
+        assert RAMP.sample([]).size == 0
+        assert np.isnan(RAMP.sample([np.nan, 0.5])[0])
+        with pytest.raises(DomainError, match=r"time 2\.0 outside \[0, 1\.0\]"):
+            RAMP.sample([np.nan, 0.5, 2.0, -1.0])
+
     def test_sample_matches_evaluate(self):
         ts = np.linspace(0.0, 1.0, 17)
         assert np.allclose(VEE.sample(ts), [VEE.evaluate(t) for t in ts], atol=0)

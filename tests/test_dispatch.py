@@ -119,6 +119,18 @@ class TestBoundRefusal:
             solve_equilibrium(plants, load, allow_clamp=True)
 
 
+@pytest.mark.parametrize("start", [np.nextafter(280.0, 0.0), 280.0, np.nextafter(280.0, np.inf)])
+def test_load_at_merit_order_entry_point_is_served(case_plants, start):
+    """At 280 MW the shadow price reaches plant3's q1 = 0.28, where it enters
+    the merit order.  One ulp below, its output rounds to about -1e-16: inside
+    p_min's tolerance, so it runs at +0.0 instead of being refused."""
+    load = LoadCurve([(0.0, float(start)), (1.0, 1000.0)])
+    sol = solve_equilibrium(case_plants, load)
+    first = sol.outputs["plant3"].powers[0]
+    assert first == 0.0 and not np.signbit(first)
+    assert sol.outputs["plant3"].powers[1] > 0.0
+
+
 class TestClampedDispatch:
     def _plants(self):
         return [
