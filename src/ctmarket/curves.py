@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, UnsupportedOperationError
+from .tolerances import DOMAIN_TOL, DURATION_KNOT_TOL
 
 __all__ = ["LoadCurve", "MeasureFunction", "duration_curve"]
 
@@ -173,7 +174,7 @@ class LoadCurve:
     def _check_domain(self, ts: np.ndarray) -> None:
         if not ts.size:
             return
-        tol = 1e-12 * max(self.horizon, 1.0)
+        tol = DOMAIN_TOL * max(self.horizon, 1.0)
         # NaN-ignoring extremes: a NaN time passes, as it always has.
         lo, hi = np.fmin.reduce(ts, axis=None), np.fmax.reduce(ts, axis=None)
         if lo < -tol or hi > self.horizon + tol:
@@ -389,7 +390,7 @@ def duration_curve(curve: LoadCurve) -> LoadCurve:
     raw[0] = (0.0, raw[0][1])
     raw[-1] = (T, raw[-1][1])
     pts = [raw[0]]
-    tol = 1e-15 * max(T, 1.0)
+    tol = DURATION_KNOT_TOL * max(T, 1.0)
     for t, y in raw[1:]:
         if t <= pts[-1][0] + tol:
             continue

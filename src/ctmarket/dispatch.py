@@ -30,6 +30,7 @@ import numpy as np
 from .cost import QuadraticCost
 from .curves import LoadCurve
 from .errors import InfeasibleDispatchError, UnsupportedOperationError
+from .tolerances import CLAMPED_KNOT_TOL, DISPATCH_TOL
 
 __all__ = [
     "Plant",
@@ -133,15 +134,19 @@ def _bound_pairs(p_min: np.ndarray, p_max: np.ndarray) -> np.ndarray:
 
 
 def _tol(bound):
-    """The bound tolerance ``1e-9 * max(1, |bound|)``, elementwise."""
-    return 1e-9 * np.maximum(1.0, np.abs(bound))
+    """The bound tolerance ``DISPATCH_TOL * max(1, |bound|)``, elementwise."""
+    return DISPATCH_TOL * np.maximum(1.0, np.abs(bound))
 
 
 def _violation_intervals(
     times: np.ndarray, values: np.ndarray, bound: float, below: bool
 ) -> list[tuple[float, float]]:
     """Maximal intervals where the piecewise-linear (times, values) path
-    lies strictly past ``bound`` (below it if ``below`` else above)."""
+    lies strictly past ``bound`` (below it if ``below`` else above).
+
+    A NaN value has no side: a segment from a NaN to a value past the bound
+    lies past it from its start, as one from a value past the bound to a NaN
+    does to its end."""
     gap = bound - values if below else values - bound
     intervals: list[tuple[float, float]] = []
     start: float | None = None
@@ -150,7 +155,7 @@ def _violation_intervals(
         t0, t1 = times[i], times[i + 1]
         if start is None and g0 <= 0.0 < g1:
             start = t0 + (0.0 - g0) * (t1 - t0) / (g1 - g0)
-        if start is None and g0 > 0.0:
+        if start is None and (g0 > 0.0 or g1 > 0.0):
             start = t0
         if start is not None and g0 > 0.0 >= g1:
             end = t0 + (0.0 - g0) * (t1 - t0) / (g1 - g0)
@@ -358,7 +363,7 @@ def _lambda_for_demand(fleet: _Fleet, demand: float) -> float:
     The supply breakpoints locate the bracket; its sums, precomputed by
     :class:`_Fleet`, give lam in closed form.
     """
-    tol = 1e-9 * max(1.0, abs(demand))
+    tol = DISPATCH_TOL * max(1.0, abs(demand))
     if demand < fleet.p_min_sum - tol or demand > fleet.p_max_sum + tol:
         raise InfeasibleDispatchError(
             f"demand {demand:.6g} MW outside the feasible range "
@@ -384,12 +389,12 @@ def _clamped_knots(fleet: _Fleet, load: LoadCurve) -> tuple[np.ndarray, np.ndarr
     each: the load's breakpoints plus every time the price crosses a
     supply threshold, located analytically."""
     thr = fleet.thr
-    t_tol = 1e-14 * max(load.horizon, 1.0)
+    t_tol = CLAMPED_KNOT_TOL * max(load.horizon, 1.0)
     knots: list[tuple[float, float]] = []
 
     def push(t: float, lam: float) -> None:
         if knots and t <= knots[-1][0] + t_tol:
-            if abs(lam - knots[-1][1]) > 1e-9 * max(1.0, abs(lam)):
+            if abs(lam - knots[-1][1]) > DISPATCH_TOL * max(1.0, abs(lam)):
                 raise UnsupportedOperationError(_PLATEAU)
             return
         knots.append((t, lam))

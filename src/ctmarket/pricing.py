@@ -38,6 +38,7 @@ from .curves import LoadCurve, MeasureFunction
 from .dispatch import DispatchSolution
 from .errors import DomainError, UndefinedPriceError, UnsupportedOperationError
 from .quadrature import EXACT_CONFIG, lebesgue_integrate, riemann_integrate
+from .tolerances import DOMAIN_TOL, SAME_HORIZON_TOL
 
 __all__ = [
     "SpotPrice",
@@ -113,7 +114,7 @@ class DurationPrice:
         """Price on the clock-time axis, for ``0 <= t <= T - m_floor``."""
         ts = np.asarray(t, dtype=float)
         cutoff = self.horizon - self.m_floor
-        tol = 1e-12 * max(self.horizon, 1.0)
+        tol = DOMAIN_TOL * max(self.horizon, 1.0)
         if np.any(ts < -tol) or np.any(ts > cutoff + tol):
             raise DomainError(
                 f"time view is defined on [0, {cutoff!r}] (horizon minus m_floor)"
@@ -124,7 +125,7 @@ class DurationPrice:
     def measure_view(self, m):
         """Price as a function of load duration, for ``m_floor <= m <= T``."""
         ms = np.asarray(m, dtype=float)
-        tol = 1e-12 * max(self.horizon, 1.0)
+        tol = DOMAIN_TOL * max(self.horizon, 1.0)
         if np.any(ms < self.m_floor - tol) or np.any(ms > self.horizon + tol):
             raise DomainError(
                 f"measure view is defined on [{self.m_floor!r}, {self.horizon!r}]"
@@ -136,7 +137,7 @@ class DurationPrice:
     def price_times_duration(self, m):
         """The bounded product ``pi(m) * m``, defined on all of ``[0, T]``."""
         ms = np.asarray(m, dtype=float)
-        tol = 1e-12 * max(self.horizon, 1.0)
+        tol = DOMAIN_TOL * max(self.horizon, 1.0)
         if np.any(ms < -tol) or np.any(ms > self.horizon + tol):
             raise DomainError(f"duration must lie in [0, {self.horizon!r}]")
         ts = self.horizon - ms
@@ -213,9 +214,9 @@ def unit_energy_price_spot(price: SpotPrice, plant_curve: LoadCurve, t1: float, 
     """
     t1, t2 = float(t1), float(t2)
     T = price.horizon
-    if not (0.0 <= t1 < t2 <= T + 1e-12 * max(T, 1.0)):
+    if not (0.0 <= t1 < t2 <= T + DOMAIN_TOL * max(T, 1.0)):
         raise DomainError(f"need 0 <= t1 < t2 <= {T!r}, got [{t1!r}, {t2!r}]")
-    if not math.isclose(plant_curve.horizon, T, rel_tol=1e-12):
+    if not math.isclose(plant_curve.horizon, T, rel_tol=SAME_HORIZON_TOL):
         raise ValueError("price and trajectory horizons differ")
     kinks = np.concatenate([price.curve.times, plant_curve.times])
     energy = riemann_integrate(plant_curve.sample, t1, t2, EXACT_CONFIG, breakpoints=kinks)
@@ -240,7 +241,7 @@ def unit_energy_price_duration(price: DurationPrice, m: MeasureFunction, y1: flo
     y1, y2 = float(y1), float(y2)
     if not (0.0 <= y1 < y2):
         raise DomainError(f"need 0 <= y1 < y2, got [{y1!r}, {y2!r}]")
-    if not math.isclose(m.horizon, price.horizon, rel_tol=1e-12):
+    if not math.isclose(m.horizon, price.horizon, rel_tol=SAME_HORIZON_TOL):
         raise ValueError("price and measure-function horizons differ")
     mass = lebesgue_integrate(m, y1, y2, lambda d: d, EXACT_CONFIG)
     if mass <= 0.0:

@@ -12,13 +12,17 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Mapping
+
+import numpy as np
 
 from .cost import QuadraticCost
 from .curves import LoadCurve
 from .dispatch import Plant
 from .errors import DomainError, ScenarioValidationError, ValidationIssue
 from .pricing import DEFAULT_M_FLOOR_FRACTION
+from .tolerances import HORIZON_ABS_TOL, HORIZON_REL_TOL
 
 __all__ = [
     "AffineLoad",
@@ -57,13 +61,22 @@ class Options:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A validated scenario; immutable after construction."""
+    """A validated scenario; immutable after construction.
+
+    A breakpoint ``load`` is held as its :class:`LoadCurve`, the two
+    read-only arrays of times and powers; ``(time, power)`` pairs passed in
+    are made into one.
+    """
 
     name: str
     horizon: float
-    load: AffineLoad | tuple[tuple[float, float], ...]
+    load: AffineLoad | LoadCurve
     plants: tuple[PlantSpec, ...]
     options: Options = field(default_factory=Options)
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.load, (AffineLoad, LoadCurve)):
+            object.__setattr__(self, "load", LoadCurve(self.load))
 
     def load_curve(self) -> LoadCurve:
         if isinstance(self.load, AffineLoad):
@@ -71,7 +84,7 @@ class Scenario:
                 (0.0, self.load.base),
                 (self.horizon, self.load.base + self.load.slope * self.horizon),
             ])
-        return LoadCurve(self.load)
+        return self.load
 
     def plant_objects(self) -> list[Plant]:
         return [
@@ -105,7 +118,7 @@ class Scenario:
         if isinstance(self.load, AffineLoad):
             load: dict[str, Any] = {"affine": {"base": self.load.base, "slope": self.load.slope}}
         else:
-            load = {"breakpoints": [[t, p] for t, p in self.load]}
+            load = {"breakpoints": [[t, p] for t, p in self.load.breakpoints]}
         plants = []
         for p in self.plants:
             entry: dict[str, Any] = {"id": p.id, "q2": p.q2, "q1": p.q1, "q0": p.q0}
@@ -137,6 +150,12 @@ class Scenario:
 # ----------------------------------------------------------------------
 
 
+# The exact types the array check accepts; anything else, a bool or a float
+# subclass included, goes to the per-item check.
+_PAIR_TYPES = frozenset({list, tuple})
+_NUMBER_TYPES = frozenset({int, float})
+
+
 def _is_number(x: Any) -> bool:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         return False
@@ -161,6 +180,11 @@ def validate(data: Mapping[str, Any]) -> Scenario:
 
     Raises :class:`ScenarioValidationError` carrying one
     :class:`ValidationIssue` (field path + violated condition) per problem.
+
+    A breakpoint load is checked as one array: a structural pass over the
+    pairs, then one float array checked at once.  Only a load that fails
+    that check is walked pair by pair, and that walk alone writes its
+    diagnostics, so their text and order do not depend on the array check.
     """
     issues: list[ValidationIssue] = []
 
@@ -201,7 +225,7 @@ def validate(data: Mapping[str, Any]) -> Scenario:
     )
 
 
-def _validate_load(raw: Any, horizon: float | None, bad) -> AffineLoad | tuple | None:
+def _validate_load(raw: Any, horizon: float | None, bad) -> AffineLoad | LoadCurve | None:
     if not isinstance(raw, Mapping):
         bad("load", "must be an object with exactly one of 'affine' or 'breakpoints'")
         return None
@@ -239,6 +263,46 @@ def _validate_load(raw: Any, horizon: float | None, bad) -> AffineLoad | tuple |
     if not isinstance(bps, (list, tuple)) or len(bps) < 2:
         bad("load.breakpoints", "must be a list of at least 2 [time, power] pairs")
         return None
+    curve = _accept_breakpoints(bps, horizon)
+    return curve if curve is not None else _diagnose_breakpoints(bps, horizon, bad)
+
+
+def _ends_at_horizon(t_last: float, horizon: float) -> bool:
+    return math.isclose(t_last, horizon, rel_tol=HORIZON_REL_TOL, abs_tol=HORIZON_ABS_TOL)
+
+
+def _accept_breakpoints(bps: list | tuple, horizon: float | None) -> LoadCurve | None:
+    """The load curve of ``bps`` if it passes every breakpoint check, else None.
+
+    Checks the whole list at once: first its structure (list or tuple items
+    of two values, each exactly an ``int`` or a ``float``), then, on one
+    float array, that every value is finite, every power >= 0, the first
+    time 0, the times strictly increasing and the last at the horizon.
+    It names no problem; :func:`_diagnose_breakpoints` does that.
+    """
+    if not _PAIR_TYPES.issuperset(map(type, bps)) or set(map(len, bps)) != {2}:
+        return None
+    if not _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(bps))):
+        return None
+    try:
+        flat = np.fromiter(chain.from_iterable(bps), dtype=float, count=2 * len(bps))
+    except OverflowError:  # an int too large for a float
+        return None
+    times, powers = flat[0::2], flat[1::2]
+    if not (
+        np.isfinite(flat).all()
+        and (powers >= 0.0).all()
+        and times[0] == 0.0
+        and (times[1:] > times[:-1]).all()
+        and (horizon is None or _ends_at_horizon(float(times[-1]), horizon))
+    ):
+        return None
+    return LoadCurve(times=times, powers=powers)
+
+
+def _diagnose_breakpoints(bps: list | tuple, horizon: float | None, bad) -> LoadCurve | None:
+    """Check ``bps`` one breakpoint at a time, reporting every problem in
+    order; the load curve if there is none."""
     pts: list[tuple[float, float]] = []
     ok = True
     for i, item in enumerate(bps):
@@ -264,10 +328,10 @@ def _validate_load(raw: Any, horizon: float | None, bad) -> AffineLoad | tuple |
                 f"times must be strictly increasing (got {times[i]!r} after {times[i - 1]!r})",
             )
             ok = False
-    if horizon is not None and times and not math.isclose(times[-1], horizon, rel_tol=1e-9, abs_tol=1e-12):
+    if horizon is not None and times and not _ends_at_horizon(times[-1], horizon):
         bad("load.breakpoints[-1]", f"last time must equal the horizon {horizon!r}")
         ok = False
-    return tuple(pts) if ok else None
+    return LoadCurve(pts) if ok else None
 
 
 def _validate_plants(raw: Any, bad) -> list[PlantSpec]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ctmarket import (
     LoadCurve,
@@ -97,3 +98,110 @@ def affine_product_integral(c0, c1, d0, d1, a, b) -> float:
         return a0 * t + a1 * t * t / 2.0 + a2 * t**3 / 3.0
 
     return antider(b) - antider(a)
+
+
+# ----------------------------------------------------------------------
+# Raw scenario data (hypothesis): near-valid breakpoint loads
+# ----------------------------------------------------------------------
+
+# A valid load, then up to three of these spoils.  Each is one way a load
+# can fail a single check, or pass it narrowly.
+_SPOILS = (
+    "bool", "huge int", "big int", "non-finite", "null", "string", "nested",
+    "triple", "single", "dict", "repeat time", "decrease time", "negative power",
+    "negative zero", "first time", "horizon edge",
+)
+
+
+def _horizon_edges(horizon: float) -> list[float]:
+    """Last times just inside and just outside the horizon-match tolerance."""
+    tol = max(1e-9 * abs(horizon), 1e-12)
+    return [horizon + f * tol for f in (-1.01, -0.99, 0.99, 1.01)]
+
+
+def _spoil(draw, bps: list, horizon: float) -> None:
+    kind = draw(st.sampled_from(_SPOILS))
+    i = draw(st.integers(0, len(bps) - 1))
+    k = draw(st.integers(0, 1))
+    pairs = [j for j, item in enumerate(bps) if isinstance(item, list) and len(item) == 2]
+    if not pairs:
+        return
+    i = i if i in pairs else pairs[-1]
+    if kind == "bool":
+        bps[i][k] = draw(st.booleans())
+    elif kind == "huge int":
+        bps[i][k] = draw(st.sampled_from([10**400, -(10**400)]))
+    elif kind == "big int":  # each converts to a float exactly as float() does
+        bps[i][k] = draw(st.sampled_from([2**53 + 1, 2**64 + 1, 10**300]))
+    elif kind == "non-finite":
+        bps[i][k] = draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+    elif kind == "null":
+        bps[i][k] = None
+    elif kind == "string":
+        bps[i][k] = str(bps[i][k])
+    elif kind == "nested":
+        bps[i][k] = [bps[i][k]]
+    elif kind == "triple":
+        bps[i] = bps[i] + [0.0]
+    elif kind == "single":
+        bps[i] = bps[i][:1]
+    elif kind == "dict":
+        bps[i] = {"t": bps[i][0], "p": bps[i][1]}
+    elif kind in ("repeat time", "decrease time"):
+        j = max(i, 1)
+        if j in pairs and j - 1 in pairs:
+            if kind == "repeat time":
+                bps[j][0] = bps[j - 1][0]
+            else:
+                bps[j][0], bps[j - 1][0] = bps[j - 1][0], bps[j][0]
+    elif kind == "negative power":
+        bps[i][1] = draw(st.sampled_from([-5.0, -5e-324]))
+    elif kind == "negative zero":
+        bps[i][1] = -0.0
+    elif kind == "first time" and 0 in pairs:
+        bps[0][0] = draw(st.sampled_from([-0.0, 5e-324, 1e-3]))
+    elif kind == "horizon edge" and pairs[-1] == len(bps) - 1:
+        bps[-1][0] = draw(st.sampled_from(_horizon_edges(horizon)))
+
+
+@st.composite
+def raw_scenarios(draw) -> dict:
+    """Raw scenario data as ``json.loads`` returns it: a small fleet and a
+    breakpoint load that is valid or fails one to three checks narrowly
+    (now and then an affine load or a bad horizon instead)."""
+    horizon = draw(st.sampled_from([1.0, 1, 24.0, 0.75, 1e-4, 3600.0]))
+    n = draw(st.integers(2, 6))
+    inner = sorted(draw(st.lists(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=n - 2, max_size=n - 2, unique=True
+    )))
+    times = [draw(st.sampled_from([0, 0.0]))] + [u * horizon for u in inner] + [horizon]
+    power = st.sampled_from([0, 0.0, 10, 350.5, 1000.0, 1e300]) | st.floats(0.0, 1e4)
+    bps = [[t, draw(power)] for t in times]
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2, 3]))):
+        _spoil(draw, bps, horizon)
+    load = {"breakpoints": bps}
+    if draw(st.integers(0, 9)) == 0:
+        load = {"affine": {"base": draw(power), "slope": draw(st.sampled_from([0.0, 50.0, -1.0]))}}
+
+    plants = []
+    for j in range(draw(st.integers(1, 3))):
+        plant = {
+            "id": f"g{j}",
+            "q2": draw(st.sampled_from([0.0005, 0.001, 0.002, 3e-309])),
+            "q1": draw(st.sampled_from([0.0, 0.07, 0.5])),
+            "q0": draw(st.sampled_from([0, 0.2])),
+        }
+        p_max = draw(st.sampled_from([None, None, 50.0, 400.0]))
+        if p_max is not None:
+            plant["p_max"] = p_max
+        plants.append(plant)
+    data = {
+        "name": "generated",
+        "horizon": draw(st.sampled_from([horizon] * 9 + [-1.0])),
+        "load": load,
+        "plants": plants,
+    }
+    mechanisms = draw(st.sampled_from([None, ["spot"], ["duration"], ["spot", "duration"]]))
+    if mechanisms is not None:
+        data["options"] = {"mechanisms": mechanisms, "allow_clamp": draw(st.booleans())}
+    return data

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
 
+from conftest import raw_scenarios
 from ctmarket.cli import main
 
 SETTLEMENT_HEADER = ["mechanism", "plant", "cost", "revenue", "profit", "profit_rate"]
@@ -265,6 +271,39 @@ def test_load_at_merit_order_entry_point_exits_0(tmp_path, capsys):
     assert capsys.readouterr().err == ""
     rows = read_csv(out_dir / "timeseries.csv")
     assert rows[1][rows[0].index("P_plant3")] == "0.0"
+
+
+def test_nan_output_before_crossing_names_plant_and_bound(tmp_path, capsys):
+    """lam is [NaN, 0]: load + offset overflows at t = 0 only.  A NaN
+    output before the knot past p_min used to start no violation interval,
+    and the refusal read ``error: min() arg is an empty sequence``."""
+    plants = [{"id": f"g{j}", "q2": 3e-309, "q1": 0.5, "q0": 0} for j in range(2)]
+    path = write_scenario(
+        tmp_path,
+        {"name": "nan", "horizon": 1, "load": {"breakpoints": [[0, 5e307], [1, 0]]}, "plants": plants},
+    )
+    assert main(["--scenario", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: unconstrained dispatch puts plant 'g0' below p_min = 0 MW on t in [0, 1] h; "
+        "enable clamped dispatch to proceed (spot settlement only)"
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_scenarios())
+def test_any_raw_scenario_exits_0_1_or_2_with_error_lines_only(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["--scenario", str(path), "--quiet", "--out-dir", str(Path(tmp) / "out")])
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    assert all(line.startswith("error: ") for line in lines), lines
+    assert bool(lines) == (code != 0)
 
 
 def test_tiny_horizon_names_horizon_under_duration(tmp_path, capsys):

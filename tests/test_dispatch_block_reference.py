@@ -254,3 +254,16 @@ def test_nan_cells_decide_no_bound():
     got = _outcome(lambda: solve_equilibrium(plants, load))
     assert got == _outcome(lambda: ref_solve(plants, load))
     assert got[0] is InfeasibleDispatchError
+
+
+def test_nan_cell_before_crossing_starts_an_interval():
+    """lam is [NaN, 0]: the segment from the NaN cell to the cell below
+    p_min lies below p_min from its start.  Both sides share
+    ``_violation_intervals``; while it started no interval at a NaN, both
+    refused with ``ValueError: min() arg is an empty sequence``."""
+    plants = [Plant(f"g{j}", QuadraticCost(3e-309, 0.5, 0.0)) for j in range(2)]
+    load = LoadCurve([(0.0, 5e307), (1.0, 0.0)])
+    got = _outcome(lambda: solve_equilibrium(plants, load))
+    assert got == _outcome(lambda: ref_solve(plants, load))
+    assert got[0] is InfeasibleDispatchError
+    assert "plant 'g0' below p_min = 0 MW on t in [0, 1] h" in got[1]
