@@ -12,11 +12,12 @@ and optionally writes machine-readable series files:
 * ``settlement.csv`` -- one row per plant per mechanism plus a total row.
 
 Report numbers carry 6 significant digits; series files carry full
-round-trip precision: a float cell is its ``repr``.  ``csv`` writes the
-headers (plant ids may need quoting) and ``settlement.csv``; the float
-bodies of the other two files are built as text a column at a time and
-written at once.  Exit codes: 0 success, 1 validation/input errors, 2
-unsupported-mechanism errors (e.g. duration pricing on clamped dispatch).
+round-trip precision: a float cell is its ``repr``.  The float series stay
+columns from sampling to the writer, which reprs a column at a time and
+joins rows once; ``csv`` writes the headers (plant ids may need quoting)
+and ``settlement.csv``, whose rows come from the reports.  Exit codes: 0
+success, 1 validation/input errors, 2 unsupported-mechanism errors (e.g.
+duration pricing on clamped dispatch).
 """
 
 from __future__ import annotations
@@ -57,14 +58,18 @@ _MECHANISM_FLAG = {"spot": ("spot",), "duration": ("duration",), "both": ("spot"
 
 @dataclass
 class RunOutput:
-    """Everything one run produces: reports, plot-ready series, diagnostics."""
+    """Everything one run produces: reports, plot-ready series, diagnostics.
+
+    A series is a list of float columns, one per CSV column.  pi_time holds
+    only the priced prefix of the time grid; ``duration_series`` is empty
+    without duration pricing.
+    """
 
     scenario: Scenario
     reports: dict[str, SettlementReport]
     plant_ids: list[str]
-    timeseries: list[tuple]  # (t, load, lambda, pi_time | None, *outputs)
-    duration_series: list[tuple[float, float]]
-    settlement_rows: list[tuple]
+    timeseries: list[np.ndarray]  # t, load, lambda, pi_time, *outputs
+    duration_series: list[np.ndarray]  # m, pi_measure
     diagnostics: list[str]
 
 
@@ -119,15 +124,17 @@ def run_scenario(
             "duration revenues settle every plant at the single market duration price"
         )
 
-    return RunOutput(
+    out = RunOutput(
         scenario=scenario,
         reports=reports,
         plant_ids=[p.id for p in plants],
         timeseries=_build_timeseries(sol, dsol, dprice),
         duration_series=_build_duration_series(dprice, dsol),
-        settlement_rows=_build_settlement_rows(reports),
         diagnostics=diagnostics,
     )
+    for mech, plant, *numbers in _report_rows(reports):
+        _require_finite(f"the {mech} settlement of {plant}", [x for x in numbers if x is not None])
+    return out
 
 
 def _require_finite(where: str, values) -> None:
@@ -139,11 +146,9 @@ def _build_timeseries(
     sol: DispatchSolution,
     dsol: DispatchSolution | None,
     dprice: DurationPrice | None,
-) -> list[tuple]:
+) -> list[np.ndarray]:
     T = sol.horizon
-    parts = [sol.load.times, sol.lambda_curve.times]
-    parts.extend(curve.times for curve in sol.outputs.values())
-    grid = np.unique(np.concatenate(parts))
+    grid = np.union1d(sol.load.times, sol.lambda_curve.times)  # every output shares lambda's times
     tol = GRID_TOL * T
     if dsol is not None:
         grid = _unite_apart(grid, dsol.lambda_curve.times, tol)  # duration-price kinks
@@ -158,10 +163,9 @@ def _build_timeseries(
         pi,
         *(curve.sample(grid) for curve in sol.outputs.values()),
     ]
-    _require_finite(f"a {TIMESERIES_FILE} cell", np.concatenate(columns))
-    columns = [c.tolist() for c in columns]
-    columns[3] += [None] * (len(grid) - priced)
-    return list(zip(*columns))
+    for column in columns:
+        _require_finite(f"a {TIMESERIES_FILE} cell", column)
+    return columns
 
 
 def _unite_apart(kept: np.ndarray, extra: np.ndarray, tol: float) -> np.ndarray:
@@ -174,34 +178,28 @@ def _unite_apart(kept: np.ndarray, extra: np.ndarray, tol: float) -> np.ndarray:
 
 def _build_duration_series(
     dprice: DurationPrice | None, dsol: DispatchSolution | None
-) -> list[tuple[float, float]]:
+) -> list[np.ndarray]:
     if dprice is None or dsol is None:
         return []
     T, m_floor = dprice.horizon, dprice.m_floor
     grid = np.linspace(m_floor, T, GRID_POINTS + 1)[1:]
-    extras = [T - t for t in dsol.lambda_curve.times if m_floor < T - t <= T]
-    ms = np.unique(np.concatenate([grid, np.asarray(extras + [T])]))
+    extras = T - dsol.lambda_curve.times
+    extras = extras[(m_floor < extras) & (extras <= T)]
+    ms = np.unique(np.concatenate([grid, extras, [T]]))
     pis = dprice.measure_view(ms)
     _require_finite(f"a {DURATION_FILE} cell", pis)
-    return list(zip(ms.tolist(), pis.tolist()))
+    return [ms, pis]
 
 
-def _build_settlement_rows(reports: dict[str, SettlementReport]) -> list[tuple]:
-    rows: list[tuple] = []
+def _report_rows(reports: dict[str, SettlementReport]):
+    """(mechanism, plant, cost, revenue, profit, profit_rate), plants then total."""
     for mech in ("spot", "duration"):
         rep = reports.get(mech)
         if rep is None:
             continue
         for r in rep.plants:
-            rows.append((mech, r.plant, r.generation_cost, r.revenue, r.profit, r.profit_rate))
-        rows.append(
-            (mech, "total", rep.total_cost, rep.total_revenue, rep.total_profit, rep.market_profit_rate)
-        )
-    for row in rows:
-        _require_finite(
-            f"the {row[0]} settlement of {row[1]}", [x for x in row[2:] if x is not None]
-        )
-    return rows
+            yield (mech, r.plant, r.generation_cost, r.revenue, r.profit, r.profit_rate)
+        yield (mech, "total", rep.total_cost, rep.total_revenue, rep.total_profit, rep.market_profit_rate)
 
 
 def _fmt(x: float | None) -> str:
@@ -235,28 +233,15 @@ def render_report(out: RunOutput) -> str:
     return "\n".join(lines)
 
 
-def _cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, str):
-        return x
-    return repr(float(x))
-
-
-def _text_column(column) -> list[str]:
-    if None in column:  # only pi_time has empty cells
-        return ["" if x is None else repr(x) for x in column]
-    return list(map(repr, column))
-
-
-def _write_floats(path: Path, header: list[str], rows: list[tuple]) -> None:
-    """A ``csv`` header row, then ``rows`` of floats (None for an empty
-    cell) at one ``repr`` per cell."""
+def _write_floats(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """A ``csv`` header row, then one row per cell of the longest column at
+    one ``repr`` per cell; cells past the end of a shorter column are empty."""
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        if rows:
-            columns = [_text_column(c) for c in zip(*rows)]
-            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+        n_rows = max(map(len, columns), default=0)
+        if n_rows:
+            text = [list(map(repr, c.tolist())) + [""] * (n_rows - len(c)) for c in columns]
+            fh.write("\r\n".join(map(",".join, zip(*text))) + "\r\n")
 
 
 def emit_series(out: RunOutput, directory) -> None:
@@ -273,8 +258,8 @@ def emit_series(out: RunOutput, directory) -> None:
     with open(directory / SETTLEMENT_FILE, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mechanism", "plant", "cost", "revenue", "profit", "profit_rate"])
-        for row in out.settlement_rows:
-            writer.writerow([_cell(v) for v in row])
+        for mech, plant, *numbers in _report_rows(out.reports):
+            writer.writerow([mech, plant, *("" if x is None else repr(float(x)) for x in numbers)])
 
 
 def _load_scenario_file(path: str) -> Scenario:

@@ -105,6 +105,15 @@ def _plant_row(plant: str, cost: float, revenue: float, energy: float) -> PlantS
     )
 
 
+def _overflow(mechanism: str, plant: str, exc: NumericError) -> NumericError:
+    # Price and output are finite curves: only the integrand's product overflows.
+    return NumericError(
+        f"the {mechanism} settlement of {plant} is not finite: "
+        "the scenario's numbers exceed the float range",
+        abscissa=exc.abscissa,
+    )
+
+
 def settle_spot(sol: DispatchSolution, price: SpotPrice, plants: Sequence[Plant]) -> SettlementReport:
     """Settle each plant at the spot price: revenue = int lam(t) P_j(t) dt.
 
@@ -124,12 +133,7 @@ def settle_spot(sol: DispatchSolution, price: SpotPrice, plants: Sequence[Plant]
                 0.0, sol.horizon, EXACT_CONFIG, breakpoints=kinks,
             )
         except NumericError as exc:
-            # Price and output are finite curves: only their product overflows.
-            raise NumericError(
-                f"the spot settlement of {p.id} is not finite: "
-                "the scenario's numbers exceed the float range",
-                abscissa=exc.abscissa,
-            ) from exc
+            raise _overflow("spot", p.id, exc) from exc
         rows.append(_plant_row(p.id, costs.per_plant[p.id], revenue, curve.energy))
     return _assemble("spot", rows)
 
@@ -142,7 +146,8 @@ def settle_duration(
     revenue = pi(T) * min_output * T + int pi(m_j(y)) m_j(y) dy over the
     plant's output range; the first term is the base block running the
     whole cycle, priced at the anchor.  Generation cost is the same
-    closed form as under spot settlement.
+    closed form as under spot settlement.  A level-band integrand past the
+    float range raises :class:`NumericError` naming the plant.
     """
     if sol.clamped:
         raise UnsupportedOperationError(
@@ -155,9 +160,12 @@ def settle_duration(
         m = MeasureFunction(curve)
         revenue = price.anchor * curve.min_power * sol.horizon
         if curve.max_power > curve.min_power:
-            revenue += lebesgue_integrate(
-                m, curve.min_power, curve.max_power, price.price_times_duration, EXACT_CONFIG
-            )
+            try:
+                revenue += lebesgue_integrate(
+                    m, curve.min_power, curve.max_power, price.price_times_duration, EXACT_CONFIG
+                )
+            except NumericError as exc:
+                raise _overflow("duration", p.id, exc) from exc
         rows.append(_plant_row(p.id, costs.per_plant[p.id], revenue, curve.energy))
     return _assemble("duration", rows)
 

@@ -101,6 +101,40 @@ def affine_product_integral(c0, c1, d0, d1, a, b) -> float:
 
 
 # ----------------------------------------------------------------------
+# Fleets and loads (hypothesis)
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def fleets(draw, max_plants: int = 5) -> list[Plant]:
+    """1 to ``max_plants`` unbounded plants, costs in ``random_plants``' ranges."""
+    return [
+        Plant(
+            id=f"g{j}",
+            cost=QuadraticCost(
+                q2=draw(st.floats(1e-4, 0.05)), q1=draw(st.floats(0.0, 0.5)), q0=draw(st.floats(0.0, 5.0))
+            ),
+        )
+        for j in range(draw(st.integers(1, max_plants)))
+    ]
+
+
+@st.composite
+def loads(draw, floor: float = 0.0, monotone: bool | None = None) -> LoadCurve:
+    """A breakpoint load of 2 to 12 breakpoints, every power at or above
+    ``floor``, over a horizon of at most 48 h.  Powers repeat now and then
+    (flat pieces, levels met twice).  The load is non-decreasing when
+    ``monotone`` is true, arbitrary when false, and either when None."""
+    n = draw(st.integers(2, 12))
+    times = np.cumsum([0.0, *draw(st.lists(st.floats(0.01, 4.0), min_size=n - 1, max_size=n - 1))])
+    level = st.floats(0.0, 1000.0) | st.sampled_from([0.0, 250.0, 500.0])
+    powers = np.array(draw(st.lists(level, min_size=n, max_size=n)))
+    if draw(st.booleans()) if monotone is None else monotone:
+        powers = np.sort(powers)
+    return LoadCurve(times=times, powers=floor + powers)
+
+
+# ----------------------------------------------------------------------
 # Raw scenario data (hypothesis): near-valid breakpoint loads
 # ----------------------------------------------------------------------
 

@@ -6,6 +6,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -219,6 +220,13 @@ def _case_study_variant(horizon, breakpoints, q0=(0.2, 0.4, 0.8), options=None):
     return data
 
 
+def _two_plants(horizon, breakpoints):
+    """The case study's first two plants on a breakpoint load."""
+    data = _case_study_variant(horizon, breakpoints)
+    data["plants"] = data["plants"][:2]
+    return data
+
+
 DAY = [[0.0, 350.0], [6.0, 1050.0], [18.0, 700.0], [24.0, 350.0]]
 
 
@@ -247,8 +255,24 @@ DAY = [[0.0, 350.0], [6.0, 1050.0], [18.0, 700.0], [24.0, 350.0]]
             ),
             "error: options.m_floor: ",
         ),
+        # pi(m) * m overflows on plant1's level bands: duration revenue used
+        # to print the engine's "integrand is not finite at y = 490.0"
+        (
+            _two_plants(1e300, [[0, 350], [1e300, 1050]]),
+            "error: the duration settlement of plant1 is not finite: "
+            "the scenario's numbers exceed the float range",
+        ),
+        # a flat load over 1e300 h: pi_time past t = 0 is NaN, caught as a
+        # series cell before the (also overflowing) settlement
+        (
+            _two_plants(1e300, [[0, 1e6], [1e300, 1e6]]),
+            "error: a timeseries.csv cell is not finite: the scenario's numbers exceed the float range",
+        ),
     ],
-    ids=["cost-overflow", "revenue-overflow", "total-overflow", "tiny-m-floor"],
+    ids=[
+        "cost-overflow", "revenue-overflow", "total-overflow", "tiny-m-floor",
+        "duration-revenue-overflow", "series-overflow",
+    ],
 )
 def test_non_finite_result_exits_1_with_one_error_line(tmp_path, capsys, data, message):
     path = write_scenario(tmp_path, data)
@@ -291,6 +315,16 @@ def test_nan_output_before_crossing_names_plant_and_bound(tmp_path, capsys):
     ]
 
 
+def _numeric_cells(out_dir: Path) -> list[str]:
+    """Every non-empty number cell of the three CSVs, headers and the
+    settlement file's mechanism and plant columns left out."""
+    cells = []
+    for name, first in (("timeseries.csv", 0), ("duration.csv", 0), ("settlement.csv", 2)):
+        for row in read_csv(out_dir / name)[1:]:
+            cells.extend(cell for cell in row[first:] if cell)
+    return cells
+
+
 @settings(max_examples=150, deadline=None)
 @given(raw_scenarios())
 def test_any_raw_scenario_exits_0_1_or_2_with_error_lines_only(data):
@@ -300,10 +334,12 @@ def test_any_raw_scenario_exits_0_1_or_2_with_error_lines_only(data):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["--scenario", str(path), "--quiet", "--out-dir", str(Path(tmp) / "out")])
+        cells = [] if code else _numeric_cells(Path(tmp) / "out")
     assert code in (0, 1, 2)
     lines = err.getvalue().splitlines()
     assert all(line.startswith("error: ") for line in lines), lines
     assert bool(lines) == (code != 0)
+    assert all(math.isfinite(float(cell)) for cell in cells), cells
 
 
 def test_tiny_horizon_names_horizon_under_duration(tmp_path, capsys):
