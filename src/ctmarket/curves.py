@@ -7,10 +7,15 @@ above power ``y`` -- and the monotone non-decreasing rearrangement, which is
 the curve sharing the original's measure function that the load-duration
 pricing mechanism operates on.
 
-Level-set sums run over every segment at once, but add the per-segment
-contributions in segment order (a sequential ``cumsum`` down the segment
-axis), so each result is bit-for-bit the one a plain segment-by-segment
-loop gives.
+On a non-decreasing curve -- every curve duration settlement integrates
+-- the measure at a level comes from one ``searchsorted`` on the curve's
+own arrays: the time after the segment holding the level, plus that
+segment's fraction.  Each value is within a few ulps of the exact one, but
+its bits are not those of a segment-by-segment sum.  On any other curve,
+and in :func:`duration_curve` for every curve, level-set sums run over
+every segment at once and add the per-segment contributions in segment
+order (a sequential ``cumsum`` down the segment axis), so each result is
+bit-for-bit the one a plain segment-by-segment loop gives.
 """
 
 from __future__ import annotations
@@ -211,7 +216,7 @@ class LoadCurve:
 
     def flat_duration(self, y: float) -> float:
         """Total length of segments sitting exactly flat at level ``y``."""
-        return float(MeasureFunction(self)._flat(float(y)))
+        return float(MeasureFunction(self)._at(float(y)))
 
     def inverse(self, y: float) -> float:
         """The unique ``t`` with ``P(t) == y`` for a strictly increasing curve."""
@@ -265,7 +270,12 @@ class MeasureFunction:
     ``m`` is affine, which the quadrature engine exploits for exactness.
 
     The per-segment geometry -- duration, top power, power span and
-    flatness, as column vectors -- is computed once, at construction.
+    flatness, as column vectors -- and whether the curve is non-decreasing
+    are computed once, at construction.  On a non-decreasing curve,
+    ``sample``, calls and ``limit_from_below`` locate each level with one
+    ``searchsorted`` (cost O(levels x log segments)); their values are
+    within a few ulps of the exact ones, not bit-for-bit a segment-order
+    sum.  On any other curve they sum over the segments in segment order.
     """
 
     curve: LoadCurve
@@ -273,6 +283,7 @@ class MeasureFunction:
     _hi: np.ndarray = field(init=False, repr=False, compare=False)
     _width: np.ndarray = field(init=False, repr=False, compare=False)
     _is_flat: np.ndarray = field(init=False, repr=False, compare=False)
+    _sorted: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         p0, p1 = self.curve.powers[:-1, None], self.curve.powers[1:, None]
@@ -285,6 +296,7 @@ class MeasureFunction:
             ("_hi", hi),
             ("_width", width),
             ("_is_flat", flat),
+            ("_sorted", self.curve.is_non_decreasing),
         ):
             object.__setattr__(self, name, arr)
 
@@ -331,19 +343,57 @@ class MeasureFunction:
         dt, level = self._dt[self._is_flat[:, 0]], self._hi[self._is_flat[:, 0]]
         return _segment_sum(lambda y: np.where(level == y, dt, 0.0), len(dt), ys)
 
+    def _above(self, ys) -> np.ndarray:
+        """``m`` at every level in ``ys``.
+
+        On a non-decreasing curve, with ``j`` the last knot at or below
+        ``y``, ``m(y) = (T - t[j+1]) + dt_j * clip((p[j+1] - y) / width_j)``:
+        every later segment lies wholly above ``y``, every earlier one at
+        or below it.
+        """
+        if not self._sorted:
+            return self._strict(ys)
+        ys = np.asarray(ys, dtype=float)
+        t, p = self.curve.times, self.curve.powers
+        n, T = len(self._dt), t[-1]
+        r = np.searchsorted(p, ys, side="right")
+        j = np.clip(r - 1, 0, n - 1)
+        # The segment-order sum's own term for segment j, overflow and all.
+        with np.errstate(over="ignore"):
+            part = self._dt[j, 0] * np.clip((self._hi[j, 0] - ys) / self._width[j, 0], 0.0, 1.0)
+        total = np.where(r == 0, T, np.where(r > n, 0.0, (T - t[np.minimum(r, n)]) + part))
+        if self._is_flat.all():
+            return total
+        # A sloped segment's fraction at a NaN level is NaN.
+        return np.where(np.isnan(ys), np.nan, total)
+
+    def _at(self, ys) -> np.ndarray:
+        """Flat time at every level in ``ys``.
+
+        On a non-decreasing curve the knots sitting at ``y`` are consecutive:
+        from the first one at or above ``y`` to the last one at or below it.
+        """
+        if not self._sorted:
+            return self._flat(ys)
+        ys = np.asarray(ys, dtype=float)
+        t, p = self.curve.times, self.curve.powers
+        first = np.searchsorted(p, ys, side="left")
+        last = np.searchsorted(p, ys, side="right") - 1
+        return np.where(last > first, t[last] - t[np.minimum(first, len(t) - 1)], 0.0)
+
     def __call__(self, y: float) -> float:
-        return float(self._strict(float(y)))
+        return float(self._above(float(y)))
 
     def sample(self, ys) -> np.ndarray:
         """Vectorised ``m`` over an array of levels."""
-        return self._strict(ys)
+        return self._above(ys)
 
     def limit_from_below(self, y):
         """Left limit ``m(y^-)``: the strict measure plus flat time exactly at ``y``.
 
         A float for a scalar ``y``, an array for an array of levels.
         """
-        total = self._strict(y) + self._flat(y)
+        total = self._above(y) + self._at(y)
         return float(total) if total.ndim == 0 else total
 
 

@@ -105,12 +105,12 @@ def _plant_row(plant: str, cost: float, revenue: float, energy: float) -> PlantS
     )
 
 
-def _overflow(mechanism: str, plant: str, exc: NumericError) -> NumericError:
-    # Price and output are finite curves: only the integrand's product overflows.
+def _overflow(mechanism: str, plant: str, abscissa: float | None) -> NumericError:
+    # Price and output are finite curves: only a product of them overflows.
     return NumericError(
         f"the {mechanism} settlement of {plant} is not finite: "
         "the scenario's numbers exceed the float range",
-        abscissa=exc.abscissa,
+        abscissa=abscissa,
     )
 
 
@@ -133,7 +133,7 @@ def settle_spot(sol: DispatchSolution, price: SpotPrice, plants: Sequence[Plant]
                 0.0, sol.horizon, EXACT_CONFIG, breakpoints=kinks,
             )
         except NumericError as exc:
-            raise _overflow("spot", p.id, exc) from exc
+            raise _overflow("spot", p.id, exc.abscissa) from exc
         rows.append(_plant_row(p.id, costs.per_plant[p.id], revenue, curve.energy))
     return _assemble("spot", rows)
 
@@ -146,8 +146,9 @@ def settle_duration(
     revenue = pi(T) * min_output * T + int pi(m_j(y)) m_j(y) dy over the
     plant's output range; the first term is the base block running the
     whole cycle, priced at the anchor.  Generation cost is the same
-    closed form as under spot settlement.  A level-band integrand past the
-    float range raises :class:`NumericError` naming the plant.
+    closed form as under spot settlement.  A base block, level-band
+    integrand or revenue past the float range raises :class:`NumericError`
+    naming the plant.
     """
     if sol.clamped:
         raise UnsupportedOperationError(
@@ -165,7 +166,9 @@ def settle_duration(
                     m, curve.min_power, curve.max_power, price.price_times_duration, EXACT_CONFIG
                 )
             except NumericError as exc:
-                raise _overflow("duration", p.id, exc) from exc
+                raise _overflow("duration", p.id, exc.abscissa) from exc
+        if not math.isfinite(revenue):
+            raise _overflow("duration", p.id, None)
         rows.append(_plant_row(p.id, costs.per_plant[p.id], revenue, curve.energy))
     return _assemble("duration", rows)
 

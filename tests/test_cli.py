@@ -262,16 +262,24 @@ DAY = [[0.0, 350.0], [6.0, 1050.0], [18.0, 700.0], [24.0, 350.0]]
             "error: the duration settlement of plant1 is not finite: "
             "the scenario's numbers exceed the float range",
         ),
-        # a flat load over 1e300 h: pi_time past t = 0 is NaN, caught as a
-        # series cell before the (also overflowing) settlement
+        # a flat load of 1e6 MW over 1e300 h: each flat output's base block
+        # overflows; duration settlement used to return inf, and the run
+        # failed later on a series cell instead
         (
             _two_plants(1e300, [[0, 1e6], [1e300, 1e6]]),
+            "error: the duration settlement of plant1 is not finite: "
+            "the scenario's numbers exceed the float range",
+        ),
+        # a flat load of 1000 MW over 1e300 h settles finitely, but pi_time
+        # past t = 0 is NaN: caught as a series cell
+        (
+            _two_plants(1e300, [[0, 1000.0], [1e300, 1000.0]]),
             "error: a timeseries.csv cell is not finite: the scenario's numbers exceed the float range",
         ),
     ],
     ids=[
         "cost-overflow", "revenue-overflow", "total-overflow", "tiny-m-floor",
-        "duration-revenue-overflow", "series-overflow",
+        "duration-revenue-overflow", "base-block-overflow", "series-overflow",
     ],
 )
 def test_non_finite_result_exits_1_with_one_error_line(tmp_path, capsys, data, message):

@@ -13,6 +13,7 @@ import pytest
 
 from ctmarket import (
     LoadCurve,
+    NumericError,
     Plant,
     QuadraticCost,
     UnsupportedOperationError,
@@ -155,6 +156,20 @@ class TestDurationSettlement:
         for s, d in zip(spot.plants, dur.plants):
             assert d.revenue == pytest.approx(s.revenue, rel=1e-10)
             assert d.profit == pytest.approx(s.profit, rel=1e-10)
+
+    def test_flat_output_past_the_float_range_names_the_plant(self):
+        """A flat output settles as its base block alone, anchor * 1e6 MW *
+        1e300 h here, which overflows; it used to settle at inf unchecked."""
+        plants = [
+            Plant("plant1", QuadraticCost(0.0005, 0.07, 0.2)),
+            Plant("plant2", QuadraticCost(0.001, 0.14, 0.4)),
+        ]
+        # As in run_scenario: the float-range diagnostic replaces numpy's warnings.
+        with np.errstate(all="ignore"):
+            sol = solve_equilibrium(plants, LoadCurve([(0.0, 1e6), (1e300, 1e6)]))
+            price = duration_price(sol)
+            with pytest.raises(NumericError, match="^the duration settlement of plant1 is not finite: "):
+                settle_duration(sol, price, plants)
 
     def test_refuses_clamped_dispatch(self):
         plants = [
@@ -428,3 +443,31 @@ def test_settlement_samples_one_simpson_pair_per_kink_piece(
         assert len(seen) == len(case_plants), key
         for points, n_pieces in seen:
             assert points == 3 * n_pieces, (key, points, n_pieces)
+
+
+def _monotone_instance(n_plants: int, n_breakpoints: int):
+    """Interior plants on a seeded, strictly increasing load."""
+    rng = np.random.default_rng(2000)
+    plants = random_plants(rng, n_plants)
+    times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 24.0, n_breakpoints - 2)), [24.0]])
+    powers = interior_demand_floor(plants) + np.cumsum(rng.uniform(0.0, 300.0, n_breakpoints))
+    return plants, LoadCurve(times=times, powers=powers)
+
+
+@pytest.mark.parametrize("size", [None, (50, 2000)], ids=["case-study", "50x2000"])
+def test_duration_settlement_never_sums_segment_by_segment(monkeypatch, case_plants, case_load, size):
+    """Every curve duration settlement measures is non-decreasing, so each
+    level is located by searchsorted; the (segments x levels) sum would
+    make settlement quadratic in breakpoints."""
+    import ctmarket.curves
+
+    plants, load = (case_plants, case_load) if size is None else _monotone_instance(*size)
+    sol = solve_equilibrium(plants, load)
+    price = duration_price(sol)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a segment-order sum ran")
+
+    monkeypatch.setattr(ctmarket.curves, "_segment_sum", refuse)
+    report = settle_duration(sol, price, plants)
+    assert all(math.isfinite(row.revenue) and row.revenue > 0.0 for row in report.plants)
