@@ -139,7 +139,7 @@ def run_scenario(
 
 def _require_finite(where: str, values) -> None:
     if not np.isfinite(values).all():
-        raise NumericError(f"{where} is not finite: the scenario's numbers exceed the float range")
+        raise NumericError.out_of_range(where)
 
 
 def _build_timeseries(

@@ -23,13 +23,13 @@ import bisect
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .cost import QuadraticCost
 from .curves import LoadCurve
-from .errors import InfeasibleDispatchError, UnsupportedOperationError
+from .errors import InfeasibleDispatchError, NumericError, UnsupportedOperationError
 from .tolerances import CLAMPED_KNOT_TOL, DISPATCH_TOL
 
 __all__ = [
@@ -374,7 +374,7 @@ def _lambda_for_demand(fleet: _Fleet, demand: float) -> float:
     if demand <= supplies[0]:
         return thr[0]
     # Beyond the last threshold only the unbounded plants still move.
-    last = demand >= supplies[-1]
+    last = demand > supplies[-1]
     k = len(thr) - 1 if last else bisect.bisect_left(supplies, demand) - 1
     den = fleet.den[k]
     if den == 0.0:
@@ -473,12 +473,22 @@ def _solve_clamped(plants: Sequence[Plant], load: LoadCurve) -> DispatchSolution
     return _solution(plants, load, times, lam, block, extremes, events)
 
 
+def checked_fsum(values: Iterable[float], what: str) -> float:
+    """``math.fsum(values)``; a sum past the float range raises
+    :class:`NumericError` naming ``what`` instead of ``OverflowError``."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise NumericError.out_of_range(what) from None
+
+
 def dispatch_cost(sol: DispatchSolution, plants: Sequence[Plant]) -> DispatchCost:
     """Per-plant generation cost over the cycle plus the market total.
 
     Closed form, no quadrature: a segment of length ``dt`` on which the
     output runs linearly from ``b0`` to ``b1`` costs
     ``q2 dt (b0^2 + b0 b1 + b1^2) / 3 + q1 dt (b0 + b1) / 2 + q0 dt``.
+    A total past the float range raises :class:`NumericError` naming it.
     """
     per: dict[str, float] = {}
     for p in plants:
@@ -486,4 +496,4 @@ def dispatch_cost(sol: DispatchSolution, plants: Sequence[Plant]) -> DispatchCos
         b0, b1 = curve.powers[:-1], curve.powers[1:]
         square = float(np.dot(np.diff(curve.times), b0 * b0 + b0 * b1 + b1 * b1)) / 3.0
         per[p.id] = c.q2 * square + c.q1 * curve.energy + c.q0 * sol.horizon
-    return DispatchCost(per, math.fsum(per.values()))
+    return DispatchCost(per, checked_fsum(per.values(), "the total generation cost"))

@@ -24,6 +24,11 @@ class NumericError(ArithmeticError):
         super().__init__(message)
         self.abscissa = abscissa
 
+    @classmethod
+    def out_of_range(cls, what: str, abscissa: float | None = None) -> NumericError:
+        """``what`` is not finite because the inputs exceed the float range."""
+        return cls(f"{what} is not finite: the scenario's numbers exceed the float range", abscissa)
+
 
 class InfeasibleDispatchError(RuntimeError):
     """Unconstrained dispatch violates a capacity bound (or demand is unservable)."""

@@ -105,7 +105,10 @@ def _composite(
     edges = np.concatenate(([a], np.unique(pts[(pts > a) & (pts < b)]), [b]))
     lo, hi = edges[:-1], edges[1:]
     simpson = cfg.rule == "simpson"
-    n = np.maximum(2 if simpson else 1, np.rint(cfg.n_panels * (hi - lo) / (b - a))).astype(np.int64)
+    # A piece's share of [a, b] is at most 1; clipping keeps an overflowing
+    # share (inf) from casting to a negative count.
+    n = np.clip(np.rint(cfg.n_panels * (hi - lo) / (b - a)), 2 if simpson else 1, cfg.n_panels)
+    n = n.astype(np.int64)
     n += n % 2 if simpson else 0
     h = (hi - lo) / n
     counts = n + 1 if simpson else n

@@ -150,8 +150,8 @@ class Scenario:
 # ----------------------------------------------------------------------
 
 
-# The exact types the array check accepts; anything else, a bool or a float
-# subclass included, goes to the per-item check.
+# The exact types of a plain breakpoint load, made into an array at C speed;
+# anything else, a bool or a float subclass included, goes item by item.
 _PAIR_TYPES = frozenset({list, tuple})
 _NUMBER_TYPES = frozenset({int, float})
 
@@ -181,10 +181,9 @@ def validate(data: Mapping[str, Any]) -> Scenario:
     Raises :class:`ScenarioValidationError` carrying one
     :class:`ValidationIssue` (field path + violated condition) per problem.
 
-    A breakpoint load is checked as one array: a structural pass over the
-    pairs, then one float array checked at once.  Only a load that fails
-    that check is walked pair by pair, and that walk alone writes its
-    diagnostics, so their text and order do not depend on the array check.
+    A breakpoint load is checked in one pass: it becomes one float array
+    (items that are not pairs of finite numbers as NaN rows), and each
+    breakpoint rule runs once on that array and names its own problems.
     """
     issues: list[ValidationIssue] = []
 
@@ -263,75 +262,61 @@ def _validate_load(raw: Any, horizon: float | None, bad) -> AffineLoad | LoadCur
     if not isinstance(bps, (list, tuple)) or len(bps) < 2:
         bad("load.breakpoints", "must be a list of at least 2 [time, power] pairs")
         return None
-    curve = _accept_breakpoints(bps, horizon)
-    return curve if curve is not None else _diagnose_breakpoints(bps, horizon, bad)
+    return _check_breakpoints(bps, horizon, bad)
 
 
 def _ends_at_horizon(t_last: float, horizon: float) -> bool:
     return math.isclose(t_last, horizon, rel_tol=HORIZON_REL_TOL, abs_tol=HORIZON_ABS_TOL)
 
 
-def _accept_breakpoints(bps: list | tuple, horizon: float | None) -> LoadCurve | None:
-    """The load curve of ``bps`` if it passes every breakpoint check, else None.
+def _pair(item: Any) -> tuple[float, float]:
+    """``item`` as a ``(time, power)`` pair of finite floats, else NaNs."""
+    if isinstance(item, (list, tuple)) and len(item) == 2 and all(_is_number(v) for v in item):
+        return float(item[0]), float(item[1])
+    return math.nan, math.nan
 
-    Checks the whole list at once: first its structure (list or tuple items
-    of two values, each exactly an ``int`` or a ``float``), then, on one
-    float array, that every value is finite, every power >= 0, the first
-    time 0, the times strictly increasing and the last at the horizon.
-    It names no problem; :func:`_diagnose_breakpoints` does that.
+
+def _check_breakpoints(bps: list | tuple, horizon: float | None, bad) -> LoadCurve | None:
+    """The load curve of ``bps``, or None after reporting every problem.
+
+    A plain load becomes one float array in one ``np.fromiter``; any other
+    goes item by item, an item that is not a pair of finite numbers as NaNs.
+    Each rule then runs once on the array: the items first, at most one
+    message each; only if all pass, the first, increasing and last times.
     """
-    if not _PAIR_TYPES.issuperset(map(type, bps)) or set(map(len, bps)) != {2}:
-        return None
-    if not _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(bps))):
-        return None
-    try:
-        flat = np.fromiter(chain.from_iterable(bps), dtype=float, count=2 * len(bps))
-    except OverflowError:  # an int too large for a float
-        return None
-    times, powers = flat[0::2], flat[1::2]
-    if not (
-        np.isfinite(flat).all()
-        and (powers >= 0.0).all()
-        and times[0] == 0.0
-        and (times[1:] > times[:-1]).all()
-        and (horizon is None or _ends_at_horizon(float(times[-1]), horizon))
+    flat = None
+    if (
+        _PAIR_TYPES.issuperset(map(type, bps))
+        and set(map(len, bps)) == {2}
+        and _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(bps)))
     ):
+        try:
+            flat = np.fromiter(chain.from_iterable(bps), dtype=float, count=2 * len(bps))
+        except OverflowError:  # an int too large for a float
+            pass
+    if flat is None:
+        flat = np.fromiter(chain.from_iterable(map(_pair, bps)), dtype=float, count=2 * len(bps))
+    times, powers = flat[0::2], flat[1::2]
+    not_pair = ~(np.isfinite(times) & np.isfinite(powers))
+    failed = np.flatnonzero(not_pair | (powers < 0.0)).tolist()
+    for i in failed:
+        bad(
+            f"load.breakpoints[{i}]",
+            "must be a [time, power] pair of finite numbers" if not_pair[i] else "power must be >= 0",
+        )
+    if failed:
         return None
-    return LoadCurve(times=times, powers=powers)
-
-
-def _diagnose_breakpoints(bps: list | tuple, horizon: float | None, bad) -> LoadCurve | None:
-    """Check ``bps`` one breakpoint at a time, reporting every problem in
-    order; the load curve if there is none."""
-    pts: list[tuple[float, float]] = []
-    ok = True
-    for i, item in enumerate(bps):
-        if not isinstance(item, (list, tuple)) or len(item) != 2 or not all(_is_number(v) for v in item):
-            bad(f"load.breakpoints[{i}]", "must be a [time, power] pair of finite numbers")
-            ok = False
-            continue
-        t, p = float(item[0]), float(item[1])
-        if p < 0:
-            bad(f"load.breakpoints[{i}]", "power must be >= 0")
-            ok = False
-        pts.append((t, p))
+    ok = times[0] == 0.0
     if not ok:
-        return None
-    times = [t for t, _ in pts]
-    if times[0] != 0.0:
         bad("load.breakpoints[0]", "first time must be 0")
+    for i in (np.flatnonzero(times[1:] <= times[:-1]) + 1).tolist():
+        got, after = float(times[i]), float(times[i - 1])
+        bad(f"load.breakpoints[{i}]", f"times must be strictly increasing (got {got!r} after {after!r})")
         ok = False
-    for i in range(1, len(times)):
-        if times[i] <= times[i - 1]:
-            bad(
-                f"load.breakpoints[{i}]",
-                f"times must be strictly increasing (got {times[i]!r} after {times[i - 1]!r})",
-            )
-            ok = False
-    if horizon is not None and times and not _ends_at_horizon(times[-1], horizon):
+    if horizon is not None and not _ends_at_horizon(float(times[-1]), horizon):
         bad("load.breakpoints[-1]", f"last time must equal the horizon {horizon!r}")
         ok = False
-    return LoadCurve(pts) if ok else None
+    return LoadCurve(times=times, powers=powers) if ok else None
 
 
 def _validate_plants(raw: Any, bad) -> list[PlantSpec]:

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .curves import MeasureFunction
-from .dispatch import DispatchSolution, Plant, dispatch_cost
+from .dispatch import DispatchSolution, Plant, checked_fsum, dispatch_cost
 from .errors import NumericError, UnsupportedOperationError
 from .pricing import (
     DurationPrice,
@@ -80,9 +80,9 @@ class ValueSegment:
 
 
 def _assemble(mechanism: str, rows: list[PlantSettlement]) -> SettlementReport:
-    total_cost = math.fsum(r.generation_cost for r in rows)
-    total_revenue = math.fsum(r.revenue for r in rows)
-    total_profit = math.fsum(r.profit for r in rows)
+    total_cost = checked_fsum((r.generation_cost for r in rows), f"the {mechanism} total cost")
+    total_revenue = checked_fsum((r.revenue for r in rows), f"the {mechanism} total revenue")
+    total_profit = checked_fsum((r.profit for r in rows), f"the {mechanism} total profit")
     return SettlementReport(
         mechanism=mechanism,
         plants=tuple(rows),
@@ -93,7 +93,11 @@ def _assemble(mechanism: str, rows: list[PlantSettlement]) -> SettlementReport:
     )
 
 
-def _plant_row(plant: str, cost: float, revenue: float, energy: float) -> PlantSettlement:
+def _plant_row(
+    mechanism: str, plant: str, cost: float, revenue: float, energy: float
+) -> PlantSettlement:
+    if not math.isfinite(revenue):
+        raise NumericError.out_of_range(f"the {mechanism} settlement of {plant}")
     profit = revenue - cost
     return PlantSettlement(
         plant=plant,
@@ -105,22 +109,13 @@ def _plant_row(plant: str, cost: float, revenue: float, energy: float) -> PlantS
     )
 
 
-def _overflow(mechanism: str, plant: str, abscissa: float | None) -> NumericError:
-    # Price and output are finite curves: only a product of them overflows.
-    return NumericError(
-        f"the {mechanism} settlement of {plant} is not finite: "
-        "the scenario's numbers exceed the float range",
-        abscissa=abscissa,
-    )
-
-
 def settle_spot(sol: DispatchSolution, price: SpotPrice, plants: Sequence[Plant]) -> SettlementReport:
     """Settle each plant at the spot price: revenue = int lam(t) P_j(t) dt.
 
     The market purchasing cost (total revenue) equals the integral of
     lam times the system load, since outputs balance the load pointwise.
     A revenue past the float range raises :class:`NumericError` naming the
-    plant.
+    plant, and a market total past it one naming the total.
     """
     costs = dispatch_cost(sol, plants)
     rows = []
@@ -133,8 +128,8 @@ def settle_spot(sol: DispatchSolution, price: SpotPrice, plants: Sequence[Plant]
                 0.0, sol.horizon, EXACT_CONFIG, breakpoints=kinks,
             )
         except NumericError as exc:
-            raise _overflow("spot", p.id, exc.abscissa) from exc
-        rows.append(_plant_row(p.id, costs.per_plant[p.id], revenue, curve.energy))
+            raise NumericError.out_of_range(f"the spot settlement of {p.id}", exc.abscissa) from exc
+        rows.append(_plant_row("spot", p.id, costs.per_plant[p.id], revenue, curve.energy))
     return _assemble("spot", rows)
 
 
@@ -148,7 +143,7 @@ def settle_duration(
     whole cycle, priced at the anchor.  Generation cost is the same
     closed form as under spot settlement.  A base block, level-band
     integrand or revenue past the float range raises :class:`NumericError`
-    naming the plant.
+    naming the plant, and a market total past it one naming the total.
     """
     if sol.clamped:
         raise UnsupportedOperationError(
@@ -166,10 +161,9 @@ def settle_duration(
                     m, curve.min_power, curve.max_power, price.price_times_duration, EXACT_CONFIG
                 )
             except NumericError as exc:
-                raise _overflow("duration", p.id, exc.abscissa) from exc
-        if not math.isfinite(revenue):
-            raise _overflow("duration", p.id, None)
-        rows.append(_plant_row(p.id, costs.per_plant[p.id], revenue, curve.energy))
+                where = f"the duration settlement of {p.id}"
+                raise NumericError.out_of_range(where, exc.abscissa) from exc
+        rows.append(_plant_row("duration", p.id, costs.per_plant[p.id], revenue, curve.energy))
     return _assemble("duration", rows)
 
 

@@ -54,7 +54,7 @@ def ref_lambda_for_demand(plants, fleet, demand: float) -> float:
     thr, supplies = fleet.thr, fleet.supplies
     if demand <= supplies[0]:
         return thr[0]
-    if demand >= supplies[-1]:
+    if demand > supplies[-1]:
         active = unbounded
         den = _ordered_sum(slope[active])
         if den == 0.0:

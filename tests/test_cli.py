@@ -208,6 +208,36 @@ def test_supply_plateau_exits_2_with_one_error_line(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: shadow price jumps")
 
 
+def _top_plateau(breakpoints):
+    """Total supply is 100 MW for every lam in [0.3, 0.5]: ``a`` reaches
+    p_max at 0.3 and ``b`` leaves p_min at 0.5, the last threshold."""
+    return {
+        "name": "top-plateau",
+        "horizon": 1.0,
+        "load": {"breakpoints": breakpoints},
+        "plants": [
+            {"id": "a", "q2": 0.002, "q1": 0.1, "q0": 0.0, "p_max": 50.0},
+            {"id": "b", "q2": 0.005, "q1": 0.0, "q0": 0.0, "p_min": 50.0},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "breakpoints", [[[0.0, 80.0], [1.0, 100.0]], [[0.0, 100.0], [1.0, 100.0]]], ids=["rising", "flat"]
+)
+def test_demand_on_the_top_plateau_prices_at_its_smallest_lambda(tmp_path, capsys, breakpoints):
+    """A demand of 100 MW used to take the beyond-the-last-threshold branch
+    and price at 0.5: the rising load was refused as a plateau jump, and
+    the flat one settled at 0.5 instead of 0.3."""
+    path = write_scenario(tmp_path, _top_plateau(breakpoints))
+    out_dir = tmp_path / "out"
+    args = ["--scenario", path, "--allow-clamp", "--mechanism", "spot", "--out-dir", str(out_dir), "--quiet"]
+    assert main(args) == 0
+    assert capsys.readouterr().err == ""
+    rows = read_csv(out_dir / "timeseries.csv")
+    assert float(rows[-1][rows[0].index("lambda")]) == pytest.approx(0.3, abs=1e-12)
+
+
 def _case_study_variant(horizon, breakpoints, q0=(0.2, 0.4, 0.8), options=None):
     """The case-study fleet, with fixed costs ``q0``, on a breakpoint load."""
     plants = [
@@ -245,8 +275,27 @@ DAY = [[0.0, 350.0], [6.0, 1050.0], [18.0, 700.0], [24.0, 350.0]]
             "error: the spot settlement of plant1 is not finite: "
             "the scenario's numbers exceed the float range",
         ),
-        # two finite costs whose sum overflows used to end in a traceback
-        (_case_study_variant(24.0, DAY, q0=(7e306, 7e306, 0.8)), "error: intermediate overflow"),
+        # two finite costs whose sum overflows used to end in a traceback,
+        # then in fsum's "intermediate overflow in fsum"
+        (
+            _case_study_variant(24.0, DAY, q0=(7e306, 7e306, 0.8)),
+            "error: the total generation cost is not finite: "
+            "the scenario's numbers exceed the float range",
+        ),
+        # the case study with three finite costs of 1e308 each: the same
+        (
+            _case_study_variant(1.0, [[0.0, 350.0], [1.0, 1050.0]], q0=(1e308, 1e308, 1e308)),
+            "error: the total generation cost is not finite: ",
+        ),
+        # ten equal plants of spot revenue 2.5e307 each (and half that in
+        # cost): the total revenue used to end in "intermediate overflow"
+        (
+            {
+                "name": "ten", "horizon": 1.0, "load": {"breakpoints": [[0, 1.58e156], [1, 1.58e156]]},
+                "plants": [{"id": f"g{j}", "q2": 0.0005, "q1": 0.0, "q0": 0.0} for j in range(10)],
+            },
+            "error: the spot total revenue is not finite: ",
+        ),
         # T - m_floor == T used to put pi_time = inf at t = T
         (
             _case_study_variant(
@@ -262,12 +311,13 @@ DAY = [[0.0, 350.0], [6.0, 1050.0], [18.0, 700.0], [24.0, 350.0]]
             "error: the duration settlement of plant1 is not finite: "
             "the scenario's numbers exceed the float range",
         ),
-        # a flat load of 1e6 MW over 1e300 h: each flat output's base block
-        # overflows; duration settlement used to return inf, and the run
-        # failed later on a series cell instead
+        # a flat load of 1e6 MW over 1e300 h: price * output * T overflows.
+        # Spot settlement returned inf unchecked, and the run failed on the
+        # duration base block (before that, on a series cell); spot now
+        # names the plant first.  test_settlement.py checks the base block.
         (
             _two_plants(1e300, [[0, 1e6], [1e300, 1e6]]),
-            "error: the duration settlement of plant1 is not finite: "
+            "error: the spot settlement of plant1 is not finite: "
             "the scenario's numbers exceed the float range",
         ),
         # a flat load of 1000 MW over 1e300 h settles finitely, but pi_time
@@ -278,7 +328,8 @@ DAY = [[0.0, 350.0], [6.0, 1050.0], [18.0, 700.0], [24.0, 350.0]]
         ),
     ],
     ids=[
-        "cost-overflow", "revenue-overflow", "total-overflow", "tiny-m-floor",
+        "cost-overflow", "revenue-overflow", "total-overflow", "case-study-total-overflow",
+        "revenue-total-overflow", "tiny-m-floor",
         "duration-revenue-overflow", "base-block-overflow", "series-overflow",
     ],
 )
@@ -291,6 +342,34 @@ def test_non_finite_result_exits_1_with_one_error_line(tmp_path, capsys, data, m
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(message), err
     assert not out_dir.exists()
+
+
+def test_horizon_near_the_float_limit_settles_spot(tmp_path, capsys):
+    """Over a 1e308 h horizon, n_panels * (piece width) overflows to inf;
+    the panel count used to cast to -2**63, and the run printed ``error:
+    negative dimensions are not allowed``."""
+    plants = [{"id": "a", "q2": 0.0005, "q1": 0.0, "q0": 0.0}]
+    path = write_scenario(
+        tmp_path, {"name": "long", "horizon": 1e308, "load": {"affine": {"base": 0, "slope": 0}}, "plants": plants}
+    )
+    out_dir = tmp_path / "out"
+    assert main(["--scenario", path, "--mechanism", "spot", "--out-dir", str(out_dir), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    assert read_csv(out_dir / "settlement.csv")[1] == ["spot", "a", "0.0", "0.0", "0.0", ""]
+
+
+INVALID = Path(__file__).parent / "data" / "invalid"
+
+
+@pytest.mark.parametrize("case", ["items", "order"])
+def test_invalid_load_exits_1_with_one_line_per_problem(capsys, case):
+    """``data/invalid/<case>.json`` fails validation with exactly the lines
+    of ``<case>.stderr``: item problems, or order problems once every item
+    passes."""
+    assert main(["--scenario", str(INVALID / f"{case}.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (INVALID / f"{case}.stderr").read_text()
 
 
 def test_load_at_merit_order_entry_point_exits_0(tmp_path, capsys):

@@ -101,6 +101,20 @@ class TestSpotSettlement:
             math.fsum(r.revenue for r in spot_report.plants), rel=1e-9
         )
 
+    def test_revenue_past_the_float_range_names_the_plant(self):
+        """price * output * 1e300 h overflows on a flat 1e6 MW load; spot
+        settlement used to return revenues of inf unchecked."""
+        plants = [
+            Plant("plant1", QuadraticCost(0.0005, 0.07, 0.2)),
+            Plant("plant2", QuadraticCost(0.001, 0.14, 0.4)),
+        ]
+        # As in run_scenario: the float-range diagnostic replaces numpy's warnings.
+        with np.errstate(all="ignore"):
+            sol = solve_equilibrium(plants, LoadCurve([(0.0, 1e6), (1e300, 1e6)]))
+            price = spot_price(sol)
+            with pytest.raises(NumericError, match="^the spot settlement of plant1 is not finite: "):
+                settle_spot(sol, price, plants)
+
     def test_idle_plant_loses_standby_cost(self):
         plants = [
             Plant("cheap", QuadraticCost(0.001, 0.1, 0.0)),
