@@ -45,7 +45,6 @@ from .quadrature import (
 from .scenario import (
     AffineLoad,
     Options,
-    PlantSpec,
     Scenario,
     builtin_case_study,
     validate,
@@ -76,7 +75,6 @@ __all__ = [
     "Options",
     "Plant",
     "PlantSettlement",
-    "PlantSpec",
     "QuadraticCost",
     "QuadratureConfig",
     "Scenario",

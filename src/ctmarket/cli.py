@@ -26,7 +26,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -74,24 +74,21 @@ class RunOutput:
 
 
 @np.errstate(all="ignore")
-def run_scenario(
-    scenario: Scenario,
-    *,
-    mechanisms: tuple[str, ...] | None = None,
-    allow_clamp: bool | None = None,
-) -> RunOutput:
-    """Run dispatch, pricing and settlement for the requested mechanisms.
+def run_scenario(scenario: Scenario) -> RunOutput:
+    """Run dispatch, pricing and settlement as ``scenario.options`` ask.
+
+    The options alone choose the mechanisms and whether dispatch may clamp;
+    to run otherwise, pass a scenario with other options
+    (``dataclasses.replace``), as ``main`` does for its flags.
 
     A number beyond the float range is diagnosed, not warned about: numpy's
     floating-point warnings are off during the run, and it raises
     :class:`NumericError` unless every reported number and series cell is
     finite.
     """
-    opts = scenario.options
-    mechs = tuple(mechanisms) if mechanisms is not None else opts.mechanisms
-    clamp_ok = opts.allow_clamp if allow_clamp is None else allow_clamp
+    mechs, clamp_ok = scenario.options.mechanisms, scenario.options.allow_clamp
     load = scenario.load_curve()
-    plants = scenario.plant_objects()
+    plants = scenario.plants
     diagnostics: list[str] = []
 
     sol = solve_equilibrium(plants, load, allow_clamp=clamp_ok)
@@ -290,16 +287,17 @@ def main(argv=None) -> int:
         for issue in exc.issues:
             print(f"error: {issue}", file=sys.stderr)
         return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
+    options = scenario.options
+    if args.mechanism is not None:
+        options = replace(options, mechanisms=_MECHANISM_FLAG[args.mechanism])
+    if args.allow_clamp:
+        options = replace(options, allow_clamp=True)
     try:
-        out = run_scenario(
-            scenario,
-            mechanisms=_MECHANISM_FLAG.get(args.mechanism),
-            allow_clamp=True if args.allow_clamp else None,
-        )
+        out = run_scenario(replace(scenario, options=options))
     except (UnsupportedOperationError, UndefinedPriceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

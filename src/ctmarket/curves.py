@@ -207,7 +207,9 @@ class LoadCurve:
     def measure_of(self, y: float) -> float:
         """Total length of the strict superlevel set ``{t : P(t) > y}``.
 
-        Computed exactly segment by segment.  A flat segment lying exactly
+        On a non-decreasing curve one ``searchsorted`` finds the segment
+        holding ``y``, within a few ulps of the exact value; on any other
+        curve it is summed segment by segment.  A flat segment lying exactly
         at level ``y`` contributes zero (strict inequality), which makes the
         measure right-continuous in ``y`` with a downward jump at every
         level carrying a flat segment.
@@ -226,11 +228,9 @@ class LoadCurve:
                 "rearrange with duration_curve() first"
             )
         y = float(y)
-        if y < self._powers[0] or y > self._powers[-1]:
-            raise DomainError(
-                f"level {y!r} outside output range "
-                f"[{self._powers[0]!r}, {self._powers[-1]!r}]"
-            )
+        lo, hi = float(self._powers[0]), float(self._powers[-1])
+        if not lo <= y <= hi:  # NaN included
+            raise DomainError(f"level {y!r} outside output range [{lo!r}, {hi!r}]")
         k = int(np.searchsorted(self._powers, y, side="left"))
         if k == 0:
             return float(self._times[0])

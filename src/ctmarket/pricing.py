@@ -206,16 +206,23 @@ def duration_price(sol: DispatchSolution, *, m_floor: float | None = None) -> Du
     return duration_price_from_curve(sol.lambda_curve, m_floor=m_floor)
 
 
+def time_slice(T: float, t1: float, t2: float) -> tuple[float, float]:
+    """``(t1, t2)`` as floats; :class:`DomainError` unless ``0 <= t1 < t2 <= T``
+    (``t2`` may pass ``T`` by ``DOMAIN_TOL`` relative)."""
+    t1, t2 = float(t1), float(t2)
+    if not (0.0 <= t1 < t2 <= T + DOMAIN_TOL * max(T, 1.0)):
+        raise DomainError(f"need 0 <= t1 < t2 <= {T!r}, got [{t1!r}, {t2!r}]")
+    return t1, t2
+
+
 def unit_energy_price_spot(price: SpotPrice, plant_curve: LoadCurve, t1: float, t2: float) -> float:
     """Value per MWh of the time-slice commodity ``[t1, t2]`` of a trajectory.
 
     The slice's total settlement divided by its energy:
     ``int lam * P dt / int P dt``.
     """
-    t1, t2 = float(t1), float(t2)
     T = price.horizon
-    if not (0.0 <= t1 < t2 <= T + DOMAIN_TOL * max(T, 1.0)):
-        raise DomainError(f"need 0 <= t1 < t2 <= {T!r}, got [{t1!r}, {t2!r}]")
+    t1, t2 = time_slice(T, t1, t2)
     if not math.isclose(plant_curve.horizon, T, rel_tol=SAME_HORIZON_TOL):
         raise ValueError("price and trajectory horizons differ")
     kinks = np.concatenate([price.curve.times, plant_curve.times])

@@ -26,7 +26,6 @@ from .tolerances import HORIZON_ABS_TOL, HORIZON_REL_TOL
 
 __all__ = [
     "AffineLoad",
-    "PlantSpec",
     "Options",
     "Scenario",
     "validate",
@@ -43,16 +42,6 @@ class AffineLoad:
 
 
 @dataclass(frozen=True)
-class PlantSpec:
-    id: str
-    q2: float
-    q1: float
-    q0: float
-    p_min: float = 0.0
-    p_max: float | None = None
-
-
-@dataclass(frozen=True)
 class Options:
     m_floor: float | None = None  # None -> DEFAULT_M_FLOOR_FRACTION * horizon
     allow_clamp: bool = False
@@ -65,13 +54,14 @@ class Scenario:
 
     A breakpoint ``load`` is held as its :class:`LoadCurve`, the two
     read-only arrays of times and powers; ``(time, power)`` pairs passed in
-    are made into one.
+    are made into one.  ``plants`` holds the engine's :class:`Plant`
+    objects, built once by ``validate``.
     """
 
     name: str
     horizon: float
     load: AffineLoad | LoadCurve
-    plants: tuple[PlantSpec, ...]
+    plants: tuple[Plant, ...]
     options: Options = field(default_factory=Options)
 
     def __post_init__(self) -> None:
@@ -87,15 +77,7 @@ class Scenario:
         return self.load
 
     def plant_objects(self) -> list[Plant]:
-        return [
-            Plant(
-                id=p.id,
-                cost=QuadraticCost(q2=p.q2, q1=p.q1, q0=p.q0),
-                p_min=p.p_min,
-                p_max=p.p_max,
-            )
-            for p in self.plants
-        ]
+        return list(self.plants)
 
     def resolved_m_floor(self) -> float:
         """``options.m_floor``, else ``DEFAULT_M_FLOOR_FRACTION * horizon``.
@@ -121,7 +103,7 @@ class Scenario:
             load = {"breakpoints": [[t, p] for t, p in self.load.breakpoints]}
         plants = []
         for p in self.plants:
-            entry: dict[str, Any] = {"id": p.id, "q2": p.q2, "q1": p.q1, "q0": p.q0}
+            entry: dict[str, Any] = {"id": p.id, "q2": p.cost.q2, "q1": p.cost.q1, "q0": p.cost.q0}
             if p.p_min != 0.0:
                 entry["p_min"] = p.p_min
             if p.p_max is not None:
@@ -319,11 +301,13 @@ def _check_breakpoints(bps: list | tuple, horizon: float | None, bad) -> LoadCur
     return LoadCurve(times=times, powers=powers) if ok else None
 
 
-def _validate_plants(raw: Any, bad) -> list[PlantSpec]:
+def _validate_plants(raw: Any, bad) -> list[Plant]:
+    """The plants of ``raw``; a :class:`Plant` is built only once every
+    check on its fields has passed, so its constructors never raise."""
     if not isinstance(raw, (list, tuple)) or not raw:
         bad("plants", "must be a non-empty list")
         return []
-    out: list[PlantSpec] = []
+    out: list[Plant] = []
     seen: set[str] = set()
     for i, item in enumerate(raw):
         path = f"plants[{i}]"
@@ -373,8 +357,8 @@ def _validate_plants(raw: Any, bad) -> list[PlantSpec]:
                 ok = False
         if ok:
             out.append(
-                PlantSpec(
-                    id=pid, q2=float(q2), q1=float(q1), q0=float(q0),
+                Plant(
+                    id=pid, cost=QuadraticCost(q2=float(q2), q1=float(q1), q0=float(q0)),
                     p_min=float(p_min), p_max=None if p_max is None else float(p_max),
                 )
             )
@@ -432,8 +416,8 @@ def builtin_case_study() -> Scenario:
         horizon=1.0,
         load=AffineLoad(base=350.0, slope=700.0),
         plants=(
-            PlantSpec(id="plant1", q2=0.0005, q1=0.07, q0=0.2),
-            PlantSpec(id="plant2", q2=0.001, q1=0.14, q0=0.4),
-            PlantSpec(id="plant3", q2=0.002, q1=0.28, q0=0.8),
+            Plant(id="plant1", cost=QuadraticCost(q2=0.0005, q1=0.07, q0=0.2)),
+            Plant(id="plant2", cost=QuadraticCost(q2=0.001, q1=0.14, q0=0.4)),
+            Plant(id="plant3", cost=QuadraticCost(q2=0.002, q1=0.28, q0=0.8)),
         ),
     )

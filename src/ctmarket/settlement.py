@@ -28,6 +28,7 @@ from .errors import NumericError, UnsupportedOperationError
 from .pricing import (
     DurationPrice,
     SpotPrice,
+    time_slice,
     unit_energy_price_duration,
     unit_energy_price_spot,
 )
@@ -193,6 +194,7 @@ def value_decomposition(
             raise ValueError("spot decomposition needs a SpotPrice")
         edges = list(time_edges) if time_edges is not None else list(price.curve.times)
         for t1, t2 in zip(edges, edges[1:]):
+            t1, t2 = time_slice(price.horizon, t1, t2)
             load_energy = riemann_integrate(
                 sol.load.sample, t1, t2, EXACT_CONFIG, breakpoints=sol.load.times
             )
@@ -205,7 +207,7 @@ def value_decomposition(
                 )
                 if energy <= 0.0:
                     continue
-                rows.append(ValueSegment("spot", pid, float(t1), float(t2), energy, unit))
+                rows.append(ValueSegment("spot", pid, t1, t2, energy, unit))
     elif mechanism == "duration":
         if not isinstance(price, DurationPrice):
             raise ValueError("duration decomposition needs a DurationPrice")

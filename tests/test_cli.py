@@ -128,6 +128,22 @@ def test_malformed_json_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_utf8_scenario_file_exits_1_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "caf\xe9"}')
+    assert main(["--scenario", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "utf-8" in err[0]
+
+
+def test_deeply_nested_scenario_file_exits_1_with_one_error_line(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert main(["--scenario", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "recursion" in err[0]
+
+
 def test_huge_json_integer_exits_1_with_one_error_line(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(
@@ -155,7 +171,7 @@ def test_plant_id_with_newline_exits_1(tmp_path, capsys):
     assert err.startswith("error: plants[0].id:")
 
 
-def _clamping_scenario(tmp_path, mechanisms):
+def _clamping_scenario(tmp_path, mechanisms, **options):
     return write_scenario(
         tmp_path,
         {
@@ -166,7 +182,7 @@ def _clamping_scenario(tmp_path, mechanisms):
                 {"id": "small", "q2": 0.0005, "q1": 0.1, "q0": 0.0, "p_max": 300.0},
                 {"id": "big", "q2": 0.001, "q1": 0.1, "q0": 0.0},
             ],
-            "options": {"mechanisms": mechanisms},
+            "options": {"mechanisms": mechanisms, **options},
         },
     )
 
@@ -182,6 +198,13 @@ def test_clamped_spot_succeeds_with_note(tmp_path, capsys):
     assert main(["--scenario", path, "--allow-clamp"]) == 0
     out = capsys.readouterr().out
     assert "clamped dispatch" in out
+
+
+def test_scenario_allow_clamp_runs_clamped_without_the_flag(tmp_path, capsys):
+    path = _clamping_scenario(tmp_path, ["spot"], allow_clamp=True)
+    assert main(["--scenario", path]) == 0
+    out = capsys.readouterr().out
+    assert "[spot]" in out and "clamped dispatch" in out
 
 
 def test_duration_on_clamped_dispatch_exits_2(tmp_path, capsys):
@@ -535,3 +558,19 @@ def test_scenario_mechanism_subset_respected(tmp_path, capsys):
     assert dur == [["m", "pi_measure"]]  # header only when duration did not run
     ts = read_csv(tmp_path / "out" / "timeseries.csv")
     assert all(row[3] == "" for row in ts[1:])  # pi_time column stays empty
+
+
+def test_mechanism_flag_replaces_the_scenario_mechanisms(tmp_path, capsys):
+    path = write_scenario(
+        tmp_path,
+        {
+            "name": "spot-only",
+            "horizon": 1.0,
+            "load": {"affine": {"base": 100.0, "slope": 10.0}},
+            "plants": [{"id": "a", "q2": 0.001, "q1": 0.05, "q0": 0.0}],
+            "options": {"mechanisms": ["spot"]},
+        },
+    )
+    assert main(["--scenario", path, "--mechanism", "duration"]) == 0
+    out = capsys.readouterr().out
+    assert "[duration]" in out and "[spot]" not in out

@@ -212,3 +212,7 @@ class TestInverse:
             PLANT1.inverse(200.0)
         with pytest.raises(DomainError):
             PLANT1.inverse(651.0)
+
+    def test_nan_is_out_of_range(self):
+        with pytest.raises(DomainError, match=r"^level nan outside output range \[0\.0, 1\.0\]$"):
+            LoadCurve([(0, 0), (1, 1)]).inverse(float("nan"))

@@ -10,7 +10,8 @@ import pytest
 from ctmarket import (
     AffineLoad,
     Options,
-    PlantSpec,
+    Plant,
+    QuadraticCost,
     Scenario,
     ScenarioValidationError,
     builtin_case_study,
@@ -32,7 +33,7 @@ class TestBuiltinCaseStudy:
 
     def test_plant1_coefficients(self, case_study):
         p1 = case_study.plants[0]
-        assert (p1.q2, p1.q1, p1.q0) == (0.0005, 0.07, 0.2)
+        assert (p1.cost.q2, p1.cost.q1, p1.cost.q0) == (0.0005, 0.07, 0.2)
 
     def test_load_at_horizon(self, case_study):
         assert case_study.load_curve().evaluate(1.0) == pytest.approx(1050.0, abs=1e-12)
@@ -190,11 +191,13 @@ class TestValidationDiagnostics:
 def random_scenario(rng: np.random.Generator) -> Scenario:
     n_plants = int(rng.integers(1, 5))
     plants = tuple(
-        PlantSpec(
+        Plant(
             id=f"unit{j}",
-            q2=float(rng.uniform(1e-4, 1e-2)),
-            q1=float(rng.uniform(0.0, 1.0)),
-            q0=float(rng.uniform(0.0, 2.0)),
+            cost=QuadraticCost(
+                q2=float(rng.uniform(1e-4, 1e-2)),
+                q1=float(rng.uniform(0.0, 1.0)),
+                q0=float(rng.uniform(0.0, 2.0)),
+            ),
             p_min=0.0,
             p_max=float(rng.uniform(500.0, 2000.0)) if rng.random() < 0.5 else None,
         )

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ctmarket import (
+    DomainError,
     LoadCurve,
     NumericError,
     Plant,
@@ -245,6 +246,12 @@ class TestValueDecomposition:
                 r.energy * r.unit_value for r in rows if r.plant == rep_row.plant
             )
             assert total == pytest.approx(rep_row.revenue, rel=1e-10)
+
+    @pytest.mark.parametrize("edges", [[0.0, 2.0], [0.5, 0.2]])
+    def test_spot_slice_outside_cycle_named(self, case_solution, edges):
+        msg = rf"^need 0 <= t1 < t2 <= 1\.0, got \[{edges[0]}, {edges[1]}\]$"
+        with pytest.raises(DomainError, match=msg):
+            value_decomposition(case_solution, spot_price(case_solution), "spot", time_edges=edges)
 
     def test_unknown_mechanism_rejected(self, case_solution):
         with pytest.raises(ValueError, match="mechanism"):
