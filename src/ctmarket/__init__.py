@@ -28,7 +28,6 @@ from .errors import (
 )
 from .pricing import (
     DurationPrice,
-    SpotPrice,
     duration_price,
     duration_price_from_curve,
     spot_price,
@@ -80,7 +79,6 @@ __all__ = [
     "Scenario",
     "ScenarioValidationError",
     "SettlementReport",
-    "SpotPrice",
     "UndefinedPriceError",
     "UnsupportedOperationError",
     "ValidationIssue",

@@ -41,7 +41,7 @@ from .errors import (
     UndefinedPriceError,
     UnsupportedOperationError,
 )
-from .pricing import DurationPrice, duration_price, spot_price
+from .pricing import DurationPrice, duration_price
 from .scenario import Scenario, builtin_case_study, validate
 from .settlement import SettlementReport, settle_duration, settle_spot
 
@@ -102,7 +102,7 @@ def run_scenario(scenario: Scenario) -> RunOutput:
 
     reports: dict[str, SettlementReport] = {}
     if "spot" in mechs:
-        reports["spot"] = settle_spot(sol, spot_price(sol), plants)
+        reports["spot"] = settle_spot(sol)
 
     dprice: DurationPrice | None = None
     dsol: DispatchSolution | None = None
@@ -116,7 +116,7 @@ def run_scenario(scenario: Scenario) -> RunOutput:
                 "refer to the duration-rearranged timeline"
             )
         dprice = duration_price(dsol, m_floor=scenario.resolved_m_floor())
-        reports["duration"] = settle_duration(dsol, dprice, plants)
+        reports["duration"] = settle_duration(dsol, dprice)
         diagnostics.append(
             "duration revenues settle every plant at the single market duration price"
         )

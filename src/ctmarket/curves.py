@@ -89,7 +89,7 @@ class LoadCurve:
         if len(times) < 2:
             raise ValueError("a curve needs at least 2 breakpoints")
         if times[0] != 0.0:
-            raise ValueError(f"first breakpoint time must be 0, got {times[0]!r}")
+            raise ValueError(f"first breakpoint time must be 0, got {float(times[0])!r}")
         if not np.all(np.diff(times) > 0.0):
             raise ValueError("breakpoint times must be strictly increasing")
         if not np.all(np.isfinite(powers)):

@@ -85,7 +85,8 @@ class ClampEvent(NamedTuple):
 class DispatchSolution:
     """Equilibrium dispatch: shadow-price curve plus per-plant trajectories.
 
-    ``outputs`` maps plant id to its trajectory.  ``lambda_curve`` and every
+    ``plants`` is the fleet solved; ``outputs`` maps each plant id, in that
+    order, to its trajectory.  ``lambda_curve`` and every
     output are array-backed :class:`LoadCurve` values on one knot grid:
     they share a single read-only ``times`` array (the load's own for an
     interior solution), and only their ``powers`` differ.  The outputs'
@@ -97,6 +98,7 @@ class DispatchSolution:
 
     lambda_curve: LoadCurve
     outputs: Mapping[str, LoadCurve]
+    plants: tuple[Plant, ...]
     load: LoadCurve
     horizon: float
     clamped: bool = False
@@ -104,6 +106,7 @@ class DispatchSolution:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "outputs", MappingProxyType(dict(self.outputs)))
+        object.__setattr__(self, "plants", tuple(self.plants))
 
 
 class DispatchCost(NamedTuple):
@@ -210,6 +213,7 @@ def _solution(
     return DispatchSolution(
         lambda_curve=lambda_curve,
         outputs={p.id: LoadCurve._adopt(times, row) for p, row in zip(plants, block)},
+        plants=plants,
         load=load,
         horizon=load.horizon,
         clamped=bool(events),
@@ -482,7 +486,7 @@ def checked_fsum(values: Iterable[float], what: str) -> float:
         raise NumericError.out_of_range(what) from None
 
 
-def dispatch_cost(sol: DispatchSolution, plants: Sequence[Plant]) -> DispatchCost:
+def dispatch_cost(sol: DispatchSolution) -> DispatchCost:
     """Per-plant generation cost over the cycle plus the market total.
 
     Closed form, no quadrature: a segment of length ``dt`` on which the
@@ -491,7 +495,7 @@ def dispatch_cost(sol: DispatchSolution, plants: Sequence[Plant]) -> DispatchCos
     A total past the float range raises :class:`NumericError` naming it.
     """
     per: dict[str, float] = {}
-    for p in plants:
+    for p in sol.plants:
         curve, c = sol.outputs[p.id], p.cost
         b0, b1 = curve.powers[:-1], curve.powers[1:]
         square = float(np.dot(np.diff(curve.times), b0 * b0 + b0 * b1 + b1 * b1)) / 3.0

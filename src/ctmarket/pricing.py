@@ -41,7 +41,6 @@ from .quadrature import EXACT_CONFIG, lebesgue_integrate, riemann_integrate
 from .tolerances import DOMAIN_TOL, SAME_HORIZON_TOL
 
 __all__ = [
-    "SpotPrice",
     "DurationPrice",
     "spot_price",
     "duration_price",
@@ -51,23 +50,6 @@ __all__ = [
 ]
 
 DEFAULT_M_FLOOR_FRACTION = 1e-6
-
-
-@dataclass(frozen=True)
-class SpotPrice:
-    """Instantaneous marginal-cost price curve ``lam(t)`` in $/MWh."""
-
-    curve: LoadCurve
-
-    @property
-    def horizon(self) -> float:
-        return self.curve.horizon
-
-    def at(self, t: float) -> float:
-        return self.curve.evaluate(t)
-
-    def sample(self, ts) -> np.ndarray:
-        return self.curve.sample(ts)
 
 
 @dataclass(frozen=True, init=False)
@@ -145,14 +127,14 @@ class DurationPrice:
         return float(out) if out.ndim == 0 else out
 
 
-def spot_price(sol: DispatchSolution) -> SpotPrice:
-    """The dispatch shadow price, verbatim.
+def spot_price(sol: DispatchSolution) -> LoadCurve:
+    """The spot price ``lam(t)`` in $/MWh: the dispatch shadow price itself.
 
     At this price every interior plant's marginal cost equals the market
     price pointwise, so individual profit maximization reproduces the
     dispatch optimum.
     """
-    return SpotPrice(sol.lambda_curve)
+    return sol.lambda_curve
 
 
 def duration_price_from_curve(
@@ -215,7 +197,15 @@ def time_slice(T: float, t1: float, t2: float) -> tuple[float, float]:
     return t1, t2
 
 
-def unit_energy_price_spot(price: SpotPrice, plant_curve: LoadCurve, t1: float, t2: float) -> float:
+def level_band(y1: float, y2: float) -> tuple[float, float]:
+    """``(y1, y2)`` as floats; :class:`DomainError` unless ``0 <= y1 < y2 < inf``."""
+    y1, y2 = float(y1), float(y2)
+    if not (0.0 <= y1 < y2 < math.inf):
+        raise DomainError(f"need 0 <= y1 < y2 < inf, got [{y1!r}, {y2!r}]")
+    return y1, y2
+
+
+def unit_energy_price_spot(price: LoadCurve, plant_curve: LoadCurve, t1: float, t2: float) -> float:
     """Value per MWh of the time-slice commodity ``[t1, t2]`` of a trajectory.
 
     The slice's total settlement divided by its energy:
@@ -225,7 +215,7 @@ def unit_energy_price_spot(price: SpotPrice, plant_curve: LoadCurve, t1: float, 
     t1, t2 = time_slice(T, t1, t2)
     if not math.isclose(plant_curve.horizon, T, rel_tol=SAME_HORIZON_TOL):
         raise ValueError("price and trajectory horizons differ")
-    kinks = np.concatenate([price.curve.times, plant_curve.times])
+    kinks = np.concatenate([price.times, plant_curve.times])
     energy = riemann_integrate(plant_curve.sample, t1, t2, EXACT_CONFIG, breakpoints=kinks)
     if energy <= 0.0:
         raise UndefinedPriceError(
@@ -245,9 +235,7 @@ def unit_energy_price_duration(price: DurationPrice, m: MeasureFunction, y1: flo
     ``int pi(m(y)) m(y) dy / int m(y) dy``.  Bands below the trajectory
     minimum have ``m == T`` throughout and price at the anchor ``lam(0)``.
     """
-    y1, y2 = float(y1), float(y2)
-    if not (0.0 <= y1 < y2):
-        raise DomainError(f"need 0 <= y1 < y2, got [{y1!r}, {y2!r}]")
+    y1, y2 = level_band(y1, y2)
     if not math.isclose(m.horizon, price.horizon, rel_tol=SAME_HORIZON_TOL):
         raise ValueError("price and measure-function horizons differ")
     mass = lebesgue_integrate(m, y1, y2, lambda d: d, EXACT_CONFIG)

@@ -1,5 +1,7 @@
 """Per-plant and market-wide settlement under both pricing mechanisms.
 
+Settlement reads the fleet and the spot price (the shadow price) from the
+dispatch solution; duration settlement also takes the duration price.
 Generation cost and energy are the same under both mechanisms (same
 dispatch) and come in closed form from the output knots; only revenue
 differs.  Spot revenue integrates price times output over time.  Duration
@@ -20,14 +22,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .curves import MeasureFunction
-from .dispatch import DispatchSolution, Plant, checked_fsum, dispatch_cost
+from .curves import LoadCurve, MeasureFunction
+from .dispatch import DispatchSolution, checked_fsum, dispatch_cost
 from .errors import NumericError, UnsupportedOperationError
 from .pricing import (
     DurationPrice,
-    SpotPrice,
+    level_band,
     time_slice,
     unit_energy_price_duration,
     unit_energy_price_spot,
@@ -110,23 +110,24 @@ def _plant_row(
     )
 
 
-def settle_spot(sol: DispatchSolution, price: SpotPrice, plants: Sequence[Plant]) -> SettlementReport:
+def settle_spot(sol: DispatchSolution) -> SettlementReport:
     """Settle each plant at the spot price: revenue = int lam(t) P_j(t) dt.
 
-    The market purchasing cost (total revenue) equals the integral of
-    lam times the system load, since outputs balance the load pointwise.
+    ``lam`` is the dispatch's shadow price; every output shares its knot
+    times.  The market purchasing cost (total revenue) equals the integral
+    of lam times the system load, since outputs balance the load pointwise.
     A revenue past the float range raises :class:`NumericError` naming the
     plant, and a market total past it one naming the total.
     """
-    costs = dispatch_cost(sol, plants)
+    costs = dispatch_cost(sol)
+    lam = sol.lambda_curve
     rows = []
-    for p in plants:
+    for p in sol.plants:
         curve = sol.outputs[p.id]
-        kinks = np.concatenate([price.curve.times, curve.times])
         try:
             revenue = riemann_integrate(
-                lambda ts, k=curve: price.sample(ts) * k.sample(ts),
-                0.0, sol.horizon, EXACT_CONFIG, breakpoints=kinks,
+                lambda ts, k=curve: lam.sample(ts) * k.sample(ts),
+                0.0, sol.horizon, EXACT_CONFIG, breakpoints=lam.times,
             )
         except NumericError as exc:
             raise NumericError.out_of_range(f"the spot settlement of {p.id}", exc.abscissa) from exc
@@ -134,10 +135,8 @@ def settle_spot(sol: DispatchSolution, price: SpotPrice, plants: Sequence[Plant]
     return _assemble("spot", rows)
 
 
-def settle_duration(
-    sol: DispatchSolution, price: DurationPrice, plants: Sequence[Plant]
-) -> SettlementReport:
-    """Settle each plant at the market duration price.
+def settle_duration(sol: DispatchSolution, price: DurationPrice) -> SettlementReport:
+    """Settle each plant of ``sol`` at the market duration price ``price``.
 
     revenue = pi(T) * min_output * T + int pi(m_j(y)) m_j(y) dy over the
     plant's output range; the first term is the base block running the
@@ -150,9 +149,9 @@ def settle_duration(
         raise UnsupportedOperationError(
             "duration settlement is undefined for bound-clamped dispatch"
         )
-    costs = dispatch_cost(sol, plants)
+    costs = dispatch_cost(sol)
     rows = []
-    for p in plants:
+    for p in sol.plants:
         curve = sol.outputs[p.id]
         m = MeasureFunction(curve)
         revenue = price.anchor * curve.min_power * sol.horizon
@@ -170,7 +169,7 @@ def settle_duration(
 
 def value_decomposition(
     sol: DispatchSolution,
-    price: SpotPrice | DurationPrice,
+    price: LoadCurve | DurationPrice,
     mechanism: str,
     *,
     time_edges: Sequence[float] | None = None,
@@ -178,6 +177,7 @@ def value_decomposition(
 ) -> tuple[ValueSegment, ...]:
     """Partition each plant's energy into commodity segments and value them.
 
+    ``price`` is ``spot_price(sol)`` under "spot", a ``DurationPrice`` else.
     Under "spot" the segments are time slices (default: between consecutive
     shadow-price breakpoints, or ``time_edges``); a slice's unit value is
     the market unit price of the slice commodity -- total load settlement
@@ -190,9 +190,9 @@ def value_decomposition(
     """
     rows: list[ValueSegment] = []
     if mechanism == "spot":
-        if not isinstance(price, SpotPrice):
-            raise ValueError("spot decomposition needs a SpotPrice")
-        edges = list(time_edges) if time_edges is not None else list(price.curve.times)
+        if not isinstance(price, LoadCurve):
+            raise ValueError("spot decomposition needs the spot price curve")
+        edges = list(time_edges) if time_edges is not None else list(price.times)
         for t1, t2 in zip(edges, edges[1:]):
             t1, t2 = time_slice(price.horizon, t1, t2)
             load_energy = riemann_integrate(
@@ -218,6 +218,7 @@ def value_decomposition(
             else:
                 edges = sorted({0.0, *curve.levels})
             for y1, y2 in zip(edges, edges[1:]):
+                y1, y2 = level_band(y1, y2)
                 energy = lebesgue_integrate(m, y1, y2, lambda d: d, EXACT_CONFIG)
                 if energy <= 0.0:
                     continue

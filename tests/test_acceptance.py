@@ -29,7 +29,6 @@ from ctmarket import (
     settle_duration,
     settle_spot,
     solve_equilibrium,
-    spot_price,
 )
 from ctmarket.cli import main as cli_main
 from conftest import (
@@ -71,7 +70,7 @@ def test_criterion_1_dispatch_regression(case):
 
 def test_criterion_2_cost_regression(case):
     _, plants, _, sol = case
-    costs = dispatch_cost(sol, plants)
+    costs = dispatch_cost(sol)
     oracle = {
         "plant1": 0.0005 * (650.0**3 - 250.0**3) / 1200.0 + 0.07 * 450.0 + 0.2,
         "plant2": 0.001 * (290.0**3 - 90.0**3) / 600.0 + 0.14 * 190.0 + 0.4,
@@ -87,7 +86,7 @@ def test_criterion_2_cost_regression(case):
 
 def test_criterion_3_spot_settlement(case):
     _, plants, _, sol = case
-    report = settle_spot(sol, spot_price(sol), plants)
+    report = settle_spot(sol)
     revenue_oracle = {
         "plant1": affine_product_integral(0.32, 0.4, 250.0, 400.0, 0.0, 1.0),
         "plant2": affine_product_integral(0.32, 0.4, 90.0, 200.0, 0.0, 1.0),
@@ -125,7 +124,7 @@ def test_criterion_4_duration_price(case):
 
 def test_criterion_5_duration_settlement(case):
     _, plants, _, sol = case
-    report = settle_duration(sol, duration_price(sol), plants)
+    report = settle_duration(sol, duration_price(sol))
     h_mean = 0.32 + 0.48 / 2.0 - 0.6 / 3.0  # mean of pi(t)(1 - t) over the cycle
     revenue_oracle = {
         "plant1": 0.32 * 250.0 + 400.0 * h_mean,
@@ -141,7 +140,7 @@ def test_criterion_5_duration_settlement(case):
     assert report.total_revenue == pytest.approx(364.0, abs=0.1)
     assert report.market_profit_rate == pytest.approx(0.57, abs=0.01)
 
-    spot_report = settle_spot(sol, spot_price(sol), plants)
+    spot_report = settle_spot(sol)
     spread = lambda rep: max(r.profit_rate for r in rep.plants) - min(
         r.profit_rate for r in rep.plants
     )

@@ -36,6 +36,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="must be 0"):
             LoadCurve([(0.1, 1.0), (1.0, 2.0)])
 
+    def test_nonzero_start_named_as_a_float(self):
+        with pytest.raises(ValueError, match=r"^first breakpoint time must be 0, got 1\.0$"):
+            LoadCurve([(1, 0), (2, 1)])
+
     def test_rejects_duplicate_times(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             LoadCurve([(0.0, 1.0), (0.5, 2.0), (0.5, 3.0)])

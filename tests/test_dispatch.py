@@ -267,9 +267,21 @@ class TestClampedDispatch:
         assert np.allclose(sol.outputs["cheap"].sample(ts), load.sample(ts), atol=1e-9)
 
 
+@pytest.mark.parametrize("clamp", [False, True], ids=["interior", "clamped"])
+def test_solution_carries_its_fleet_in_output_order(clamp):
+    plants = [
+        Plant("small", QuadraticCost(0.0005, 0.1, 0.0), p_max=300.0 if clamp else None),
+        Plant("big", QuadraticCost(0.001, 0.1, 0.0)),
+    ]
+    sol = solve_equilibrium(plants, LoadCurve([(0.0, 0.0), (1.0, 900.0)]), allow_clamp=clamp)
+    assert sol.clamped == clamp
+    assert sol.plants == tuple(plants)
+    assert list(sol.outputs) == [p.id for p in sol.plants]
+
+
 class TestDispatchCost:
     def test_case_study_values(self, case_solution, case_plants):
-        costs = dispatch_cost(case_solution, case_plants)
+        costs = dispatch_cost(case_solution)
         oracle = {
             "plant1": 0.0005 * (650.0**3 - 250.0**3) / 1200.0 + 0.07 * 450.0 + 0.2,
             "plant2": 0.001 * (290.0**3 - 90.0**3) / 600.0 + 0.14 * 190.0 + 0.4,
@@ -287,7 +299,7 @@ class TestDispatchCost:
         ]
         load = LoadCurve([(0.0, 10.0), (2.0, 20.0)])
         sol = solve_equilibrium(plants, load, allow_clamp=True)
-        costs = dispatch_cost(sol, plants)
+        costs = dispatch_cost(sol)
         assert costs.per_plant["dear"] == pytest.approx(1.5 * 2.0, rel=1e-12)
 
 

@@ -78,6 +78,7 @@ def ref_solve(plants, load, allow_clamp=False) -> DispatchSolution:
         return DispatchSolution(
             lambda_curve=_curve_on(times, lam),
             outputs={pid: _curve_on(times, vals) for pid, vals in outputs.items()},
+            plants=plants,
             load=load,
             horizon=load.horizon,
         )
@@ -118,6 +119,7 @@ def ref_solve(plants, load, allow_clamp=False) -> DispatchSolution:
     return DispatchSolution(
         lambda_curve=_curve_on(knot_times, lam_vals),
         outputs={pid: _curve_on(knot_times, vals) for pid, vals in out_vals.items()},
+        plants=plants,
         load=load,
         horizon=load.horizon,
         clamped=bool(events),

@@ -27,7 +27,6 @@ from ctmarket import (
     settle_duration,
     settle_spot,
     solve_equilibrium,
-    spot_price,
 )
 from ctmarket import dispatch
 
@@ -45,7 +44,7 @@ def _settle(plants, load):
     sol = solve_equilibrium(plants, load)
     dsol = sol if load.is_non_decreasing else solve_equilibrium(plants, duration_curve(load))
     price = duration_price(dsol, m_floor=1e-6 * load.horizon)
-    return settle_spot(sol, spot_price(sol), plants), settle_duration(dsol, price, plants)
+    return settle_spot(sol), settle_duration(dsol, price)
 
 
 @settings(max_examples=100, deadline=None)
@@ -89,7 +88,7 @@ def test_splitting_a_plant_leaves_the_price_unchanged(instance, data):
     _close(s_sol.lambda_curve.powers, sol.lambda_curve.powers)
     a, b = (s_sol.outputs[p.id].powers for p in halves)
     _close(a + b, sol.outputs[plants[j].id].powers)
-    cost, s_cost = dispatch_cost(sol, plants).per_plant, dispatch_cost(s_sol, split).per_plant
+    cost, s_cost = dispatch_cost(sol).per_plant, dispatch_cost(s_sol).per_plant
     _close(s_cost[halves[0].id] + s_cost[halves[1].id], cost[plants[j].id])
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,7 @@ class TestSpotPrice:
         assert np.allclose(price.sample(ts), 0.32 + 0.4 * ts, atol=1e-12)
 
     def test_midpoint_value(self, case_solution):
-        assert spot_price(case_solution).at(0.5) == pytest.approx(0.52, abs=1e-12)
+        assert spot_price(case_solution).evaluate(0.5) == pytest.approx(0.52, abs=1e-12)
 
     def test_flat_load_gives_constant_price(self):
         plants = [Plant("a", QuadraticCost(0.001, 0.1, 0.0))]
@@ -43,7 +45,7 @@ class TestSpotPrice:
         sol = solve_equilibrium(plants, load)
         price = spot_price(sol)
         ts = np.linspace(0.0, 1.0, 11)
-        assert np.allclose(price.sample(ts), price.at(0.0), atol=1e-14)
+        assert np.allclose(price.sample(ts), price.evaluate(0.0), atol=1e-14)
 
     def test_marginal_cost_residual_zero(self, case_solution, case_plants):
         price = spot_price(case_solution)
@@ -176,7 +178,7 @@ class TestUnitEnergyPriceSpot:
         sol = solve_equilibrium(plants, load)
         price = spot_price(sol)
         val = unit_energy_price_spot(price, sol.outputs["a"], 0.2, 0.7)
-        assert val == pytest.approx(price.at(0.0), rel=1e-13)
+        assert val == pytest.approx(price.evaluate(0.0), rel=1e-13)
 
     def test_plant3_whole_cycle(self, case_solution):
         price = spot_price(case_solution)
@@ -222,3 +224,9 @@ class TestUnitEnergyPriceDuration:
         m = MeasureFunction(case_solution.outputs["plant3"])
         with pytest.raises(UndefinedPriceError):
             unit_energy_price_duration(dp, m, 200.0, 300.0)
+
+    def test_band_that_is_not_finite_named(self, case_solution):
+        dp = duration_price(case_solution)
+        m = MeasureFunction(case_solution.outputs["plant1"])
+        with pytest.raises(DomainError, match=r"^need 0 <= y1 < y2 < inf, got \[0\.0, inf\]$"):
+            unit_energy_price_duration(dp, m, 0.0, math.inf)

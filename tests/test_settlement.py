@@ -60,13 +60,13 @@ DURATION_REVENUE_ORACLE = {
 
 
 @pytest.fixture(scope="module")
-def spot_report(case_solution, case_plants):
-    return settle_spot(case_solution, spot_price(case_solution), case_plants)
+def spot_report(case_solution):
+    return settle_spot(case_solution)
 
 
 @pytest.fixture(scope="module")
-def duration_report(case_solution, case_plants):
-    return settle_duration(case_solution, duration_price(case_solution), case_plants)
+def duration_report(case_solution):
+    return settle_duration(case_solution, duration_price(case_solution))
 
 
 class TestSpotSettlement:
@@ -112,9 +112,8 @@ class TestSpotSettlement:
         # As in run_scenario: the float-range diagnostic replaces numpy's warnings.
         with np.errstate(all="ignore"):
             sol = solve_equilibrium(plants, LoadCurve([(0.0, 1e6), (1e300, 1e6)]))
-            price = spot_price(sol)
             with pytest.raises(NumericError, match="^the spot settlement of plant1 is not finite: "):
-                settle_spot(sol, price, plants)
+                settle_spot(sol)
 
     def test_idle_plant_loses_standby_cost(self):
         plants = [
@@ -123,7 +122,7 @@ class TestSpotSettlement:
         ]
         load = LoadCurve([(0.0, 10.0), (1.0, 20.0)])
         sol = solve_equilibrium(plants, load, allow_clamp=True)
-        report = settle_spot(sol, spot_price(sol), plants)
+        report = settle_spot(sol)
         dear = next(r for r in report.plants if r.plant == "dear")
         assert dear.revenue == 0.0
         assert dear.profit == pytest.approx(-2.0, rel=1e-12)
@@ -166,8 +165,8 @@ class TestDurationSettlement:
         ]
         load = LoadCurve([(0.0, 300.0), (2.0, 300.0)])
         sol = solve_equilibrium(plants, load)
-        spot = settle_spot(sol, spot_price(sol), plants)
-        dur = settle_duration(sol, duration_price(sol), plants)
+        spot = settle_spot(sol)
+        dur = settle_duration(sol, duration_price(sol))
         for s, d in zip(spot.plants, dur.plants):
             assert d.revenue == pytest.approx(s.revenue, rel=1e-10)
             assert d.profit == pytest.approx(s.profit, rel=1e-10)
@@ -184,7 +183,7 @@ class TestDurationSettlement:
             sol = solve_equilibrium(plants, LoadCurve([(0.0, 1e6), (1e300, 1e6)]))
             price = duration_price(sol)
             with pytest.raises(NumericError, match="^the duration settlement of plant1 is not finite: "):
-                settle_duration(sol, price, plants)
+                settle_duration(sol, price)
 
     def test_refuses_clamped_dispatch(self):
         plants = [
@@ -253,6 +252,15 @@ class TestValueDecomposition:
         with pytest.raises(DomainError, match=msg):
             value_decomposition(case_solution, spot_price(case_solution), "spot", time_edges=edges)
 
+    @pytest.mark.parametrize(
+        "edges, band",
+        [([0.0, math.inf], r"\[0\.0, inf\]"), ([0.0, math.nan, 100.0], r"\[.*nan.*\]")],
+    )
+    def test_duration_band_that_is_not_finite_named(self, case_solution, edges, band):
+        dp = duration_price(case_solution)
+        with pytest.raises(DomainError, match=rf"^need 0 <= y1 < y2 < inf, got {band}$"):
+            value_decomposition(case_solution, dp, "duration", band_edges=edges)
+
     def test_unknown_mechanism_rejected(self, case_solution):
         with pytest.raises(ValueError, match="mechanism"):
             value_decomposition(case_solution, spot_price(case_solution), "hourly")
@@ -268,7 +276,7 @@ def test_level_domain_cost_identity(case_solution, case_plants):
     block C_j(min output) * T."""
     from ctmarket import MeasureFunction, dispatch_cost
 
-    costs = dispatch_cost(case_solution, case_plants)
+    costs = dispatch_cost(case_solution)
     for p in case_plants:
         curve = case_solution.outputs[p.id]
         m = MeasureFunction(curve)
@@ -294,8 +302,8 @@ def test_settlement_stable_across_panel_counts(case_solution, case_plants):
     ]
     for plants, sol in instances:
         spot, dprice = spot_price(sol), duration_price(sol)
-        spot_report = settle_spot(sol, spot, plants)
-        duration_report = settle_duration(sol, dprice, plants)
+        spot_report = settle_spot(sol)
+        duration_report = settle_duration(sol, dprice)
         for n in (100, 10_000, 100_000):
             cfg = QuadratureConfig(n_panels=n)
             for p, s, d in zip(plants, spot_report.plants, duration_report.plants):
@@ -377,8 +385,8 @@ def test_spot_settlement_matches_exact_rational_integrals(make, case_plants, cas
     }[make]()
     sol = solve_equilibrium(plants, load, allow_clamp=clamp)
     assert sol.clamped == clamp
-    report = settle_spot(sol, spot_price(sol), plants)
-    costs = dispatch_cost(sol, plants)
+    report = settle_spot(sol)
+    costs = dispatch_cost(sol)
 
     def close(x: float, exact: Fraction) -> bool:
         return abs(Fraction(x) - exact) <= Fraction(1e-14) * abs(exact)
@@ -454,11 +462,11 @@ def test_settlement_samples_one_simpson_pair_per_kink_piece(
 
     monkeypatch.setattr(ctmarket.quadrature, "_composite", counted_composite)
 
-    dispatch_cost(case_solution, case_plants)
+    dispatch_cost(case_solution)
     assert engine_calls == []
-    settle_spot(case_solution, spot_price(case_solution), case_plants)
+    settle_spot(case_solution)
     assert engine_calls == ["t"] * len(case_plants)
-    settle_duration(case_solution, duration_price(case_solution), case_plants)
+    settle_duration(case_solution, duration_price(case_solution))
     assert engine_calls == ["t"] * len(case_plants) + ["y"] * len(case_plants)
     for key, seen in calls.items():
         assert len(seen) == len(case_plants), key
@@ -490,5 +498,5 @@ def test_duration_settlement_never_sums_segment_by_segment(monkeypatch, case_pla
         raise AssertionError("a segment-order sum ran")
 
     monkeypatch.setattr(ctmarket.curves, "_segment_sum", refuse)
-    report = settle_duration(sol, price, plants)
+    report = settle_duration(sol, price)
     assert all(math.isfinite(row.revenue) and row.revenue > 0.0 for row in report.plants)
