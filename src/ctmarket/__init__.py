@@ -31,8 +31,6 @@ from .pricing import (
     duration_price,
     duration_price_from_curve,
     spot_price,
-    unit_energy_price_duration,
-    unit_energy_price_spot,
 )
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -54,7 +52,10 @@ from .settlement import (
     ValueSegment,
     settle_duration,
     settle_spot,
-    value_decomposition,
+    unit_energy_price_duration,
+    unit_energy_price_spot,
+    value_by_band,
+    value_by_slice,
 )
 
 __version__ = "0.1.0"
@@ -98,5 +99,6 @@ __all__ = [
     "unit_energy_price_duration",
     "unit_energy_price_spot",
     "validate",
-    "value_decomposition",
+    "value_by_band",
+    "value_by_slice",
 ]

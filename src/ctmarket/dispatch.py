@@ -382,8 +382,9 @@ def _lambda_for_demand(fleet: _Fleet, demand: float) -> float:
     k = len(thr) - 1 if last else bisect.bisect_left(supplies, demand) - 1
     den = fleet.den[k]
     if den == 0.0:
-        # Supply plateau: demand equals the constant supply on this bracket.
-        return thr[k]
+        # Supply plateau at fixed[k].  The float supply at its far end may
+        # round above the plateau; a demand above it is met only at thr[k + 1].
+        return thr[k] if last or demand <= fleet.fixed[k] else thr[k + 1]
     lam = (demand - fleet.fixed[k] + fleet.num[k]) / den
     return max(lam, thr[k]) if last else min(max(lam, thr[k]), thr[k + 1])
 

@@ -1,4 +1,5 @@
-"""Market prices under the two mechanisms.
+"""Market prices under the two mechanisms; every integral of a price
+against energy is in :mod:`ctmarket.settlement`.
 
 Spot pricing reads the dispatch shadow price directly: at ``lam(t)`` every
 interior plant's marginal cost equals the market price, so the individual
@@ -29,24 +30,20 @@ plant; settlement works with the bounded product ``pi(m) * m``, never with
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import LoadCurve, MeasureFunction
+from .curves import LoadCurve
 from .dispatch import DispatchSolution
-from .errors import DomainError, UndefinedPriceError, UnsupportedOperationError
-from .quadrature import EXACT_CONFIG, lebesgue_integrate, riemann_integrate
-from .tolerances import DOMAIN_TOL, SAME_HORIZON_TOL
+from .errors import DomainError, UnsupportedOperationError
+from .tolerances import DOMAIN_TOL
 
 __all__ = [
     "DurationPrice",
     "spot_price",
     "duration_price",
     "duration_price_from_curve",
-    "unit_energy_price_spot",
-    "unit_energy_price_duration",
 ]
 
 DEFAULT_M_FLOOR_FRACTION = 1e-6
@@ -186,62 +183,3 @@ def duration_price(sol: DispatchSolution, *, m_floor: float | None = None) -> Du
             "only spot settlement applies"
         )
     return duration_price_from_curve(sol.lambda_curve, m_floor=m_floor)
-
-
-def time_slice(T: float, t1: float, t2: float) -> tuple[float, float]:
-    """``(t1, t2)`` as floats; :class:`DomainError` unless ``0 <= t1 < t2 <= T``
-    (``t2`` may pass ``T`` by ``DOMAIN_TOL`` relative)."""
-    t1, t2 = float(t1), float(t2)
-    if not (0.0 <= t1 < t2 <= T + DOMAIN_TOL * max(T, 1.0)):
-        raise DomainError(f"need 0 <= t1 < t2 <= {T!r}, got [{t1!r}, {t2!r}]")
-    return t1, t2
-
-
-def level_band(y1: float, y2: float) -> tuple[float, float]:
-    """``(y1, y2)`` as floats; :class:`DomainError` unless ``0 <= y1 < y2 < inf``."""
-    y1, y2 = float(y1), float(y2)
-    if not (0.0 <= y1 < y2 < math.inf):
-        raise DomainError(f"need 0 <= y1 < y2 < inf, got [{y1!r}, {y2!r}]")
-    return y1, y2
-
-
-def unit_energy_price_spot(price: LoadCurve, plant_curve: LoadCurve, t1: float, t2: float) -> float:
-    """Value per MWh of the time-slice commodity ``[t1, t2]`` of a trajectory.
-
-    The slice's total settlement divided by its energy:
-    ``int lam * P dt / int P dt``.
-    """
-    T = price.horizon
-    t1, t2 = time_slice(T, t1, t2)
-    if not math.isclose(plant_curve.horizon, T, rel_tol=SAME_HORIZON_TOL):
-        raise ValueError("price and trajectory horizons differ")
-    kinks = np.concatenate([price.times, plant_curve.times])
-    energy = riemann_integrate(plant_curve.sample, t1, t2, EXACT_CONFIG, breakpoints=kinks)
-    if energy <= 0.0:
-        raise UndefinedPriceError(
-            f"no energy on [{t1:.6g}, {t2:.6g}] h: unit price undefined"
-        )
-    value = riemann_integrate(
-        lambda ts: price.sample(ts) * plant_curve.sample(ts),
-        t1, t2, EXACT_CONFIG, breakpoints=kinks,
-    )
-    return value / energy
-
-
-def unit_energy_price_duration(price: DurationPrice, m: MeasureFunction, y1: float, y2: float) -> float:
-    """Value per MWh of the power-band commodity ``[y1, y2]`` of a trajectory.
-
-    The band's total settlement divided by its energy:
-    ``int pi(m(y)) m(y) dy / int m(y) dy``.  Bands below the trajectory
-    minimum have ``m == T`` throughout and price at the anchor ``lam(0)``.
-    """
-    y1, y2 = level_band(y1, y2)
-    if not math.isclose(m.horizon, price.horizon, rel_tol=SAME_HORIZON_TOL):
-        raise ValueError("price and measure-function horizons differ")
-    mass = lebesgue_integrate(m, y1, y2, lambda d: d, EXACT_CONFIG)
-    if mass <= 0.0:
-        raise UndefinedPriceError(
-            f"zero measure mass on [{y1:.6g}, {y2:.6g}] MW: unit price undefined"
-        )
-    value = lebesgue_integrate(m, y1, y2, price.price_times_duration, EXACT_CONFIG)
-    return value / mass

@@ -1,17 +1,16 @@
-"""Per-plant and market-wide settlement under both pricing mechanisms.
+"""Settlement and energy valuation: every integral of a price against energy.
 
 Settlement reads the fleet and the spot price (the shadow price) from the
-dispatch solution; duration settlement also takes the duration price.
-Generation cost and energy are the same under both mechanisms (same
-dispatch) and come in closed form from the output knots; only revenue
-differs.  Spot revenue integrates price times output over time.  Duration
-revenue integrates the bounded product ``pi(m(y)) * m(y)`` over the
-plant's output range and adds the base block ``[0, min output]``, which
-runs the whole cycle and settles at the anchor price ``pi(T)``.  Every
-plant settles at the single market duration price.  Every integrand is a
-polynomial of degree <= 2 between the kinks passed to the engine
-(piecewise-linear price times piecewise-linear output on the time axis;
-``pi(m) * m`` of a non-decreasing output on its level bands), so each
+dispatch solution; duration settlement and band values also take the
+duration price.  Generation cost and energy come in closed form from the
+output knots; only revenue differs between the mechanisms.  Spot revenue
+integrates price times output over time.  Duration revenue integrates
+``pi(m(y)) * m(y)`` over the plant's output range and adds the base block
+``[0, min output]``, settled at the anchor ``pi(T)``.  A unit energy price
+is ``int lam P dt / int P dt`` over a time slice or ``int pi(m) m dy /
+int m dy`` over a power band, and ``value_by_slice`` / ``value_by_band``
+value every segment from those two integrals.  Every integrand is a
+polynomial of degree <= 2 between the kinks passed to the engine, so each
 integral runs at ``EXACT_CONFIG``: one Simpson pair per kink piece, exact
 to round-off, with no resolution to choose.
 """
@@ -22,17 +21,14 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .curves import LoadCurve, MeasureFunction
 from .dispatch import DispatchSolution, checked_fsum, dispatch_cost
-from .errors import NumericError, UnsupportedOperationError
-from .pricing import (
-    DurationPrice,
-    level_band,
-    time_slice,
-    unit_energy_price_duration,
-    unit_energy_price_spot,
-)
+from .errors import DomainError, NumericError, UndefinedPriceError, UnsupportedOperationError
+from .pricing import DurationPrice
 from .quadrature import EXACT_CONFIG, lebesgue_integrate, riemann_integrate
+from .tolerances import DOMAIN_TOL, SAME_HORIZON_TOL
 
 __all__ = [
     "PlantSettlement",
@@ -40,7 +36,10 @@ __all__ = [
     "ValueSegment",
     "settle_spot",
     "settle_duration",
-    "value_decomposition",
+    "unit_energy_price_spot",
+    "unit_energy_price_duration",
+    "value_by_slice",
+    "value_by_band",
 ]
 
 
@@ -167,63 +166,117 @@ def settle_duration(sol: DispatchSolution, price: DurationPrice) -> SettlementRe
     return _assemble("duration", rows)
 
 
-def value_decomposition(
-    sol: DispatchSolution,
-    price: LoadCurve | DurationPrice,
-    mechanism: str,
-    *,
-    time_edges: Sequence[float] | None = None,
-    band_edges: Sequence[float] | None = None,
-) -> tuple[ValueSegment, ...]:
-    """Partition each plant's energy into commodity segments and value them.
+def _time_slice(T: float, t1: float, t2: float) -> tuple[float, float]:
+    """``(t1, t2)`` as floats; :class:`DomainError` unless ``0 <= t1 < t2 <= T``
+    (``t2`` may pass ``T`` by ``DOMAIN_TOL`` relative)."""
+    t1, t2 = float(t1), float(t2)
+    if not (0.0 <= t1 < t2 <= T + DOMAIN_TOL * max(T, 1.0)):
+        raise DomainError(f"need 0 <= t1 < t2 <= {T!r}, got [{t1!r}, {t2!r}]")
+    return t1, t2
 
-    ``price`` is ``spot_price(sol)`` under "spot", a ``DurationPrice`` else.
-    Under "spot" the segments are time slices (default: between consecutive
-    shadow-price breakpoints, or ``time_edges``); a slice's unit value is
-    the market unit price of the slice commodity -- total load settlement
-    over total load energy -- so same-time segments carry one value across
-    plants.  Under "duration" the segments are power bands per plant
-    (default: the base block ``[0, min output]`` plus the bands between
-    consecutive output breakpoint levels, or ``band_edges``); a band's unit
-    value depends only on the band, not on when the energy was produced.
-    Segments carrying no energy are omitted.
+
+def _level_band(y1: float, y2: float) -> tuple[float, float]:
+    """``(y1, y2)`` as floats; :class:`DomainError` unless ``0 <= y1 < y2 < inf``."""
+    y1, y2 = float(y1), float(y2)
+    if not (0.0 <= y1 < y2 < math.inf):
+        raise DomainError(f"need 0 <= y1 < y2 < inf, got [{y1!r}, {y2!r}]")
+    return y1, y2
+
+
+def _slice_integrals(lam: LoadCurve, curve: LoadCurve, t1: float, t2: float) -> tuple[float, float]:
+    """``(int P dt, int lam P dt)`` of the trajectory ``curve`` over ``[t1, t2]``."""
+    kinks = np.concatenate([lam.times, curve.times])
+    energy = riemann_integrate(curve.sample, t1, t2, EXACT_CONFIG, breakpoints=kinks)
+    value = riemann_integrate(
+        lambda ts: lam.sample(ts) * curve.sample(ts), t1, t2, EXACT_CONFIG, breakpoints=kinks
+    )
+    return energy, value
+
+
+def _band_integrals(
+    price: DurationPrice, m: MeasureFunction, y1: float, y2: float
+) -> tuple[float, float]:
+    """``(int m dy, int pi(m) m dy)`` of the level-set measure ``m`` over ``[y1, y2]``."""
+    mass = lebesgue_integrate(m, y1, y2, lambda d: d, EXACT_CONFIG)
+    value = lebesgue_integrate(m, y1, y2, price.price_times_duration, EXACT_CONFIG)
+    return mass, value
+
+
+def unit_energy_price_spot(price: LoadCurve, plant_curve: LoadCurve, t1: float, t2: float) -> float:
+    """Value per MWh of the time-slice commodity ``[t1, t2]`` of a trajectory
+    at the spot price ``price``: ``int lam * P dt / int P dt``."""
+    T = price.horizon
+    t1, t2 = _time_slice(T, t1, t2)
+    if not math.isclose(plant_curve.horizon, T, rel_tol=SAME_HORIZON_TOL):
+        raise ValueError("price and trajectory horizons differ")
+    energy, value = _slice_integrals(price, plant_curve, t1, t2)
+    if energy <= 0.0:
+        raise UndefinedPriceError(f"no energy on [{t1:.6g}, {t2:.6g}] h: unit price undefined")
+    return value / energy
+
+
+def unit_energy_price_duration(price: DurationPrice, m: MeasureFunction, y1: float, y2: float) -> float:
+    """Value per MWh of the power-band commodity ``[y1, y2]`` of a trajectory.
+
+    ``int pi(m(y)) m(y) dy / int m(y) dy``.  Bands below the trajectory
+    minimum have ``m == T`` throughout and price at the anchor ``lam(0)``.
     """
+    y1, y2 = _level_band(y1, y2)
+    if not math.isclose(m.horizon, price.horizon, rel_tol=SAME_HORIZON_TOL):
+        raise ValueError("price and measure-function horizons differ")
+    mass, value = _band_integrals(price, m, y1, y2)
+    if mass <= 0.0:
+        raise UndefinedPriceError(f"zero measure mass on [{y1:.6g}, {y2:.6g}] MW: unit price undefined")
+    return value / mass
+
+
+def value_by_slice(
+    sol: DispatchSolution, time_edges: Sequence[float] | None = None
+) -> tuple[ValueSegment, ...]:
+    """Each plant's energy by time slice, valued at the spot price.
+
+    The slices run between consecutive ``time_edges`` (default: the shadow
+    price's breakpoints).  A slice's unit value is the market unit price of
+    the slice commodity, total load settlement over total load energy, so
+    the segments of one slice carry one value across plants.  Slices
+    without load and plants without energy in a slice are omitted.
+    """
+    lam = sol.lambda_curve
+    edges = list(time_edges) if time_edges is not None else list(lam.times)
     rows: list[ValueSegment] = []
-    if mechanism == "spot":
-        if not isinstance(price, LoadCurve):
-            raise ValueError("spot decomposition needs the spot price curve")
-        edges = list(time_edges) if time_edges is not None else list(price.times)
-        for t1, t2 in zip(edges, edges[1:]):
-            t1, t2 = time_slice(price.horizon, t1, t2)
-            load_energy = riemann_integrate(
-                sol.load.sample, t1, t2, EXACT_CONFIG, breakpoints=sol.load.times
-            )
-            if load_energy <= 0.0:
-                continue
-            unit = unit_energy_price_spot(price, sol.load, t1, t2)
-            for pid, curve in sol.outputs.items():
-                energy = riemann_integrate(
-                    curve.sample, t1, t2, EXACT_CONFIG, breakpoints=curve.times
-                )
-                if energy <= 0.0:
-                    continue
-                rows.append(ValueSegment("spot", pid, t1, t2, energy, unit))
-    elif mechanism == "duration":
-        if not isinstance(price, DurationPrice):
-            raise ValueError("duration decomposition needs a DurationPrice")
+    for t1, t2 in zip(edges, edges[1:]):
+        t1, t2 = _time_slice(lam.horizon, t1, t2)
+        load_energy, load_value = _slice_integrals(lam, sol.load, t1, t2)
+        if load_energy <= 0.0:
+            continue
+        unit = load_value / load_energy
         for pid, curve in sol.outputs.items():
-            m = MeasureFunction(curve)
-            if band_edges is not None:
-                edges = sorted(set(float(y) for y in band_edges))
-            else:
-                edges = sorted({0.0, *curve.levels})
-            for y1, y2 in zip(edges, edges[1:]):
-                y1, y2 = level_band(y1, y2)
-                energy = lebesgue_integrate(m, y1, y2, lambda d: d, EXACT_CONFIG)
-                if energy <= 0.0:
-                    continue
-                unit = unit_energy_price_duration(price, m, y1, y2)
-                rows.append(ValueSegment("duration", pid, y1, y2, energy, unit))
-    else:
-        raise ValueError(f"unknown mechanism {mechanism!r}")
+            energy = riemann_integrate(curve.sample, t1, t2, EXACT_CONFIG, breakpoints=curve.times)
+            if energy > 0.0:
+                rows.append(ValueSegment("spot", pid, t1, t2, energy, unit))
+    return tuple(rows)
+
+
+def value_by_band(
+    sol: DispatchSolution, price: DurationPrice, band_edges: Sequence[float] | None = None
+) -> tuple[ValueSegment, ...]:
+    """Each plant's energy by power band, valued at the duration price ``price``.
+
+    The bands run between consecutive sorted ``band_edges`` (default, per
+    plant: the base block ``[0, min output]`` and the bands between
+    consecutive output breakpoint levels).  A band's unit value depends
+    only on the band, not on when its energy was produced.  Bands without
+    energy are omitted.
+    """
+    if not math.isclose(sol.horizon, price.horizon, rel_tol=SAME_HORIZON_TOL):
+        raise ValueError("price and measure-function horizons differ")
+    rows: list[ValueSegment] = []
+    for pid, curve in sol.outputs.items():
+        m = MeasureFunction(curve)
+        edges = sorted({0.0, *curve.levels} if band_edges is None else set(map(float, band_edges)))
+        for y1, y2 in zip(edges, edges[1:]):
+            y1, y2 = _level_band(y1, y2)
+            energy, value = _band_integrals(price, m, y1, y2)
+            if energy > 0.0:
+                rows.append(ValueSegment("duration", pid, y1, y2, energy, value / energy))
     return tuple(rows)

@@ -71,7 +71,7 @@ def ref_lambda_for_demand(plants, fleet, demand: float) -> float:
     den = _ordered_sum(slope[active])
     num = _ordered_sum(offset[active])
     if den == 0.0:
-        return v_lo
+        return v_lo if demand <= fixed else v_hi
     lam = (demand - fixed + num) / den
     return min(max(lam, v_lo), v_hi)
 

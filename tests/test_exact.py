@@ -9,11 +9,12 @@ error the engine showed when the reference was added, rounded up to the
 next whole ulp: a change of summation order may move bits, but it must not
 make any quantity's worst case worse.
 
-Demands exactly at a supply breakpoint are not in the clamped corpus.
-Where a merit-order gap makes a supply plateau, the smallest ``lam`` jumps
-across the plateau as demand passes its level, so no ulp budget holds
-there; a float supply one rounding above the plateau level already lands
-on the wrong side of the jump.
+Demands exactly at a supply breakpoint, the float supplies ``_Fleet``
+takes at each threshold, have a budget of their own.  Where a merit-order
+gap makes a supply plateau, the smallest ``lam`` jumps across the plateau
+as demand passes its level, and the float supply at the plateau's far end
+can sit one rounding above the plateau level: such a demand is past the
+jump, and is met only at the far threshold.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ BUDGETS = {
     "cost": 10.0,
     "spot_revenue": 11.0,
     "clamped_lambda": 4.0,
+    "clamped_lambda_at_breakpoint": 15.0,
 }
 
 N_INSTANCES = 200
@@ -90,4 +92,15 @@ def test_clamped_lambda_within_budget():
         demands = [lo + f * (hi - lo) for f in rng.uniform(0.0, 1.0, 8).tolist()]
         got = [dispatch._lambda_for_demand(fleet, d) for d in demands]
         errors["clamped_lambda"] += map(ulps, got, exact.clamped_lambdas(plants, demands))
+    assert _over_budget(errors) == {}
+
+
+def test_clamped_lambda_at_supply_breakpoints_within_budget():
+    errors: dict[str, list[float]] = {"clamped_lambda_at_breakpoint": []}
+    for k in range(N_INSTANCES):
+        plants = _clamped_fleet(np.random.default_rng([2027, k]))
+        fleet = dispatch._Fleet(plants)
+        got = [dispatch._lambda_for_demand(fleet, d) for d in fleet.supplies]
+        want = exact.clamped_lambdas(plants, fleet.supplies)
+        errors["clamped_lambda_at_breakpoint"] += map(ulps, got, want)
     assert _over_budget(errors) == {}

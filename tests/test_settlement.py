@@ -1,4 +1,5 @@
-"""Settlement accounting under both mechanisms and the value decomposition."""
+"""Settlement accounting under both mechanisms and the value of energy by
+time slice and by power band."""
 
 from __future__ import annotations
 
@@ -26,7 +27,8 @@ from ctmarket import (
     solve_equilibrium,
     spot_price,
     validate,
-    value_decomposition,
+    value_by_band,
+    value_by_slice,
 )
 from conftest import (
     affine_product_integral,
@@ -198,17 +200,13 @@ class TestDurationSettlement:
 
 class TestValueDecomposition:
     def test_spot_same_slice_same_value_across_plants(self, case_solution, case_plants):
-        price = spot_price(case_solution)
-        rows = value_decomposition(
-            case_solution, price, "spot", time_edges=[0.4, 0.6]
-        )
+        rows = value_by_slice(case_solution, [0.4, 0.6])
         assert len(rows) == len(case_plants)
         values = {r.unit_value for r in rows}
         assert len(values) == 1
 
     def test_spot_default_slices_cover_cycle(self, case_solution):
-        price = spot_price(case_solution)
-        rows = value_decomposition(case_solution, price, "spot")
+        rows = value_by_slice(case_solution)
         assert {(r.lo, r.hi) for r in rows} == {(0.0, 1.0)}
         plant1 = next(r for r in rows if r.plant == "plant1")
         assert plant1.energy == pytest.approx(450.0, rel=1e-10)
@@ -222,8 +220,7 @@ class TestValueDecomposition:
         raise AssertionError(f"no band [{lo}, {hi}] for {plant}: {rows}")
 
     def test_duration_band_value_independent_of_time(self, case_solution):
-        dp = duration_price(case_solution)
-        rows = value_decomposition(case_solution, dp, "duration")
+        rows = value_by_band(case_solution, duration_price(case_solution))
         peak = self._band(rows, "plant1", 250.0, 650.0)
         base = self._band(rows, "plant1", 0.0, 250.0)
         assert peak.unit_value == pytest.approx(0.72, rel=1e-10)
@@ -232,25 +229,51 @@ class TestValueDecomposition:
         assert base.unit_value < peak.unit_value
 
     def test_duration_band_energies(self, case_solution):
-        dp = duration_price(case_solution)
-        rows = value_decomposition(case_solution, dp, "duration")
+        rows = value_by_band(case_solution, duration_price(case_solution))
         assert self._band(rows, "plant1", 0.0, 250.0).energy == pytest.approx(250.0, rel=1e-9)
         assert self._band(rows, "plant1", 250.0, 650.0).energy == pytest.approx(200.0, rel=1e-9)
 
-    def test_duration_segment_values_sum_to_revenue(self, case_solution, duration_report):
-        dp = duration_price(case_solution)
-        rows = value_decomposition(case_solution, dp, "duration")
-        for rep_row in duration_report.plants:
-            total = math.fsum(
-                r.energy * r.unit_value for r in rows if r.plant == rep_row.plant
-            )
-            assert total == pytest.approx(rep_row.revenue, rel=1e-10)
+    def test_duration_segment_values_sum_to_revenue(self, case_solution):
+        for sol in [case_solution, *_seeded_interior_solutions()]:
+            price = duration_price(sol)
+            rows = value_by_band(sol, price)
+            for rep_row in settle_duration(sol, price).plants:
+                total = math.fsum(
+                    r.energy * r.unit_value for r in rows if r.plant == rep_row.plant
+                )
+                assert total == pytest.approx(rep_row.revenue, rel=1e-10)
+
+    @pytest.mark.parametrize("custom_edges", [False, True], ids=["default-edges", "custom-edges"])
+    @pytest.mark.parametrize("make", ["case_study", "clamped", "seeded"])
+    def test_spot_segment_values_sum_to_revenue(self, make, custom_edges, case_solution):
+        """Over every slice, the plants' energies add up to the load's, and
+        energy times unit value adds up to the market's spot revenue."""
+        sols = {
+            "case_study": lambda: [case_solution],
+            "clamped": lambda: [_clamped_solution()],
+            "seeded": _seeded_interior_solutions,
+        }[make]()
+        rng = np.random.default_rng(17)
+        for sol in sols:
+            edges = None
+            if custom_edges:
+                inner = np.sort(rng.uniform(0.0, sol.horizon, 4)).tolist()
+                edges = [0.0, *inner, sol.horizon]
+            rows = value_by_slice(sol, edges)
+            for lo, hi in sorted({(r.lo, r.hi) for r in rows}):
+                load_energy = riemann_integrate(
+                    sol.load.sample, lo, hi, breakpoints=sol.load.times
+                )
+                energy = math.fsum(r.energy for r in rows if (r.lo, r.hi) == (lo, hi))
+                assert energy == pytest.approx(load_energy, rel=1e-12), (lo, hi)
+            total = math.fsum(r.energy * r.unit_value for r in rows)
+            assert total == pytest.approx(settle_spot(sol).total_revenue, rel=1e-12)
 
     @pytest.mark.parametrize("edges", [[0.0, 2.0], [0.5, 0.2]])
     def test_spot_slice_outside_cycle_named(self, case_solution, edges):
         msg = rf"^need 0 <= t1 < t2 <= 1\.0, got \[{edges[0]}, {edges[1]}\]$"
         with pytest.raises(DomainError, match=msg):
-            value_decomposition(case_solution, spot_price(case_solution), "spot", time_edges=edges)
+            value_by_slice(case_solution, edges)
 
     @pytest.mark.parametrize(
         "edges, band",
@@ -259,15 +282,7 @@ class TestValueDecomposition:
     def test_duration_band_that_is_not_finite_named(self, case_solution, edges, band):
         dp = duration_price(case_solution)
         with pytest.raises(DomainError, match=rf"^need 0 <= y1 < y2 < inf, got {band}$"):
-            value_decomposition(case_solution, dp, "duration", band_edges=edges)
-
-    def test_unknown_mechanism_rejected(self, case_solution):
-        with pytest.raises(ValueError, match="mechanism"):
-            value_decomposition(case_solution, spot_price(case_solution), "hourly")
-
-    def test_mismatched_price_rejected(self, case_solution):
-        with pytest.raises(ValueError):
-            value_decomposition(case_solution, spot_price(case_solution), "duration")
+            value_by_band(case_solution, dp, edges)
 
 
 def test_level_domain_cost_identity(case_solution, case_plants):
@@ -372,6 +387,21 @@ def _wide_instance():
 def _clamped_instance():
     case = validate(json.loads((GOLDEN / "clamped" / "scenario.json").read_text()))
     return case.plant_objects(), case.load_curve(), True
+
+
+def _clamped_solution():
+    plants, load, _ = _clamped_instance()
+    return solve_equilibrium(plants, load, allow_clamp=True)
+
+
+def _seeded_interior_solutions(n: int = 8) -> list:
+    """Interior dispatches of seeded fleets on monotone loads."""
+    sols = []
+    for k in range(n):
+        rng = np.random.default_rng([2026, k])
+        plants = random_plants(rng)
+        sols.append(solve_equilibrium(plants, random_monotone_load(rng, plants)))
+    return sols
 
 
 @pytest.mark.parametrize("make", ["case_study", "clamped", "wide"])
