@@ -24,6 +24,7 @@ CASES = {
     "clamped": ["--scenario", str(GOLDEN / "clamped" / "scenario.json"), "--allow-clamp"],
     "valley": ["--scenario", str(GOLDEN / "valley" / "scenario.json"), "--mechanism", "both"],
     "plateaus": ["--scenario", str(GOLDEN / "plateaus" / "scenario.json"), "--mechanism", "both"],
+    "m_floor": ["--scenario", str(GOLDEN / "m_floor" / "scenario.json"), "--mechanism", "both"],
 }
 
 
