@@ -9,6 +9,9 @@ and optionally writes machine-readable series files:
   grid point not within ``GRID_TOL * T`` of a time already kept; pi_time is
   left empty beyond ``T - m_floor`` to keep the singularity explicit.
 * ``duration.csv`` -- m, pi_measure on (m_floor, T].
+
+``m_floor`` is the scenario's ``resolved_m_floor()``; only these two series
+use it, since the duration price is defined on all of ``[0, T)``.
 * ``settlement.csv`` -- one row per plant per mechanism plus a total row.
 
 Report numbers carry 6 significant digits; series files carry full
@@ -105,7 +108,7 @@ def run_scenario(scenario: Scenario) -> RunOutput:
         reports["spot"] = settle_spot(sol)
 
     dprice: DurationPrice | None = None
-    dsol: DispatchSolution | None = None
+    m_floor = 0.0
     if "duration" in mechs:
         if load.is_non_decreasing:
             dsol = sol
@@ -115,8 +118,9 @@ def run_scenario(scenario: Scenario) -> RunOutput:
                 "load is not non-decreasing: duration pricing and settlement "
                 "refer to the duration-rearranged timeline"
             )
-        dprice = duration_price(dsol, m_floor=scenario.resolved_m_floor())
-        reports["duration"] = settle_duration(dsol, dprice)
+        m_floor = scenario.resolved_m_floor()
+        dprice = duration_price(dsol)
+        reports["duration"] = settle_duration(dsol)
         diagnostics.append(
             "duration revenues settle every plant at the single market duration price"
         )
@@ -125,8 +129,8 @@ def run_scenario(scenario: Scenario) -> RunOutput:
         scenario=scenario,
         reports=reports,
         plant_ids=[p.id for p in plants],
-        timeseries=_build_timeseries(sol, dsol, dprice),
-        duration_series=_build_duration_series(dprice, dsol),
+        timeseries=_build_timeseries(sol, dprice, m_floor),
+        duration_series=_build_duration_series(dprice, m_floor),
         diagnostics=diagnostics,
     )
     for mech, plant, *numbers in _report_rows(reports):
@@ -140,18 +144,16 @@ def _require_finite(where: str, values) -> None:
 
 
 def _build_timeseries(
-    sol: DispatchSolution,
-    dsol: DispatchSolution | None,
-    dprice: DurationPrice | None,
+    sol: DispatchSolution, dprice: DurationPrice | None, m_floor: float
 ) -> list[np.ndarray]:
     T = sol.horizon
     grid = np.union1d(sol.load.times, sol.lambda_curve.times)  # every output shares lambda's times
     tol = GRID_TOL * T
-    if dsol is not None:
-        grid = _unite_apart(grid, dsol.lambda_curve.times, tol)  # duration-price kinks
+    if dprice is not None:
+        grid = _unite_apart(grid, dprice.lambda_curve.times, tol)  # duration-price kinks
     grid = _unite_apart(grid, np.linspace(0.0, T, GRID_POINTS), tol)
     # pi_time stops at T - m_floor: a prefix of the sorted grid.
-    priced = 0 if dprice is None else int(np.searchsorted(grid, T - dprice.m_floor, side="right"))
+    priced = 0 if dprice is None else int(np.searchsorted(grid, T - m_floor, side="right"))
     pi = dprice.time_view(grid[:priced]) if priced else np.empty(0)
     columns = [
         grid,
@@ -173,14 +175,12 @@ def _unite_apart(kept: np.ndarray, extra: np.ndarray, tol: float) -> np.ndarray:
     return np.union1d(kept, extra[apart])
 
 
-def _build_duration_series(
-    dprice: DurationPrice | None, dsol: DispatchSolution | None
-) -> list[np.ndarray]:
-    if dprice is None or dsol is None:
+def _build_duration_series(dprice: DurationPrice | None, m_floor: float) -> list[np.ndarray]:
+    if dprice is None:
         return []
-    T, m_floor = dprice.horizon, dprice.m_floor
+    T = dprice.horizon
     grid = np.linspace(m_floor, T, GRID_POINTS + 1)[1:]
-    extras = T - dsol.lambda_curve.times
+    extras = T - dprice.lambda_curve.times
     extras = extras[(m_floor < extras) & (extras <= T)]
     ms = np.unique(np.concatenate([grid, extras, [T]]))
     pis = dprice.measure_view(ms)

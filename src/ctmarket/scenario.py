@@ -21,7 +21,6 @@ from .cost import QuadraticCost
 from .curves import LoadCurve
 from .dispatch import Plant
 from .errors import DomainError, ScenarioValidationError, ValidationIssue
-from .pricing import DEFAULT_M_FLOOR_FRACTION
 from .tolerances import HORIZON_ABS_TOL, HORIZON_REL_TOL
 
 __all__ = [
@@ -33,6 +32,9 @@ __all__ = [
 ]
 
 MECHANISMS = ("spot", "duration")
+# The CLI series stop this fraction of the horizon short of the duration
+# price's singularity unless options.m_floor says otherwise.
+DEFAULT_M_FLOOR_FRACTION = 1e-6
 
 
 @dataclass(frozen=True)
@@ -327,6 +329,8 @@ def _validate_plants(raw: Any, bad) -> list[Plant]:
             seen.add(pid)
             if not _is_safe_id(pid):
                 bad(f"{path}.id", f"must not contain a comma or a control character (got {pid!r})")
+            elif pid == "total":
+                bad(f"{path}.id", "must not be 'total', the name of the market total row")
         ok = True
         q2 = item.get("q2")
         if not _is_number(q2) or q2 <= 0:

@@ -1,8 +1,9 @@
 """Settlement and energy valuation: every integral of a price against energy.
 
 Settlement reads the fleet and the spot price (the shadow price) from the
-dispatch solution; duration settlement and band values also take the
-duration price.  Generation cost and energy come in closed form from the
+dispatch solution; duration settlement and band values build the duration
+price from that shadow price, so a solution settles at its own price
+only.  Generation cost and energy come in closed form from the
 output knots; only revenue differs between the mechanisms.  Spot revenue
 integrates price times output over time.  Duration revenue integrates
 ``pi(m(y)) * m(y)`` over the plant's output range and adds the base block
@@ -25,8 +26,8 @@ import numpy as np
 
 from .curves import LoadCurve, MeasureFunction
 from .dispatch import DispatchSolution, checked_fsum, dispatch_cost
-from .errors import DomainError, NumericError, UndefinedPriceError, UnsupportedOperationError
-from .pricing import DurationPrice
+from .errors import DomainError, NumericError, UndefinedPriceError
+from .pricing import DurationPrice, duration_price
 from .quadrature import EXACT_CONFIG, lebesgue_integrate, riemann_integrate
 from .tolerances import DOMAIN_TOL, SAME_HORIZON_TOL
 
@@ -134,8 +135,8 @@ def settle_spot(sol: DispatchSolution) -> SettlementReport:
     return _assemble("spot", rows)
 
 
-def settle_duration(sol: DispatchSolution, price: DurationPrice) -> SettlementReport:
-    """Settle each plant of ``sol`` at the market duration price ``price``.
+def settle_duration(sol: DispatchSolution) -> SettlementReport:
+    """Settle each plant of ``sol`` at its market duration price.
 
     revenue = pi(T) * min_output * T + int pi(m_j(y)) m_j(y) dy over the
     plant's output range; the first term is the base block running the
@@ -143,11 +144,10 @@ def settle_duration(sol: DispatchSolution, price: DurationPrice) -> SettlementRe
     closed form as under spot settlement.  A base block, level-band
     integrand or revenue past the float range raises :class:`NumericError`
     naming the plant, and a market total past it one naming the total.
+    A clamped dispatch has no duration price and raises
+    :class:`UnsupportedOperationError`.
     """
-    if sol.clamped:
-        raise UnsupportedOperationError(
-            "duration settlement is undefined for bound-clamped dispatch"
-        )
+    price = duration_price(sol)
     costs = dispatch_cost(sol)
     rows = []
     for p in sol.plants:
@@ -258,18 +258,18 @@ def value_by_slice(
 
 
 def value_by_band(
-    sol: DispatchSolution, price: DurationPrice, band_edges: Sequence[float] | None = None
+    sol: DispatchSolution, band_edges: Sequence[float] | None = None
 ) -> tuple[ValueSegment, ...]:
-    """Each plant's energy by power band, valued at the duration price ``price``.
+    """Each plant's energy by power band, valued at its market duration price.
 
     The bands run between consecutive sorted ``band_edges`` (default, per
     plant: the base block ``[0, min output]`` and the bands between
     consecutive output breakpoint levels).  A band's unit value depends
     only on the band, not on when its energy was produced.  Bands without
-    energy are omitted.
+    energy are omitted.  A clamped dispatch has no duration price and
+    raises :class:`UnsupportedOperationError`.
     """
-    if not math.isclose(sol.horizon, price.horizon, rel_tol=SAME_HORIZON_TOL):
-        raise ValueError("price and measure-function horizons differ")
+    price = duration_price(sol)
     rows: list[ValueSegment] = []
     for pid, curve in sol.outputs.items():
         m = MeasureFunction(curve)

@@ -124,7 +124,7 @@ def test_criterion_4_duration_price(case):
 
 def test_criterion_5_duration_settlement(case):
     _, plants, _, sol = case
-    report = settle_duration(sol, duration_price(sol))
+    report = settle_duration(sol)
     h_mean = 0.32 + 0.48 / 2.0 - 0.6 / 3.0  # mean of pi(t)(1 - t) over the cycle
     revenue_oracle = {
         "plant1": 0.32 * 250.0 + 400.0 * h_mean,
@@ -183,7 +183,7 @@ def _check_instance(plants, load, rng, cfg) -> None:
     flat_sol = solve_equilibrium(plants, LoadCurve([(0.0, flat_level), (T, flat_level)]))
     flat_dp = duration_price(flat_sol)
     lam_flat = flat_sol.lambda_curve.evaluate(0.0)
-    tgrid = np.linspace(0.0, T - flat_dp.m_floor, 101)
+    tgrid = np.linspace(0.0, T - 1e-6 * T, 101)
     assert np.max(np.abs(flat_dp.time_view(tgrid) - lam_flat)) <= 1e-10 * max(1.0, lam_flat)
 
     dp = duration_price(sol)

@@ -23,7 +23,6 @@ from ctmarket import (
     QuadraticCost,
     dispatch_cost,
     duration_curve,
-    duration_price,
     settle_duration,
     settle_spot,
     solve_equilibrium,
@@ -43,8 +42,7 @@ def interior_instances(draw, monotone: bool | None = None):
 def _settle(plants, load):
     sol = solve_equilibrium(plants, load)
     dsol = sol if load.is_non_decreasing else solve_equilibrium(plants, duration_curve(load))
-    price = duration_price(dsol, m_floor=1e-6 * load.horizon)
-    return settle_spot(sol), settle_duration(dsol, price)
+    return settle_spot(sol), settle_duration(dsol)
 
 
 @settings(max_examples=100, deadline=None)

@@ -87,15 +87,15 @@ class TestDurationPrice:
     def test_singularity_guard(self, case_solution):
         dp = duration_price(case_solution)
         with pytest.raises(DomainError):
-            dp.time_view(1.0)  # beyond T - m_floor
+            dp.time_view(1.0)  # t = T
         with pytest.raises(DomainError):
-            dp.measure_view(dp.m_floor / 10.0)
+            dp.measure_view(0.0)
         with pytest.raises(DomainError):
             dp.price_times_duration(1.5)
 
     def test_price_decreases_with_duration(self, case_solution):
         dp = duration_price(case_solution)
-        ms = np.linspace(dp.m_floor, 1.0, 400)
+        ms = np.linspace(1e-6, 1.0, 400)
         vals = dp.measure_view(ms)
         assert np.all(np.diff(vals) < 0.0)
 
@@ -105,7 +105,7 @@ class TestDurationPrice:
         sol = solve_equilibrium(plants, load)
         dp = duration_price(sol)
         lam = sol.lambda_curve.evaluate(0.0)
-        ts = np.linspace(0.0, 2.0 - dp.m_floor, 101)
+        ts = np.linspace(0.0, 2.0 - 2e-6, 101)
         assert np.max(np.abs(dp.time_view(ts) - lam)) <= 1e-10
 
     def test_ode_residual_small(self, case_solution):
@@ -151,18 +151,16 @@ class TestDurationPrice:
         with pytest.raises(UnsupportedOperationError, match="clamped"):
             duration_price(sol)
 
-    def test_custom_m_floor(self, case_solution):
-        dp = duration_price(case_solution, m_floor=0.01)
-        assert dp.m_floor == 0.01
-        with pytest.raises(DomainError):
-            dp.time_view(0.995)
-        with pytest.raises(DomainError):
-            duration_price(case_solution, m_floor=2.0)
-
-    def test_m_floor_lost_in_rounding_rejected(self, case_solution):
-        assert 1.0 - 5e-324 == 1.0
-        with pytest.raises(DomainError, match="m_floor"):
-            duration_price_from_curve(case_solution.lambda_curve, m_floor=5e-324)
+    def test_equal_exactly_when_shadow_prices_are(self, case_solution, case_plants):
+        """Prices of one horizon and one lam(0) used to compare equal (and
+        hash alike) whatever their shadow prices in between."""
+        held = LoadCurve([(0.0, 350.0), (0.5, 350.0), (1.0, 1050.0)])
+        a = duration_price(case_solution)
+        b = duration_price(solve_equilibrium(case_plants, held))
+        assert (a.horizon, a.anchor) == (b.horizon, b.anchor)
+        assert a != b and len({a, b}) == 2
+        again = duration_price(case_solution)
+        assert a == again and hash(a) == hash(again)
 
 
 class TestUnitEnergyPriceSpot:

@@ -170,6 +170,16 @@ class TestValidationDiagnostics:
             f"plants[0].id: must not contain a comma or a control character (got {bad_id!r})"
         ]
 
+    def test_total_plant_id_rejected(self):
+        """A plant named "total" gave two spot,total rows in settlement.csv."""
+        data = self.base()
+        data["plants"][0]["id"] = "total"
+        assert issues_of(data) == [
+            "plants[0].id: must not be 'total', the name of the market total row"
+        ]
+        data["plants"][0]["id"] = "Total"
+        assert issues_of(data) == []
+
     def test_one_diagnostic_per_unsafe_plant(self):
         data = self.base()
         plant = data["plants"][0]

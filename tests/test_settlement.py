@@ -68,7 +68,7 @@ def spot_report(case_solution):
 
 @pytest.fixture(scope="module")
 def duration_report(case_solution):
-    return settle_duration(case_solution, duration_price(case_solution))
+    return settle_duration(case_solution)
 
 
 class TestSpotSettlement:
@@ -168,7 +168,7 @@ class TestDurationSettlement:
         load = LoadCurve([(0.0, 300.0), (2.0, 300.0)])
         sol = solve_equilibrium(plants, load)
         spot = settle_spot(sol)
-        dur = settle_duration(sol, duration_price(sol))
+        dur = settle_duration(sol)
         for s, d in zip(spot.plants, dur.plants):
             assert d.revenue == pytest.approx(s.revenue, rel=1e-10)
             assert d.profit == pytest.approx(s.profit, rel=1e-10)
@@ -183,9 +183,8 @@ class TestDurationSettlement:
         # As in run_scenario: the float-range diagnostic replaces numpy's warnings.
         with np.errstate(all="ignore"):
             sol = solve_equilibrium(plants, LoadCurve([(0.0, 1e6), (1e300, 1e6)]))
-            price = duration_price(sol)
             with pytest.raises(NumericError, match="^the duration settlement of plant1 is not finite: "):
-                settle_duration(sol, price)
+                settle_duration(sol)
 
     def test_refuses_clamped_dispatch(self):
         plants = [
@@ -194,8 +193,20 @@ class TestDurationSettlement:
         ]
         load = LoadCurve([(0.0, 0.0), (1.0, 900.0)])
         sol = solve_equilibrium(plants, load, allow_clamp=True)
-        with pytest.raises(UnsupportedOperationError):
-            duration_price(sol)
+        # settlement and band values refuse with pricing's one message
+        for refused in (duration_price, settle_duration, value_by_band):
+            with pytest.raises(UnsupportedOperationError, match="^duration pricing is undefined for bound-clamped"):
+                refused(sol)
+
+    def test_tiny_horizon_settles(self):
+        """A flat load over 1e-320 h has a duration price and settles: only
+        the CLI series need an m_floor, whose default underflows here."""
+        plants = [Plant("a", QuadraticCost(0.001, 0.1, 0.1))]
+        sol = solve_equilibrium(plants, LoadCurve([(0.0, 100.0), (1e-320, 100.0)]))
+        report = settle_duration(sol)
+        assert all(math.isfinite(x) for x in (report.total_cost, report.total_revenue))
+        rows = value_by_band(sol)
+        assert rows and all(math.isfinite(r.energy) and math.isfinite(r.unit_value) for r in rows)
 
 
 class TestValueDecomposition:
@@ -220,7 +231,7 @@ class TestValueDecomposition:
         raise AssertionError(f"no band [{lo}, {hi}] for {plant}: {rows}")
 
     def test_duration_band_value_independent_of_time(self, case_solution):
-        rows = value_by_band(case_solution, duration_price(case_solution))
+        rows = value_by_band(case_solution)
         peak = self._band(rows, "plant1", 250.0, 650.0)
         base = self._band(rows, "plant1", 0.0, 250.0)
         assert peak.unit_value == pytest.approx(0.72, rel=1e-10)
@@ -229,15 +240,14 @@ class TestValueDecomposition:
         assert base.unit_value < peak.unit_value
 
     def test_duration_band_energies(self, case_solution):
-        rows = value_by_band(case_solution, duration_price(case_solution))
+        rows = value_by_band(case_solution)
         assert self._band(rows, "plant1", 0.0, 250.0).energy == pytest.approx(250.0, rel=1e-9)
         assert self._band(rows, "plant1", 250.0, 650.0).energy == pytest.approx(200.0, rel=1e-9)
 
     def test_duration_segment_values_sum_to_revenue(self, case_solution):
         for sol in [case_solution, *_seeded_interior_solutions()]:
-            price = duration_price(sol)
-            rows = value_by_band(sol, price)
-            for rep_row in settle_duration(sol, price).plants:
+            rows = value_by_band(sol)
+            for rep_row in settle_duration(sol).plants:
                 total = math.fsum(
                     r.energy * r.unit_value for r in rows if r.plant == rep_row.plant
                 )
@@ -280,9 +290,8 @@ class TestValueDecomposition:
         [([0.0, math.inf], r"\[0\.0, inf\]"), ([0.0, math.nan, 100.0], r"\[.*nan.*\]")],
     )
     def test_duration_band_that_is_not_finite_named(self, case_solution, edges, band):
-        dp = duration_price(case_solution)
         with pytest.raises(DomainError, match=rf"^need 0 <= y1 < y2 < inf, got {band}$"):
-            value_by_band(case_solution, dp, edges)
+            value_by_band(case_solution, edges)
 
 
 def test_level_domain_cost_identity(case_solution, case_plants):
@@ -318,7 +327,7 @@ def test_settlement_stable_across_panel_counts(case_solution, case_plants):
     for plants, sol in instances:
         spot, dprice = spot_price(sol), duration_price(sol)
         spot_report = settle_spot(sol)
-        duration_report = settle_duration(sol, dprice)
+        duration_report = settle_duration(sol)
         for n in (100, 10_000, 100_000):
             cfg = QuadratureConfig(n_panels=n)
             for p, s, d in zip(plants, spot_report.plants, duration_report.plants):
@@ -496,7 +505,7 @@ def test_settlement_samples_one_simpson_pair_per_kink_piece(
     assert engine_calls == []
     settle_spot(case_solution)
     assert engine_calls == ["t"] * len(case_plants)
-    settle_duration(case_solution, duration_price(case_solution))
+    settle_duration(case_solution)
     assert engine_calls == ["t"] * len(case_plants) + ["y"] * len(case_plants)
     for key, seen in calls.items():
         assert len(seen) == len(case_plants), key
@@ -522,11 +531,10 @@ def test_duration_settlement_never_sums_segment_by_segment(monkeypatch, case_pla
 
     plants, load = (case_plants, case_load) if size is None else _monotone_instance(*size)
     sol = solve_equilibrium(plants, load)
-    price = duration_price(sol)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a segment-order sum ran")
 
     monkeypatch.setattr(ctmarket.curves, "_segment_sum", refuse)
-    report = settle_duration(sol, price)
+    report = settle_duration(sol)
     assert all(math.isfinite(row.revenue) and row.revenue > 0.0 for row in report.plants)
