@@ -169,11 +169,11 @@ def _violation_intervals(
     return intervals
 
 
-def _row_blocks(block: np.ndarray) -> list[slice]:
-    """Consecutive row ranges of ``block`` of at most ``_BLOCK_ENTRIES``
-    entries each (at least one row)."""
-    step = max(1, _BLOCK_ENTRIES // block.shape[1])
-    return [slice(first, first + step) for first in range(0, len(block), step)]
+def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
+    """Consecutive row ranges of an (``n_rows`` x ``n_cols``) block of at
+    most ``_BLOCK_ENTRIES`` entries each (at least one row)."""
+    step = max(1, _BLOCK_ENTRIES // n_cols)
+    return [slice(first, first + step) for first in range(0, n_rows, step)]
 
 
 def _row_extremes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -245,7 +245,7 @@ def solve_equilibrium(
     # Every P_j = (lam - q1_j) / (2 q2_j) is a row of one (plants x knots) block.
     block = np.empty((len(plants), len(times)))
     parts = []
-    for rows in _row_blocks(block):
+    for rows in _row_blocks(*block.shape):
         out = block[rows]
         np.subtract(lam, q1[rows, None], out=out)
         out *= inv2a[rows, None]
@@ -466,7 +466,7 @@ def _solve_clamped(plants: Sequence[Plant], load: LoadCurve) -> DispatchSolution
     times, lam = _clamped_knots(fleet, load)
     block = np.empty((len(plants), len(times)))
     parts, events = [], []
-    for rows in _row_blocks(block):
+    for rows in _row_blocks(*block.shape):
         out = block[rows]
         np.subtract(lam, fleet.q1[rows, None], out=out)
         out /= fleet.two_q2[rows, None]

@@ -18,11 +18,16 @@ class UnsupportedOperationError(RuntimeError):
 
 
 class NumericError(ArithmeticError):
-    """A non-finite value was encountered during numerical evaluation."""
+    """A non-finite value was encountered during numerical evaluation.
 
-    def __init__(self, message: str, abscissa: float | None = None) -> None:
+    ``abscissa`` is where, when known; ``row`` is which row of a row-valued
+    integrand, None for a single one.
+    """
+
+    def __init__(self, message: str, abscissa: float | None = None, row: int | None = None) -> None:
         super().__init__(message)
         self.abscissa = abscissa
+        self.row = row
 
     @classmethod
     def out_of_range(cls, what: str, abscissa: float | None = None) -> NumericError:

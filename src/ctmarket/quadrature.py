@@ -15,7 +15,11 @@ and serves, with other configs, as the oracle in tests; the limit
 constructions behind the two integral notions are exercised as convergence
 tests, not reimplemented as the production algorithm.  Both engines lay
 out the panels of all pieces at once, evaluate once, and sum every piece
-in one vectorised pass that adds its terms strictly left to right.
+in one vectorised pass that adds its terms strictly left to right.  An
+integrand may also return a (rows x points) block, several integrands on
+one axis with one set of kinks: the panels are laid out once, each row is
+summed exactly as it would be alone, and the result is one integral per
+row.
 """
 
 from __future__ import annotations
@@ -66,33 +70,35 @@ EXACT_CONFIG = QuadratureConfig(n_panels=2)
 
 
 def _evaluate(f: Callable, xs: np.ndarray) -> np.ndarray:
-    """Evaluate ``f`` on an array; a scalar-only callable (one raising
-    ``TypeError`` on an array, like ``math.sin``) goes point by point."""
+    """Evaluate ``f`` on an array: its values at ``xs``, or a block of rows
+    of them.  A scalar-only callable (one raising ``TypeError`` on an array,
+    like ``math.sin``) goes point by point."""
     try:
         vals = np.asarray(f(xs), dtype=float)
     except TypeError:
         vals = None
     if vals is not None and vals.shape == ():
         return np.full(xs.shape, float(vals))
-    if vals is None or vals.shape != xs.shape:
+    if vals is None or vals.shape[-1:] != xs.shape or vals.ndim > 2:
         return np.array([float(f(float(x))) for x in xs], dtype=float)
     return vals
 
 
 def _composite(
     values: Callable, a: float, b: float, kinks: Iterable[float], cfg: QuadratureConfig, axis: str
-) -> float:
+) -> float | np.ndarray:
     """Composite ``cfg.rule`` over ``[a, b]`` with panel edges snapped to ``kinks``.
 
     Each piece between consecutive edges gets panels in proportion to its
     width, with the abscissae of ``np.linspace(e0, e1, n + 1)`` (Simpson) or
     ``e0 + (k + 0.5) * h`` (midpoint).  ``values(xs, right)`` gives the
-    integrand on all of them at once; ``right`` indexes the pieces' right
-    edges under Simpson and is None under midpoint.  Each piece's terms
-    (weight times value) are added strictly left to right, the scaled piece
-    sums then left to right from 0.0, so the total is bit for bit that of a
-    plain running total over the pieces and their points, independent of
-    the BLAS build.
+    integrand on all of them at once, as one row or as a (rows x points)
+    block; ``right`` indexes the pieces' right edges under Simpson and is
+    None under midpoint.  Each piece's terms (weight times value) are added
+    strictly left to right, the scaled piece sums then left to right from
+    0.0, so each row's total is bit for bit that of a plain running total
+    over the pieces and their points, independent of the BLAS build and of
+    the other rows.  A row-valued integrand gives one total per row.
     """
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -100,7 +106,9 @@ def _composite(
     if a > b:
         raise DomainError(f"integration bounds out of order: {a!r} > {b!r}")
     if a == b:
-        return 0.0
+        # No panels: one point only tells whether the integrand has rows.
+        rows = values(np.array([a]), None).shape[:-1]
+        return np.zeros(rows) if rows else 0.0
     pts = np.asarray(kinks if isinstance(kinks, np.ndarray) else list(kinks), dtype=float)
     edges = np.concatenate(([a], np.unique(pts[(pts > a) & (pts < b)]), [b]))
     lo, hi = edges[:-1], edges[1:]
@@ -125,22 +133,30 @@ def _composite(
     vals = values(xs, right)
     bad = ~np.isfinite(vals)
     if bad.any():
-        x = float(xs[bad][0])
-        raise NumericError(f"integrand is not finite at {axis} = {x!r}", abscissa=x)
+        # The first bad entry in row-major order: the lowest row, then the
+        # leftmost abscissa in it.
+        row, col = divmod(int(np.argmax(bad)), len(xs))
+        x = float(xs[col])
+        if vals.ndim == 1:
+            raise NumericError(f"integrand is not finite at {axis} = {x!r}", abscissa=x)
+        raise NumericError(f"integrand row {row} is not finite at {axis} = {x!r}", abscissa=x, row=row)
     if simpson:
         w = np.where(k % 2.0 == 1.0, 4.0, 2.0)
         w[starts] = w[right] = 1.0
         terms, scale = w * vals, h / 3.0
     else:
         terms, scale = vals, h
-    # Pieces of one point count are one (pieces x count) gather; cumsum adds
-    # each row left to right.  Gathers cover each point once, so no padding.
-    sums = np.empty(len(counts))
+    # Pieces of one point count are one (rows x count x pieces) gather;
+    # cumsum down the count axis adds each piece left to right, a whole
+    # row of pieces per step.  Gathers cover each point once, so no padding.
+    sums = np.empty(vals.shape[:-1] + (len(counts),))
     order = np.argsort(counts, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
-        rows = terms[starts[group, None] + np.arange(counts[group[0]])]
-        sums[group] = np.cumsum(rows, axis=1)[:, -1]
-    return float(np.cumsum(np.concatenate(([0.0], scale * sums)))[-1])
+        block = terms[..., np.arange(counts[group[0]])[:, None] + starts[group]]
+        sums[..., group] = np.cumsum(block, axis=-2)[..., -1, :]
+    scaled = np.concatenate((np.zeros(sums.shape[:-1] + (1,)), scale * sums), axis=-1)
+    total = np.cumsum(scaled, axis=-1)[..., -1]
+    return total if total.ndim else float(total)
 
 
 def riemann_integrate(
@@ -150,18 +166,25 @@ def riemann_integrate(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     *,
     breakpoints: Iterable[float] = (),
-) -> float:
+) -> float | np.ndarray:
     """Composite-rule approximation of the time integral of ``f`` over ``[a, b]``.
 
     ``breakpoints`` lists known kinks of ``f``; panel edges are snapped to
     them, which makes the Simpson rule exact (to round-off) for
     piecewise-polynomial integrands of degree <= 3.
 
+    ``f(xs)`` returns its values at the abscissae ``xs``, and the result is
+    a float.  It may instead return a (rows x ``len(xs)``) block, one
+    integrand per row sharing the kinks; the result is then an array of
+    one integral per row, each bit for bit what ``f``'s row alone would
+    give.
+
     Raises
     ------
     NumericError
-        If ``f`` evaluates to a non-finite value; the offending abscissa is
-        carried on the exception.
+        If ``f`` evaluates to a non-finite value; the first offending
+        abscissa in row-major order is carried on the exception, with its
+        row index for a row-valued ``f``.
     """
     return _composite(lambda xs, _: _evaluate(f, xs), a, b, breakpoints, cfg, "t")
 

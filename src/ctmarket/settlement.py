@@ -13,19 +13,23 @@ int m dy`` over a power band, and ``value_by_slice`` / ``value_by_band``
 value every segment from those two integrals.  Every integrand is a
 polynomial of degree <= 2 between the kinks passed to the engine, so each
 integral runs at ``EXACT_CONFIG``: one Simpson pair per kink piece, exact
-to round-off, with no resolution to choose.
+to round-off, with no resolution to choose.  Every output shares the
+shadow price's knots, so spot revenue and slice energy are integrated for
+a block of plants at once: one row-valued engine call per block of at
+most 2^16 samples (dispatch's block size), each row bit for bit its
+plant's own integral.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .curves import LoadCurve, MeasureFunction
-from .dispatch import DispatchSolution, checked_fsum, dispatch_cost
+from .dispatch import DispatchSolution, Plant, _row_blocks, checked_fsum, dispatch_cost
 from .errors import DomainError, NumericError, UndefinedPriceError
 from .pricing import DurationPrice, duration_price
 from .quadrature import EXACT_CONFIG, lebesgue_integrate, riemann_integrate
@@ -110,28 +114,59 @@ def _plant_row(
     )
 
 
+def _output_integrals(
+    sol: DispatchSolution, t1: float, t2: float, what: str, *, priced: bool
+) -> Iterator[float]:
+    """``int lam P_j dt`` (``priced``) or ``int P_j dt`` over ``[t1, t2]``
+    for each output ``P_j`` of ``sol``, in plant order.
+
+    Every output shares the knots of the shadow price ``lam``, so one
+    engine call integrates a block of outputs, one row per plant, each row
+    bit for bit its plant's own call.  A block holds at most
+    ``_BLOCK_ENTRIES`` samples, or one plant.  A non-finite integrand
+    raises :class:`NumericError` as ``what`` of its plant, after the
+    integrals of the plants before it.
+    """
+    lam = sol.lambda_curve
+    # EXACT_CONFIG samples one Simpson pair, three points, per kink piece.
+    points = 3 * (int(np.count_nonzero((lam.times > t1) & (lam.times < t2))) + 1)
+
+    def integrals(plants: tuple[Plant, ...]) -> list[float]:
+        curves = [sol.outputs[p.id] for p in plants]
+
+        def rows(ts: np.ndarray) -> np.ndarray:
+            outputs = np.array([curve.sample(ts) for curve in curves])
+            return lam.sample(ts) * outputs if priced else outputs
+
+        return riemann_integrate(rows, t1, t2, EXACT_CONFIG, breakpoints=lam.times).tolist()
+
+    for block in _row_blocks(len(sol.plants), points):
+        plants = sol.plants[block]
+        try:
+            yield from integrals(plants)
+        except NumericError as exc:
+            # The plants before the bad row come first, as one call each would.
+            yield from integrals(plants[: exc.row]) if exc.row else ()
+            raise NumericError.out_of_range(f"{what} of {plants[exc.row].id}", exc.abscissa) from exc
+
+
 def settle_spot(sol: DispatchSolution) -> SettlementReport:
     """Settle each plant at the spot price: revenue = int lam(t) P_j(t) dt.
 
     ``lam`` is the dispatch's shadow price; every output shares its knot
-    times.  The market purchasing cost (total revenue) equals the integral
-    of lam times the system load, since outputs balance the load pointwise.
-    A revenue past the float range raises :class:`NumericError` naming the
-    plant, and a market total past it one naming the total.
+    times, so the revenues of a block of plants come from one engine call
+    (see :func:`_output_integrals`).  The market purchasing cost (total
+    revenue) equals the integral of lam times the system load, since
+    outputs balance the load pointwise.  A revenue past the float range
+    raises :class:`NumericError` naming the plant, the first in plant
+    order, and a market total past it one naming the total.
     """
     costs = dispatch_cost(sol)
-    lam = sol.lambda_curve
-    rows = []
-    for p in sol.plants:
-        curve = sol.outputs[p.id]
-        try:
-            revenue = riemann_integrate(
-                lambda ts, k=curve: lam.sample(ts) * k.sample(ts),
-                0.0, sol.horizon, EXACT_CONFIG, breakpoints=lam.times,
-            )
-        except NumericError as exc:
-            raise NumericError.out_of_range(f"the spot settlement of {p.id}", exc.abscissa) from exc
-        rows.append(_plant_row("spot", p.id, costs.per_plant[p.id], revenue, curve.energy))
+    revenues = _output_integrals(sol, 0.0, sol.horizon, "the spot settlement", priced=True)
+    rows = [
+        _plant_row("spot", p.id, costs.per_plant[p.id], revenue, sol.outputs[p.id].energy)
+        for p, revenue in zip(sol.plants, revenues)
+    ]
     return _assemble("spot", rows)
 
 
@@ -250,10 +285,10 @@ def value_by_slice(
         if load_energy <= 0.0:
             continue
         unit = load_value / load_energy
-        for pid, curve in sol.outputs.items():
-            energy = riemann_integrate(curve.sample, t1, t2, EXACT_CONFIG, breakpoints=curve.times)
+        energies = _output_integrals(sol, t1, t2, f"the energy on [{t1!r}, {t2!r}] h", priced=False)
+        for p, energy in zip(sol.plants, energies):
             if energy > 0.0:
-                rows.append(ValueSegment("spot", pid, t1, t2, energy, unit))
+                rows.append(ValueSegment("spot", p.id, t1, t2, energy, unit))
     return tuple(rows)
 
 
@@ -266,8 +301,10 @@ def value_by_band(
     plant: the base block ``[0, min output]`` and the bands between
     consecutive output breakpoint levels).  A band's unit value depends
     only on the band, not on when its energy was produced.  Bands without
-    energy are omitted.  A clamped dispatch has no duration price and
-    raises :class:`UnsupportedOperationError`.
+    energy are omitted.  A band integrand past the float range raises
+    :class:`NumericError` naming the plant and the band.  A clamped
+    dispatch has no duration price and raises
+    :class:`UnsupportedOperationError`.
     """
     price = duration_price(sol)
     rows: list[ValueSegment] = []
@@ -276,7 +313,11 @@ def value_by_band(
         edges = sorted({0.0, *curve.levels} if band_edges is None else set(map(float, band_edges)))
         for y1, y2 in zip(edges, edges[1:]):
             y1, y2 = _level_band(y1, y2)
-            energy, value = _band_integrals(price, m, y1, y2)
+            try:
+                energy, value = _band_integrals(price, m, y1, y2)
+            except NumericError as exc:
+                where = f"the duration value of {pid} on [{y1!r}, {y2!r}] MW"
+                raise NumericError.out_of_range(where, exc.abscissa) from exc
             if energy > 0.0:
                 rows.append(ValueSegment("duration", pid, y1, y2, energy, value / energy))
     return tuple(rows)

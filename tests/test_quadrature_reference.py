@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from conftest import random_monotone_load, random_plants, random_wiggly_curve
 from ctmarket import (
+    NumericError,
     LoadCurve,
     MeasureFunction,
     QuadratureConfig,
@@ -223,3 +224,59 @@ def test_piece_terms_are_added_left_to_right(rule, n_panels, small):
     assert want == 0.0
     assert scale * float(np.sum(terms)) != want and scale * math.fsum(terms) != want
     assert riemann_integrate(f, 0.0, 1.0, cfg) == want
+
+
+# ----------------------------------------------------------------------
+# Row-valued integrands: one layout, each row summed as if alone
+# ----------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    interval=kinked_intervals(),
+    cfg=st.sampled_from(CONFIGS),
+    fs=st.lists(st.sampled_from(INTEGRANDS), min_size=1, max_size=4),
+)
+def test_row_valued_riemann_matches_reference_row_by_row(interval, cfg, fs):
+    a, b, kinks = interval
+    got = riemann_integrate(lambda xs: np.stack([f(xs) for f in fs]), a, b, cfg, breakpoints=kinks)
+    assert got.shape == (len(fs),)
+    for row, f in zip(got.tolist(), fs):
+        assert row == ref_riemann(f, a, b, cfg, kinks)
+
+
+@pytest.mark.parametrize("rule, n_panels, small", [("simpson", 16, 1.0), ("midpoint", 9, 3.0)])
+def test_row_terms_are_added_left_to_right(rule, n_panels, small):
+    """``test_piece_terms_are_added_left_to_right`` with a second row, the
+    first reversed: each row must still be its own running total."""
+    cfg = QuadratureConfig(n_panels=n_panels, rule=rule)
+    vals = np.full(n_panels + 1 if rule == "simpson" else n_panels, small)
+    vals[0], vals[-1] = 1e17, -1e17
+    rows = np.stack([vals, vals[::-1]])
+    want = [ref_riemann(lambda xs, r=r: r.copy(), 0.0, 1.0, cfg) for r in rows]
+    assert want[0] == 0.0
+    assert riemann_integrate(lambda xs: rows.copy(), 0.0, 1.0, cfg).tolist() == want
+
+
+def test_row_valued_non_finite_reports_first_bad_row():
+    """The first non-finite entry in row-major order is reported: the
+    lowest bad row, at its leftmost bad abscissa, though a later row
+    turns bad further left."""
+    cfg = QuadratureConfig(n_panels=10)
+    xs = np.linspace(0.0, 1.0, 11)  # the abscissae of one 10-panel Simpson piece
+
+    def f(xs):
+        return np.stack([xs, np.where(xs > 0.5, np.nan, xs), np.where(xs > 0.2, np.inf, xs)])
+
+    with pytest.raises(NumericError, match=r"^integrand row 1 is not finite at t = ") as err:
+        riemann_integrate(f, 0.0, 1.0, cfg)
+    assert err.value.row == 1 and err.value.abscissa == xs[6]
+    with pytest.raises(NumericError, match=r"^integrand is not finite at t = ") as err:
+        riemann_integrate(lambda xs: f(xs)[2], 0.0, 1.0, cfg)
+    assert err.value.row is None and err.value.abscissa == xs[3]
+
+
+def test_row_valued_empty_interval_gives_a_zero_per_row():
+    got = riemann_integrate(lambda xs: np.stack([xs, xs]), 2.0, 2.0)
+    assert got.tolist() == [0.0, 0.0]
+    assert riemann_integrate(lambda xs: xs, 2.0, 2.0) == 0.0

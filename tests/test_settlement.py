@@ -30,6 +30,7 @@ from ctmarket import (
     value_by_band,
     value_by_slice,
 )
+from ctmarket.quadrature import EXACT_CONFIG
 from conftest import (
     affine_product_integral,
     interior_demand_floor,
@@ -114,6 +115,22 @@ class TestSpotSettlement:
         # As in run_scenario: the float-range diagnostic replaces numpy's warnings.
         with np.errstate(all="ignore"):
             sol = solve_equilibrium(plants, LoadCurve([(0.0, 1e6), (1e300, 1e6)]))
+            with pytest.raises(NumericError, match="^the spot settlement of plant1 is not finite: "):
+                settle_spot(sol)
+
+    def test_first_plant_in_order_is_named(self):
+        """plant1's integrand is finite but its revenue over 1e300 h is not;
+        plant2's integrand is already infinite.  Both settle in one engine
+        call, and plant1, first in plant order, is the one named."""
+        plants = [
+            Plant("plant1", QuadraticCost(1.0, 0.0, 0.0)),
+            Plant("plant2", QuadraticCost(1e-300, 0.0, 0.0)),
+        ]
+        with np.errstate(all="ignore"):
+            sol = solve_equilibrium(plants, LoadCurve([(0.0, 3e304), (1e300, 3e304)]))
+            lam = sol.lambda_curve.powers[0]
+            assert math.isfinite(lam * sol.outputs["plant1"].powers[0])
+            assert lam * sol.outputs["plant2"].powers[0] == math.inf
             with pytest.raises(NumericError, match="^the spot settlement of plant1 is not finite: "):
                 settle_spot(sol)
 
@@ -208,6 +225,20 @@ class TestDurationSettlement:
         assert all(math.isfinite(x) for x in (report.total_cost, report.total_revenue))
         rows = value_by_band(sol)
         assert rows and all(math.isfinite(r.energy) and math.isfinite(r.unit_value) for r in rows)
+
+    def test_overflowing_band_names_plant_and_band(self):
+        """A price rising over 1e-320 h overflows the duration price's slope,
+        so the band integrand is not finite.  Settlement names the plant;
+        band values name the plant and the band, not just the abscissa."""
+        plants = [Plant("g1", QuadraticCost(0.001, 0.1, 0.1))]
+        with np.errstate(all="ignore"):
+            sol = solve_equilibrium(plants, LoadCurve([(0.0, 100.0), (1e-320, 200.0)]))
+            with pytest.raises(NumericError, match="^the duration settlement of g1 is not finite: "):
+                settle_duration(sol)
+            band = r"^the duration value of g1 on \[0\.0, 99\.99999999999999\] MW is not finite: "
+            with pytest.raises(NumericError, match=band) as err:
+                value_by_band(sol)
+        assert err.value.abscissa == 0.0
 
 
 class TestValueDecomposition:
@@ -449,10 +480,12 @@ def test_settlement_samples_one_simpson_pair_per_kink_piece(
     monkeypatch, case_solution, case_plants
 ):
     """Only the revenue integrals run on the quadrature engines: one Riemann
-    call per plant under spot, one Lebesgue call per plant under duration,
-    and none for cost or energy.  Each revenue integrand is piecewise <=
-    cubic on the kinks it passes, so each kink piece gets exactly 3
-    abscissae; a silent fall back to a fine panel count fails here.
+    call per row block of plants under spot (the case study's three plants
+    are one block), one Lebesgue call per plant under duration, and none
+    for cost or energy.  Each revenue integrand is piecewise <= cubic on
+    the kinks it passes, so each kink piece gets exactly 3 abscissae; a
+    silent fall back to a fine panel count, or to one call per plant,
+    fails here.
     Abscissae are counted on the integrand, as the benchmark tracer counts
     them; every engine call is counted on the shared ``_composite``."""
     import ctmarket.quadrature
@@ -505,11 +538,12 @@ def test_settlement_samples_one_simpson_pair_per_kink_piece(
     dispatch_cost(case_solution)
     assert engine_calls == []
     settle_spot(case_solution)
-    assert engine_calls == ["t"] * len(case_plants)
+    assert engine_calls == ["t"]
     settle_duration(case_solution)
-    assert engine_calls == ["t"] * len(case_plants) + ["y"] * len(case_plants)
+    assert engine_calls == ["t"] + ["y"] * len(case_plants)
+    assert len(calls["ctmarket.settlement.riemann_integrate"]) == 1
+    assert len(calls["ctmarket.settlement.lebesgue_integrate"]) == len(case_plants)
     for key, seen in calls.items():
-        assert len(seen) == len(case_plants), key
         for points, n_pieces in seen:
             assert points == 3 * n_pieces, (key, points, n_pieces)
 
@@ -539,3 +573,37 @@ def test_duration_settlement_never_sums_segment_by_segment(monkeypatch, case_pla
     monkeypatch.setattr(ctmarket.curves, "_segment_sum", refuse)
     report = settle_duration(sol)
     assert all(math.isfinite(row.revenue) and row.revenue > 0.0 for row in report.plants)
+
+
+def test_spot_settlement_blocks_stay_within_the_entry_bound(monkeypatch):
+    """At 200 plants x 2000 breakpoints the fleet's spot revenues take
+    several row blocks; no engine call evaluates more than 2^16 integrand
+    entries, and every revenue is bit for bit its plant's own scalar call."""
+    import ctmarket.settlement
+    from ctmarket.dispatch import _BLOCK_ENTRIES
+
+    plants, load = _monotone_instance(200, 2000)
+    sol = solve_equilibrium(plants, load)
+    sizes = []
+    engine = ctmarket.settlement.riemann_integrate
+
+    def counting(f, *args, **kwargs):
+        def counted(xs):
+            vals = f(xs)
+            sizes.append(int(np.size(vals)))
+            return vals
+
+        return engine(counted, *args, **kwargs)
+
+    monkeypatch.setattr(ctmarket.settlement, "riemann_integrate", counting)
+    report = settle_spot(sol)
+    assert _BLOCK_ENTRIES == 1 << 16
+    assert len(sizes) > 1 and max(sizes) <= _BLOCK_ENTRIES
+    lam = sol.lambda_curve
+    for p, row in zip(plants, report.plants):
+        curve = sol.outputs[p.id]
+        want = engine(
+            lambda ts: lam.sample(ts) * curve.sample(ts),
+            0.0, sol.horizon, EXACT_CONFIG, breakpoints=lam.times,
+        )
+        assert row.revenue == want, p.id
