@@ -156,8 +156,8 @@ class LoadCurve:
     @property
     def energy(self) -> float:
         """``int_0^T P(t) dt``: the trapezoid sum, exact for a piecewise-linear curve."""
-        p = self._powers
-        return float(np.dot(np.diff(self._times), p[:-1] + p[1:])) / 2.0
+        t, p = self._times, self._powers
+        return float(np.dot(t[1:] - t[:-1], p[:-1] + p[1:])) / 2.0
 
     @property
     def levels(self) -> tuple[float, ...]:
@@ -166,11 +166,13 @@ class LoadCurve:
 
     @property
     def is_non_decreasing(self) -> bool:
-        return bool(np.all(np.diff(self._powers) >= 0.0))
+        p = self._powers
+        return bool((p[1:] - p[:-1] >= 0.0).all())
 
     @property
     def is_strictly_increasing(self) -> bool:
-        return bool(np.all(np.diff(self._powers) > 0.0))
+        p = self._powers
+        return bool((p[1:] - p[:-1] > 0.0).all())
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -292,7 +294,7 @@ class MeasureFunction:
         # A flat segment's width is never divided by; 1.0 keeps it finite.
         width = np.where(flat, 1.0, hi - np.minimum(p0, p1))
         for name, arr in (
-            ("_dt", np.diff(self.curve.times)[:, None]),
+            ("_dt", (self.curve.times[1:] - self.curve.times[:-1])[:, None]),
             ("_hi", hi),
             ("_width", width),
             ("_is_flat", flat),
@@ -356,11 +358,14 @@ class MeasureFunction:
         ys = np.asarray(ys, dtype=float)
         t, p = self.curve.times, self.curve.powers
         n, T = len(self._dt), t[-1]
-        r = np.searchsorted(p, ys, side="right")
-        j = np.clip(r - 1, 0, n - 1)
+        r = p.searchsorted(ys, side="right")
+        j = np.minimum(np.maximum(r - 1, 0), n - 1)
         # The segment-order sum's own term for segment j, overflow and all.
+        # Where it is used (0 < r <= n) the fraction lies in [0, 1], so
+        # maximum and minimum give the clip's bits there.
         with np.errstate(over="ignore"):
-            part = self._dt[j, 0] * np.clip((self._hi[j, 0] - ys) / self._width[j, 0], 0.0, 1.0)
+            frac = (self._hi[:, 0][j] - ys) / self._width[:, 0][j]
+        part = self._dt[:, 0][j] * np.minimum(np.maximum(frac, 0.0), 1.0)
         total = np.where(r == 0, T, np.where(r > n, 0.0, (T - t[np.minimum(r, n)]) + part))
         if self._is_flat.all():
             return total
@@ -377,8 +382,8 @@ class MeasureFunction:
             return self._flat(ys)
         ys = np.asarray(ys, dtype=float)
         t, p = self.curve.times, self.curve.powers
-        first = np.searchsorted(p, ys, side="left")
-        last = np.searchsorted(p, ys, side="right") - 1
+        first = p.searchsorted(ys, side="left")
+        last = p.searchsorted(ys, side="right") - 1
         return np.where(last > first, t[last] - t[np.minimum(first, len(t) - 1)], 0.0)
 
     def __call__(self, y: float) -> float:

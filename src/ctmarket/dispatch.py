@@ -498,7 +498,7 @@ def dispatch_cost(sol: DispatchSolution) -> DispatchCost:
     per: dict[str, float] = {}
     for p in sol.plants:
         curve, c = sol.outputs[p.id], p.cost
-        b0, b1 = curve.powers[:-1], curve.powers[1:]
-        square = float(np.dot(np.diff(curve.times), b0 * b0 + b0 * b1 + b1 * b1)) / 3.0
+        t, b0, b1 = curve.times, curve.powers[:-1], curve.powers[1:]
+        square = float(np.dot(t[1:] - t[:-1], b0 * b0 + b0 * b1 + b1 * b1)) / 3.0
         per[p.id] = c.q2 * square + c.q1 * curve.energy + c.q0 * sol.horizon
     return DispatchCost(per, checked_fsum(per.values(), "the total generation cost"))

@@ -94,12 +94,16 @@ class DurationPrice:
         return float(self.lambda_curve.powers[0])
 
     # ``G(t) = int_0^t lam'(s)(T - s) ds``, piecewise quadratic and
-    # non-decreasing; ``pi(t) = lam(t) + G(t)/(T - t)``.
+    # non-decreasing; ``pi(t) = lam(t) + G(t)/(T - t)``.  ``idx`` is the
+    # segment holding ``t``, clipped to the first and last: one
+    # ``searchsorted`` on the inner knots gives exactly the clipped index of
+    # one on all of them.
     def _correction(self, ts: np.ndarray) -> np.ndarray:
         tau = self.lambda_curve.times
-        idx = np.clip(np.searchsorted(tau, ts, side="right") - 1, 0, len(tau) - 2)
-        u = ts - tau[idx]
-        return self._g0[idx] + self._slope[idx] * ((self.horizon - tau[idx]) * u - u * u / 2.0)
+        idx = tau[1:-1].searchsorted(ts, side="right")
+        t0 = tau[idx]
+        u = ts - t0
+        return self._g0[idx] + self._slope[idx] * ((self.horizon - t0) * u - u * u / 2.0)
 
     def _lambda_at(self, ts: np.ndarray) -> np.ndarray:
         return np.interp(ts, self.lambda_curve.times, self.lambda_curve.powers)
@@ -124,10 +128,11 @@ class DurationPrice:
     def price_times_duration(self, m):
         """The bounded product ``pi(m) * m``, defined on all of ``[0, T]``."""
         ms = np.asarray(m, dtype=float)
-        tol = DOMAIN_TOL * max(self.horizon, 1.0)
-        if np.any(ms < -tol) or np.any(ms > self.horizon + tol):
-            raise DomainError(f"duration must lie in [0, {self.horizon!r}]")
-        ts = self.horizon - ms
+        T = self.horizon
+        tol = DOMAIN_TOL * max(T, 1.0)
+        if (ms < -tol).any() or (ms > T + tol).any():
+            raise DomainError(f"duration must lie in [0, {T!r}]")
+        ts = T - ms
         out = self._lambda_at(ts) * ms + self._correction(ts)
         return float(out) if out.ndim == 0 else out
 

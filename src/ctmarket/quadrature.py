@@ -15,11 +15,14 @@ and serves, with other configs, as the oracle in tests; the limit
 constructions behind the two integral notions are exercised as convergence
 tests, not reimplemented as the production algorithm.  Both engines lay
 out the panels of all pieces at once, evaluate once, and sum every piece
-in one vectorised pass that adds its terms strictly left to right.  An
+in one vectorised pass that adds its terms strictly left to right (see
+``_composite`` for the layouts and why no pairwise sum is used).  An
 integrand may also return a (rows x points) block, several integrands on
 one axis with one set of kinks: the panels are laid out once, each row is
 summed exactly as it would be alone, and the result is one integral per
-row.
+row; an array of any other shape is refused with a ``ValueError``.
+``lebesgue_integrate`` samples the measure once over every abscissa and
+adds the flat time at the pieces' right edges.
 """
 
 from __future__ import annotations
@@ -72,16 +75,47 @@ EXACT_CONFIG = QuadratureConfig(n_panels=2)
 def _evaluate(f: Callable, xs: np.ndarray) -> np.ndarray:
     """Evaluate ``f`` on an array: its values at ``xs``, or a block of rows
     of them.  A scalar-only callable (one raising ``TypeError`` on an array,
-    like ``math.sin``) goes point by point."""
+    like ``math.sin``) goes point by point; an array of any other shape is
+    refused."""
     try:
         vals = np.asarray(f(xs), dtype=float)
     except TypeError:
-        vals = None
-    if vals is not None and vals.shape == ():
-        return np.full(xs.shape, float(vals))
-    if vals is None or vals.shape[-1:] != xs.shape or vals.ndim > 2:
         return np.array([float(f(float(x))) for x in xs], dtype=float)
+    if vals.shape == ():
+        return np.full(xs.shape, float(vals))
+    if vals.shape[-1:] != xs.shape or vals.ndim > 2:
+        raise ValueError(
+            f"integrand returned shape {vals.shape}; expected {xs.shape} or (rows, {len(xs)})"
+        )
     return vals
+
+
+# Pieces of at most this many points are summed by explicit adds, one
+# numpy call per point over every piece; longer ones by ``cumsum``.
+_SHORT_PIECE = 8
+
+
+def _weights(count: int, simpson: bool) -> np.ndarray:
+    """Rule weights of one piece's ``count`` points: 1, 4, 2, ..., 4, 1
+    under Simpson, all 1 under midpoint."""
+    if not simpson:
+        return np.ones(count)
+    w = np.full(count, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    return w
+
+
+def _piece_sums(block: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each piece's ``sum(w * values)`` over the last axis of a
+    (... x pieces x count) block of values, its terms added strictly left
+    to right (see :func:`_composite`)."""
+    if len(w) > _SHORT_PIECE:
+        return np.cumsum(w * block, axis=-1)[..., -1]
+    total = w[0] * block[..., 0]
+    for i in range(1, len(w)):
+        total = total + w[i] * block[..., i]
+    return total
 
 
 def _composite(
@@ -92,13 +126,25 @@ def _composite(
     Each piece between consecutive edges gets panels in proportion to its
     width, with the abscissae of ``np.linspace(e0, e1, n + 1)`` (Simpson) or
     ``e0 + (k + 0.5) * h`` (midpoint).  ``values(xs, right)`` gives the
-    integrand on all of them at once, as one row or as a (rows x points)
-    block; ``right`` indexes the pieces' right edges under Simpson and is
-    None under midpoint.  Each piece's terms (weight times value) are added
-    strictly left to right, the scaled piece sums then left to right from
-    0.0, so each row's total is bit for bit that of a plain running total
-    over the pieces and their points, independent of the BLAS build and of
-    the other rows.  A row-valued integrand gives one total per row.
+    integrand on all of them at once, piece after piece, as one row or as
+    a (rows x points) block; ``right`` indexes the pieces' right edges
+    under Simpson and is None under midpoint.  Each piece's terms (weight
+    times value) are added strictly left to right, the scaled piece sums
+    then left to right from 0.0, so each row's total is bit for bit that
+    of a plain running total over the pieces and their points, independent
+    of the BLAS build and of the other rows.  A row-valued integrand gives
+    one total per row.
+
+    When every piece has the same point count -- always at
+    ``EXACT_CONFIG``, three points each -- the abscissae are one grid and
+    the values are read back as a (pieces x count) block, with no gather.
+    Mixed counts (finer configs only) gather the values of each group of
+    pieces sharing a count.  A short count is summed by one explicit add
+    per point across all pieces: ``np.cumsum`` along so short an axis runs
+    element by element, about ten times slower on 10 rows x 2000 pieces x
+    3 points.  A long count takes the last entry of the sequential
+    ``cumsum``.  ``np.add.reduce`` would be faster, but along a contiguous
+    axis numpy adds pairwise, which changes the bits.
     """
     a, b = float(a), float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
@@ -110,52 +156,61 @@ def _composite(
         rows = values(np.array([a]), None).shape[:-1]
         return np.zeros(rows) if rows else 0.0
     pts = np.asarray(kinks if isinstance(kinks, np.ndarray) else list(kinks), dtype=float)
-    edges = np.concatenate(([a], np.unique(pts[(pts > a) & (pts < b)]), [b]))
+    # The kinks inside (a, b), sorted, each kept once as ``np.unique`` keeps it.
+    edges = np.concatenate(([a], np.sort(pts[(pts > a) & (pts < b)]), [b]))
+    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
     lo, hi = edges[:-1], edges[1:]
+    width = hi - lo
     simpson = cfg.rule == "simpson"
-    # A piece's share of [a, b] is at most 1; clipping keeps an overflowing
+    # A piece's share of [a, b] is at most 1; the bounds keep an overflowing
     # share (inf) from casting to a negative count.
-    n = np.clip(np.rint(cfg.n_panels * (hi - lo) / (b - a)), 2 if simpson else 1, cfg.n_panels)
-    n = n.astype(np.int64)
+    n = np.rint(cfg.n_panels * width / (b - a))
+    n = np.minimum(np.maximum(n, 2 if simpson else 1), cfg.n_panels).astype(np.int64)
     n += n % 2 if simpson else 0
-    h = (hi - lo) / n
+    h = width / n
     counts = n + 1 if simpson else n
-    stops = np.cumsum(counts)
-    starts = stops - counts
-    piece = np.repeat(np.arange(len(n)), counts)
-    k = (np.arange(stops[-1]) - starts[piece]).astype(float)
+    stops = counts.cumsum()
     right = stops - 1 if simpson else None
+    count = int(counts[0])
+    uniform = bool((counts == count).all())
+    if uniform:
+        # Column i of the grid is piece i; transposed and raveled, the
+        # same points in the same order as below.
+        k = np.arange(count, dtype=float)[:, None]
+        lo_k, h_k = lo, h
+    else:
+        starts = stops - counts
+        piece = np.repeat(np.arange(len(n)), counts)
+        k = (np.arange(stops[-1]) - starts[piece]).astype(float)
+        lo_k, h_k = lo[piece], h[piece]
     if simpson:
-        xs = k * h[piece] + lo[piece]  # linspace: step * index + start, then the end
+        xs = (k * h_k + lo_k).T.ravel()  # linspace: step * index + start, then the end
         xs[right] = hi
     else:
-        xs = lo[piece] + (k + 0.5) * h[piece]
+        xs = (lo_k + (k + 0.5) * h_k).T.ravel()
     vals = values(xs, right)
-    bad = ~np.isfinite(vals)
-    if bad.any():
+    if not np.isfinite(vals).all():
         # The first bad entry in row-major order: the lowest row, then the
         # leftmost abscissa in it.
-        row, col = divmod(int(np.argmax(bad)), len(xs))
+        row, col = divmod(int(np.argmax(~np.isfinite(vals))), len(xs))
         x = float(xs[col])
         if vals.ndim == 1:
             raise NumericError(f"integrand is not finite at {axis} = {x!r}", abscissa=x)
         raise NumericError(f"integrand row {row} is not finite at {axis} = {x!r}", abscissa=x, row=row)
-    if simpson:
-        w = np.where(k % 2.0 == 1.0, 4.0, 2.0)
-        w[starts] = w[right] = 1.0
-        terms, scale = w * vals, h / 3.0
+    if uniform:
+        sums = _piece_sums(vals.reshape(vals.shape[:-1] + (len(n), count)), _weights(count, simpson))
     else:
-        terms, scale = vals, h
-    # Pieces of one point count are one (rows x count x pieces) gather;
-    # cumsum down the count axis adds each piece left to right, a whole
-    # row of pieces per step.  Gathers cover each point once, so no padding.
-    sums = np.empty(vals.shape[:-1] + (len(counts),))
-    order = np.argsort(counts, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
-        block = terms[..., np.arange(counts[group[0]])[:, None] + starts[group]]
-        sums[..., group] = np.cumsum(block, axis=-2)[..., -1, :]
-    scaled = np.concatenate((np.zeros(sums.shape[:-1] + (1,)), scale * sums), axis=-1)
-    total = np.cumsum(scaled, axis=-1)[..., -1]
+        sums = np.empty(vals.shape[:-1] + (len(counts),))
+        order = np.argsort(counts, kind="stable")
+        for group in np.split(order, np.flatnonzero(np.diff(counts[order])) + 1):
+            c = int(counts[group[0]])
+            block = vals[..., starts[group][:, None] + np.arange(c)]
+            sums[..., group] = _piece_sums(block, _weights(c, simpson))
+    scale = h / 3.0 if simpson else h
+    # A running total from 0.0 differs from one from the first piece only
+    # in the sign of a zero, and never ends at -0.0: adding 0.0 at the end
+    # gives its bits.
+    total = (scale * sums).cumsum(axis=-1)[..., -1] + 0.0
     return total if total.ndim else float(total)
 
 
@@ -185,6 +240,8 @@ def riemann_integrate(
         If ``f`` evaluates to a non-finite value; the first offending
         abscissa in row-major order is carried on the exception, with its
         row index for a row-valued ``f``.
+    ValueError
+        If ``f`` returns an array of any other shape, after that one call.
     """
     return _composite(lambda xs, _: _evaluate(f, xs), a, b, breakpoints, cfg, "t")
 
@@ -207,17 +264,14 @@ def lebesgue_integrate(
 
     def values(ys: np.ndarray, right: np.ndarray | None) -> np.ndarray:
         # ``m`` at a level does not depend on the levels sampled with it, so
-        # each abscissa is sampled once: right edges only as the left limit.
-        if right is None:
-            return _evaluate(weight, m.sample(ys))
-        ms = np.empty_like(ys)
-        inner = np.ones(ys.shape, dtype=bool)
-        inner[right] = False
-        ms[inner] = m.sample(ys[inner])
-        ms[right] = m.limit_from_below(ys[right])
+        # one pass samples every abscissa; the right edges then add their
+        # flat time, ``m(y^-) = m(y) + flat(y)`` as ``limit_from_below``.
+        ms = m.sample(ys)
+        if right is not None:
+            ms[right] += m._at(ys[right])
         return _evaluate(weight, ms)
 
-    return _composite(values, y_lo, y_hi, m.levels, cfg, "y")
+    return _composite(values, y_lo, y_hi, m.curve.powers, cfg, "y")
 
 
 def lebesgue_energy(curve: LoadCurve, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:

@@ -184,16 +184,15 @@ def settle_duration(sol: DispatchSolution) -> SettlementReport:
     """
     price = duration_price(sol)
     costs = dispatch_cost(sol)
+    anchor, T, weight = price.anchor, sol.horizon, price.price_times_duration
     rows = []
     for p in sol.plants:
         curve = sol.outputs[p.id]
-        m = MeasureFunction(curve)
-        revenue = price.anchor * curve.min_power * sol.horizon
-        if curve.max_power > curve.min_power:
+        lo, hi = curve.min_power, curve.max_power
+        revenue = anchor * lo * T
+        if hi > lo:
             try:
-                revenue += lebesgue_integrate(
-                    m, curve.min_power, curve.max_power, price.price_times_duration, EXACT_CONFIG
-                )
+                revenue += lebesgue_integrate(MeasureFunction(curve), lo, hi, weight, EXACT_CONFIG)
             except NumericError as exc:
                 where = f"the duration settlement of {p.id}"
                 raise NumericError.out_of_range(where, exc.abscissa) from exc

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from ctmarket import (
 PLANT1 = LoadCurve([(0.0, 250.0), (1.0, 650.0)])
 PLANT3 = LoadCurve([(0.0, 10.0), (1.0, 110.0)])
 STEPPED = LoadCurve([(0.0, 0.0), (0.4, 50.0), (0.6, 50.0), (1.0, 100.0)])
+# Not monotone, with flat stretches at 20 and 60 MW.
+DIP = LoadCurve([(0.0, 60.0), (0.2, 60.0), (0.5, 20.0), (0.7, 20.0), (1.0, 100.0)])
 
 
 class TestConfig:
@@ -92,6 +96,24 @@ class TestRiemann:
             riemann_integrate(f, 0.0, 1.0)
         assert calls == [10_001]
 
+    @pytest.mark.parametrize(
+        "block, shape", [(lambda rows: rows.T, (11, 2)), (lambda rows: rows[None], (1, 2, 11))],
+        ids=["points-by-rows", "3-d"],
+    )
+    def test_wrong_shape_is_refused_after_one_call(self, block, shape):
+        """An array that is neither ``(len(xs),)`` nor ``(rows, len(xs))``
+        is refused at once, naming its shape, not retried point by point."""
+        calls = []
+
+        def f(ts):
+            calls.append(np.size(ts))
+            return block(np.stack([ts, 2.0 * ts]))
+
+        want = f"integrand returned shape {shape}; expected (11,) or (rows, 11)"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            riemann_integrate(f, 0.0, 1.0, QuadratureConfig(n_panels=10))
+        assert calls == [11]
+
     def test_raising_weight_is_called_once(self):
         calls = []
 
@@ -136,6 +158,49 @@ class TestLebesgue:
         val = lebesgue_integrate(m, 250.0, 650.0, lambda d: d * d)
         assert val == pytest.approx(400.0 / 3.0, rel=1e-13)
         assert val == pytest.approx(133.33, abs=0.01)
+
+    @pytest.mark.parametrize("curve", [STEPPED, DIP], ids=["non-decreasing", "dip"])
+    @pytest.mark.parametrize(
+        "cfg",
+        [QuadratureConfig(n_panels=2), QuadratureConfig(n_panels=64), QuadratureConfig(n_panels=8, rule="midpoint")],
+        ids=["simpson-2", "simpson-64", "midpoint-8"],
+    )
+    def test_measure_is_sampled_once(self, monkeypatch, curve, cfg):
+        """One measure pass over every abscissa.  Under Simpson the flat
+        time is then looked up at the pieces' right edges only, and no
+        limit is taken anew; under midpoint it is not looked up."""
+        from test_quadrature_reference import ref_lebesgue
+
+        m = MeasureFunction(curve)
+        want = ref_lebesgue(m, 0.0, 100.0, lambda d: d * d, cfg)  # m(y^-) at each right edge
+        sample, flat_time = MeasureFunction.sample, MeasureFunction._at
+        sampled, looked_up, points = [], [], []
+
+        def counted_sample(self, ys):
+            sampled.append(np.array(ys))
+            return sample(self, ys)
+
+        def counted_at(self, ys):
+            looked_up.append(np.array(ys))
+            return flat_time(self, ys)
+
+        def refused(self, ys):
+            raise AssertionError("limit_from_below called")
+
+        monkeypatch.setattr(MeasureFunction, "sample", counted_sample)
+        monkeypatch.setattr(MeasureFunction, "_at", counted_at)
+        monkeypatch.setattr(MeasureFunction, "limit_from_below", refused)
+        got = lebesgue_integrate(m, 0.0, 100.0, lambda d: points.append(d.size) or d * d, cfg)
+        assert got == want
+        assert len(sampled) == 1 and sampled[0].size == points[0]
+        if cfg.rule == "midpoint":
+            assert looked_up == []
+            return
+        # One right edge per piece, each also sampled as its piece's last point.
+        assert len(looked_up) == 1
+        edges = looked_up[0]
+        assert edges.tolist() == sorted({*(y for y in m.levels if 0.0 < y < 100.0), 100.0})
+        assert np.isin(edges, sampled[0]).all()
 
     def test_flat_level_jump_handled_exactly(self):
         # The measure jumps at the 50 MW flat level; band-edge limits keep

@@ -32,6 +32,7 @@ from ctmarket import (
     riemann_integrate,
     solve_equilibrium,
 )
+from ctmarket.quadrature import EXACT_CONFIG
 from test_geometry_reference import curves
 
 # ----------------------------------------------------------------------
@@ -280,3 +281,82 @@ def test_row_valued_empty_interval_gives_a_zero_per_row():
     got = riemann_integrate(lambda xs: np.stack([xs, xs]), 2.0, 2.0)
     assert got.tolist() == [0.0, 0.0]
     assert riemann_integrate(lambda xs: xs, 2.0, 2.0) == 0.0
+
+
+# ----------------------------------------------------------------------
+# Both layouts: one point count for every piece, or mixed counts
+# ----------------------------------------------------------------------
+
+# 120 equal pieces over [0, 12]: every piece gets the rule's fewest points,
+# three under Simpson and one under midpoint.
+EVEN_KINKS = np.linspace(0.0, 12.0, 121)[1:-1].tolist()
+# Pieces of widths 1, 2, 5 and 0.5 over [0, 8.5]: 64 panels give them 8,
+# 16, 38 and 4 (Simpson) or 8, 15, 38 and 4 (midpoint).
+UNEVEN_KINKS = [1.0, 3.0, 8.0]
+# A strictly increasing curve on the 121 levels 0, 0.1, ..., 12 (120 level
+# bands), and one on two levels (one band).
+LEVELS_120 = LoadCurve(times=np.linspace(0.0, 24.0, 121), powers=np.linspace(0.0, 12.0, 121))
+LEVELS_1 = LoadCurve([(0.0, 2.0), (3.0, 7.0)])
+# Level bands of widths 1, 2, 5 and 0.5, with a flat stretch at 3 MW.
+LEVELS_UNEVEN = LoadCurve([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0), (3.0, 3.0), (7.0, 8.0), (8.0, 8.5)])
+
+
+def piece_counts(a: float, b: float, kinks, cfg: QuadratureConfig) -> set[int]:
+    return set(ref_panels(ref_edges(a, b, kinks), cfg.n_panels, cfg.rule))
+
+
+def eight_rows(xs: np.ndarray) -> np.ndarray:
+    return np.stack([np.sin(xs * (k + 1)) * (k - 3.5) + xs**3 for k in range(8)])
+
+
+@pytest.mark.parametrize(
+    "cfg", [EXACT_CONFIG, QuadratureConfig(n_panels=2, rule="midpoint")], ids=["simpson", "midpoint"]
+)
+def test_one_short_count_matches_reference(cfg):
+    """EXACT_CONFIG's layout: 120 pieces of one short count, summed by
+    explicit adds; an 8-row integrand and a 120-band Lebesgue integral."""
+    assert piece_counts(0.0, 12.0, EVEN_KINKS, cfg) == {2 if cfg.rule == "simpson" else 1}
+    got = riemann_integrate(eight_rows, 0.0, 12.0, cfg, breakpoints=EVEN_KINKS)
+    assert got.shape == (8,)
+    for k, row in enumerate(got.tolist()):
+        assert row == ref_riemann(lambda xs: eight_rows(xs)[k], 0.0, 12.0, cfg, EVEN_KINKS)
+    m = MeasureFunction(LEVELS_120)
+    assert piece_counts(0.0, 12.0, m.levels, cfg) == piece_counts(0.0, 12.0, EVEN_KINKS, cfg)
+    for weight in WEIGHTS:
+        assert lebesgue_integrate(m, 0.0, 12.0, weight, cfg) == ref_lebesgue(m, 0.0, 12.0, weight, cfg)
+
+
+@pytest.mark.parametrize("rule", ["simpson", "midpoint"])
+def test_one_long_count_matches_reference(rule):
+    """One piece of 11 Simpson or 10 midpoint points, summed by the
+    sequential ``cumsum``.  The values are chosen so that numpy's pairwise
+    ``add.reduce`` gives other bits than the running total."""
+    cfg = QuadratureConfig(n_panels=10, rule=rule)
+    vals = np.full(11, 1.0) if rule == "simpson" else np.full(10, 3.0)
+    vals[0], vals[-1] = 1e17, -1e17
+    f = lambda xs: vals.copy()
+    want = ref_riemann(f, 0.0, 1.0, cfg)
+    w = np.ones(len(vals))
+    if rule == "simpson":
+        w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    scale = 0.1 / (3.0 if rule == "simpson" else 1.0)
+    assert scale * float(np.add.reduce(w * vals)) != want
+    assert riemann_integrate(f, 0.0, 1.0, cfg) == want
+    m = MeasureFunction(LEVELS_1)
+    for weight in WEIGHTS:
+        assert lebesgue_integrate(m, 2.0, 7.0, weight, cfg) == ref_lebesgue(m, 2.0, 7.0, weight, cfg)
+
+
+@pytest.mark.parametrize("rule", ["simpson", "midpoint"])
+def test_mixed_counts_match_reference(rule):
+    """Pieces of four different counts, each group gathered and summed
+    in order; rows and a Lebesgue integral over a flat level."""
+    cfg = QuadratureConfig(n_panels=64, rule=rule)
+    assert len(piece_counts(0.0, 8.5, UNEVEN_KINKS, cfg)) == 4
+    got = riemann_integrate(eight_rows, 0.0, 8.5, cfg, breakpoints=UNEVEN_KINKS)
+    for k, row in enumerate(got.tolist()):
+        assert row == ref_riemann(lambda xs: eight_rows(xs)[k], 0.0, 8.5, cfg, UNEVEN_KINKS)
+    m = MeasureFunction(LEVELS_UNEVEN)
+    assert len(piece_counts(0.0, 8.5, m.levels, cfg)) == 4
+    for weight in WEIGHTS:
+        assert lebesgue_integrate(m, 0.0, 8.5, weight, cfg) == ref_lebesgue(m, 0.0, 8.5, weight, cfg)

@@ -1,0 +1,234 @@
+"""Per-call cost of the settlement engines, before and after a change.
+
+Usage, from the root of a checkout::
+
+    python3 tools/bench_engine_overhead.py --before OLD/src --after src \
+        --rounds 7 --out BENCH_engine_overhead.json
+
+Times three things at four shapes (plants x load breakpoints): one
+``lebesgue_integrate`` call of duration settlement (the mean over the
+plants), ``settle_duration`` and ``settle_spot``.  The shapes are the
+built-in case study, one ``settle_deep`` and one ``clamped_spot`` scenario
+of ``perfbench/workloads.py`` (seed 1, index 0), and a seeded 50 x 2000
+daily load built like ``settle_deep``.  Spot settles the dispatch of the
+load as given; duration settles the dispatch of its duration curve, as
+the CLI does.  ``clamped_spot`` binds capacity bounds, so it has no
+duration price and only spot is timed there.
+
+Each round runs every side in a fresh process, alternating which side runs
+first; a process times each item as the best of 5 blocks of repeated calls
+under ``perfbench/speed.Stopwatch``, in normalised seconds (CPU time scaled
+to a fixed host speed) and in wall seconds.  The file reports, per item
+and side, the median and quartiles over the rounds, and the change of the
+medians.  Numpy is held to one thread, as the benchmark holds it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SHAPES = ("case_study", "settle_deep", "clamped_spot", "daily_50x2000")
+BLOCKS = 5  # timed blocks per item and process; the best one counts
+BLOCK_SECONDS = 0.15  # rough length of one block
+
+
+def _daily_load(n_plants: int, n_bp: int, seed: int) -> dict:
+    """A ``settle_deep``-shaped scenario of any size: interior plants under
+    a non-monotone daily load."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    q2 = 10.0 ** rng.uniform(-3.5, -2.0, size=n_plants)
+    q1 = rng.uniform(0.5, 5.0, size=n_plants)
+    q0 = rng.uniform(0.0, 5.0, size=n_plants)
+    times = 24.0 * np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, n_bp - 2)), [1.0]])
+    day = 0.5 - 0.5 * np.cos(2.0 * np.pi * times / 24.0)
+    # Demand at which every plant's marginal cost reaches the highest q1.
+    floor = float((((q1.max() + 0.5) - q1) / (2.0 * q2)).sum())
+    powers = floor + 200.0 + 250.0 * day + rng.uniform(0.0, 40.0, size=n_bp)
+    return {
+        "name": f"daily-{n_plants}x{n_bp}",
+        "horizon": 24.0,
+        "load": {"breakpoints": [[float(t), float(p)] for t, p in zip(times, powers)]},
+        "plants": [
+            {"id": f"g{j:03d}", "q2": float(q2[j]), "q1": float(q1[j]), "q0": float(q0[j])}
+            for j in range(n_plants)
+        ],
+    }
+
+
+def _solutions(shape: str):
+    """(spot solution, duration solution or None) of a shape."""
+    import ctmarket as ct
+    import workloads
+
+    if shape == "case_study":
+        scenario = ct.builtin_case_study()
+    elif shape == "daily_50x2000":
+        scenario = ct.validate(_daily_load(50, 2000, seed=2000))
+    else:
+        scenario = ct.validate(json.loads(workloads.scenario_text(shape, 1, 0)))
+    load = scenario.load_curve()
+    clamp = shape == "clamped_spot"
+    sol = ct.solve_equilibrium(scenario.plants, load, allow_clamp=clamp)
+    if clamp:
+        return sol, None
+    if load.is_non_decreasing:
+        return sol, sol
+    return sol, ct.solve_equilibrium(scenario.plants, ct.duration_curve(load))
+
+
+def _time(fn) -> dict[str, float]:
+    """Seconds per call of ``fn``: the best of ``BLOCKS`` timed blocks."""
+    from speed import Stopwatch
+
+    fn()
+    with Stopwatch(normalise=False) as probe:
+        fn()
+    reps = max(1, int(BLOCK_SECONDS / max(probe.wall, 1e-7)))
+    best = None
+    for _ in range(BLOCKS):
+        with Stopwatch() as watch:
+            for _ in range(reps):
+                fn()
+        if best is None or watch.normalised < best.normalised:
+            best = watch
+    return {"normalised_s": best.normalised / reps, "wall_s": best.wall / reps}
+
+
+def measure() -> dict:
+    """Every item's seconds per call with the ``ctmarket`` on ``sys.path``."""
+    import ctmarket as ct
+    from ctmarket.quadrature import EXACT_CONFIG
+
+    out: dict = {}
+    for shape in SHAPES:
+        sol, dsol = _solutions(shape)
+        items = {"settle_spot": _time(lambda: ct.settle_spot(sol))}
+        if dsol is not None:
+            price = ct.duration_price(dsol)
+            curves = [c for c in dsol.outputs.values() if c.max_power > c.min_power]
+            measures = [ct.MeasureFunction(c) for c in curves]
+
+            def lebesgue_calls() -> None:
+                for c, m in zip(curves, measures):
+                    ct.lebesgue_integrate(
+                        m, c.min_power, c.max_power, price.price_times_duration, EXACT_CONFIG
+                    )
+
+            per_plant = _time(lebesgue_calls)
+            items["lebesgue_call"] = {k: v / len(curves) for k, v in per_plant.items()}
+            items["settle_duration"] = _time(lambda: ct.settle_duration(dsol))
+        out[shape] = {
+            "plants": len(sol.plants),
+            "breakpoints": len(sol.load.times),
+            "duration_breakpoints": None if dsol is None else len(dsol.load.times),
+            "items": items,
+        }
+    return out
+
+
+def _run_side(src: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(PERFBENCH)]))
+    env.update({var: "1" for var in THREAD_VARS})
+    done = subprocess.run(
+        [sys.executable, __file__, "--measure"], env=env, check=True, capture_output=True, text=True
+    )
+    return json.loads(done.stdout)
+
+
+def _quartiles(values: list[float]) -> dict[str, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def compare(before: Path, after: Path, rounds: int, labels: dict[str, str]) -> dict:
+    runs: dict[str, list[dict]] = {"before": [], "after": []}
+    for r in range(rounds):
+        order = ("before", "after") if r % 2 == 0 else ("after", "before")
+        for side in order:
+            runs[side].append(_run_side(before if side == "before" else after))
+    import numpy
+
+    shapes = {}
+    for shape, first in runs["after"][0].items():
+        rows = {}
+        for item in first["items"]:
+            row = {}
+            for side, side_runs in runs.items():
+                row[side] = {
+                    unit: _quartiles([run[shape]["items"][item][unit] for run in side_runs])
+                    for unit in ("normalised_s", "wall_s")
+                }
+            b, a = row["before"]["normalised_s"]["median"], row["after"]["normalised_s"]["median"]
+            row["change_of_normalised_median"] = f"{100.0 * (a - b) / b:+.1f}%"
+            rows[item] = row
+        shapes[shape] = {k: v for k, v in first.items() if k != "items"} | {"items": rows}
+    return {
+        "what": "seconds per call of the settlement engines; see tools/bench_engine_overhead.py",
+        "command": f"python3 tools/bench_engine_overhead.py --rounds {rounds}",
+        "before": labels["before"],
+        "after": labels["after"],
+        "rounds": rounds,
+        "host": {
+            "python": platform.python_version(),
+            "implementation": platform.python_implementation(),
+            "numpy": numpy.__version__,
+            "blas": _blas(numpy),
+            "cpu_count": os.cpu_count(),
+            "machine": platform.machine(),
+            "numpy_threads": 1,
+        },
+        "shapes": shapes,
+    }
+
+
+def _blas(numpy) -> str:
+    try:
+        info = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{info.get('name')} {info.get('version')}"
+    except Exception:  # the config layout is not a stable API
+        return "unknown"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--measure", action="store_true", help="time the ctmarket on sys.path once")
+    parser.add_argument("--before", type=Path, help="src/ directory of the old tree")
+    parser.add_argument("--after", type=Path, default=ROOT / "src", help="src/ directory of the new tree")
+    parser.add_argument("--before-label", default="before", help="what the old tree is, for the file")
+    parser.add_argument("--after-label", default="after", help="what the new tree is, for the file")
+    parser.add_argument("--rounds", type=int, default=7)
+    parser.add_argument("--out", type=Path, help="write the JSON here instead of stdout")
+    args = parser.parse_args(argv)
+    if args.measure:
+        sys.path.insert(0, str(PERFBENCH))
+        print(json.dumps(measure()))
+        return 0
+    if args.before is None:
+        parser.error("--before is required")
+    result = json.dumps(compare(
+        args.before.resolve(),
+        args.after.resolve(),
+        args.rounds,
+        {"before": args.before_label, "after": args.after_label},
+    ), indent=2)
+    if args.out is None:
+        print(result)
+    else:
+        args.out.write_text(result + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
