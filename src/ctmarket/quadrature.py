@@ -151,6 +151,8 @@ def _composite(
         raise DomainError("integration bounds must be finite")
     if a > b:
         raise DomainError(f"integration bounds out of order: {a!r} > {b!r}")
+    if not math.isfinite(b - a):
+        raise DomainError(f"integration interval [{a!r}, {b!r}] is wider than the float range")
     if a == b:
         # No panels: one point only tells whether the integrand has rows.
         rows = values(np.array([a]), None).shape[:-1]

@@ -7,17 +7,16 @@ only.  Generation cost and energy come in closed form from the
 output knots; only revenue differs between the mechanisms.  Spot revenue
 integrates price times output over time.  Duration revenue integrates
 ``pi(m(y)) * m(y)`` over the plant's output range and adds the base block
-``[0, min output]``, settled at the anchor ``pi(T)``.  A unit energy price
-is ``int lam P dt / int P dt`` over a time slice or ``int pi(m) m dy /
-int m dy`` over a power band, and ``value_by_slice`` / ``value_by_band``
-value every segment from those two integrals.  Every integrand is a
-polynomial of degree <= 2 between the kinks passed to the engine, so each
-integral runs at ``EXACT_CONFIG``: one Simpson pair per kink piece, exact
-to round-off, with no resolution to choose.  Every output shares the
-shadow price's knots, so spot revenue and slice energy are integrated for
-a block of plants at once: one row-valued engine call per block of at
-most 2^16 samples (dispatch's block size), each row bit for bit its
-plant's own integral.
+``[0, min output]``, settled at the anchor ``pi(T)``.  Revenues run on the
+quadrature engines at ``EXACT_CONFIG``, one Simpson pair per kink piece;
+spot revenue takes one row-valued call per block of plants (see
+:func:`_output_integrals`).  A unit energy price is ``int lam P dt / int P
+dt`` over a time slice or ``int pi(m) m dy / int m dy`` over a power band,
+and ``value_by_slice`` / ``value_by_band`` value every segment from those
+integrals in closed form, with no engine call: cut at every knot (bands
+no higher than the curve's top, above which no energy lies), each
+integrand is a polynomial of degree <= 2 on a piece, so one Simpson pair
+per piece is exact.
 """
 
 from __future__ import annotations
@@ -114,31 +113,23 @@ def _plant_row(
     )
 
 
-def _output_integrals(
-    sol: DispatchSolution, t1: float, t2: float, what: str, *, priced: bool
-) -> Iterator[float]:
-    """``int lam P_j dt`` (``priced``) or ``int P_j dt`` over ``[t1, t2]``
-    for each output ``P_j`` of ``sol``, in plant order.
-
-    Every output shares the knots of the shadow price ``lam``, so one
-    engine call integrates a block of outputs, one row per plant, each row
-    bit for bit its plant's own call.  A block holds at most
-    ``_BLOCK_ENTRIES`` samples, or one plant.  A non-finite integrand
-    raises :class:`NumericError` as ``what`` of its plant, after the
-    integrals of the plants before it.
-    """
+def _output_integrals(sol: DispatchSolution) -> Iterator[float]:
+    """Each output's spot revenue ``int lam P_j dt``, in plant order: one
+    row-valued engine call per block of at most ``_BLOCK_ENTRIES`` samples
+    (or one plant), each row bit for bit its plant's own call.  A
+    non-finite integrand raises :class:`NumericError` naming its plant,
+    after the revenues of the plants before it."""
     lam = sol.lambda_curve
     # EXACT_CONFIG samples one Simpson pair, three points, per kink piece.
-    points = 3 * (int(np.count_nonzero((lam.times > t1) & (lam.times < t2))) + 1)
+    points = 3 * (len(lam.times) - 1)
 
     def integrals(plants: tuple[Plant, ...]) -> list[float]:
         curves = [sol.outputs[p.id] for p in plants]
 
         def rows(ts: np.ndarray) -> np.ndarray:
-            outputs = np.array([curve.sample(ts) for curve in curves])
-            return lam.sample(ts) * outputs if priced else outputs
+            return lam.sample(ts) * np.array([curve.sample(ts) for curve in curves])
 
-        return riemann_integrate(rows, t1, t2, EXACT_CONFIG, breakpoints=lam.times).tolist()
+        return riemann_integrate(rows, 0.0, sol.horizon, EXACT_CONFIG, breakpoints=lam.times).tolist()
 
     for block in _row_blocks(len(sol.plants), points):
         plants = sol.plants[block]
@@ -147,7 +138,8 @@ def _output_integrals(
         except NumericError as exc:
             # The plants before the bad row come first, as one call each would.
             yield from integrals(plants[: exc.row]) if exc.row else ()
-            raise NumericError.out_of_range(f"{what} of {plants[exc.row].id}", exc.abscissa) from exc
+            where = f"the spot settlement of {plants[exc.row].id}"
+            raise NumericError.out_of_range(where, exc.abscissa) from exc
 
 
 def settle_spot(sol: DispatchSolution) -> SettlementReport:
@@ -162,7 +154,7 @@ def settle_spot(sol: DispatchSolution) -> SettlementReport:
     order, and a market total past it one naming the total.
     """
     costs = dispatch_cost(sol)
-    revenues = _output_integrals(sol, 0.0, sol.horizon, "the spot settlement", priced=True)
+    revenues = _output_integrals(sol)
     rows = [
         _plant_row("spot", p.id, costs.per_plant[p.id], revenue, sol.outputs[p.id].energy)
         for p, revenue in zip(sol.plants, revenues)
@@ -217,23 +209,41 @@ def _level_band(y1: float, y2: float) -> tuple[float, float]:
     return y1, y2
 
 
-def _slice_integrals(lam: LoadCurve, curve: LoadCurve, t1: float, t2: float) -> tuple[float, float]:
-    """``(int P dt, int lam P dt)`` of the trajectory ``curve`` over ``[t1, t2]``."""
-    kinks = np.concatenate([lam.times, curve.times])
-    energy = riemann_integrate(curve.sample, t1, t2, EXACT_CONFIG, breakpoints=kinks)
-    value = riemann_integrate(
-        lambda ts: lam.sample(ts) * curve.sample(ts), t1, t2, EXACT_CONFIG, breakpoints=kinks
-    )
-    return energy, value
+def _simpson_pairs(edges: np.ndarray, kinks: np.ndarray, top: float = math.inf):
+    """Cut ``[edges[0], min(edges[-1], top)]`` at every edge and every kink
+    inside it (``top``, where it cuts, must be a kink).  Returns the knots,
+    the middles and ``sums(at_knots, mid, right=None)``: each interval's
+    integral by one Simpson pair per piece (``right`` defaults to the next
+    knot's value), terms and then pieces (``np.bincount``) added in order."""
+    knots = np.unique(np.concatenate([edges, kinks]))
+    knots = knots[(knots >= edges[0]) & (knots <= min(edges[-1], top))]
+    half, bins = (knots[1:] - knots[:-1]) / 2.0, edges.searchsorted(knots[:-1], side="right") - 1
+
+    def sums(at_knots: np.ndarray, mid: np.ndarray, right: np.ndarray | None = None) -> np.ndarray:
+        terms = at_knots[:-1] + 4.0 * mid + (at_knots[1:] if right is None else right)
+        return np.bincount(bins, weights=half / 3.0 * terms, minlength=len(edges) - 1)
+
+    return knots, knots[:-1] + half, sums
 
 
-def _band_integrals(
-    price: DurationPrice, m: MeasureFunction, y1: float, y2: float
-) -> tuple[float, float]:
-    """``(int m dy, int pi(m) m dy)`` of the level-set measure ``m`` over ``[y1, y2]``."""
-    mass = lebesgue_integrate(m, y1, y2, lambda d: d, EXACT_CONFIG)
-    value = lebesgue_integrate(m, y1, y2, price.price_times_duration, EXACT_CONFIG)
-    return mass, value
+def _slice_sums(lam: LoadCurve, curves: Sequence[LoadCurve], edges: np.ndarray):
+    """``(int P dt, int lam P dt)`` per slice of ``edges``, one row per ``P`` in ``curves``."""
+    kinks = [lam.times, *(c.times for c in curves if c.times is not lam.times)]
+    knots, mids, sums = _simpson_pairs(edges, np.concatenate(kinks))
+    lam_k, lam_m = np.interp(knots, lam.times, lam.powers), np.interp(mids, lam.times, lam.powers)
+    energy, value = [], []
+    for c in curves:
+        p_k, p_m = np.interp(knots, c.times, c.powers), np.interp(mids, c.times, c.powers)
+        energy.append(sums(p_k, p_m))
+        value.append(sums(lam_k * p_k, lam_m * p_m))
+    return np.array(energy), np.array(value)
+
+
+def _band_sums(price: DurationPrice, m: MeasureFunction, edges: np.ndarray):
+    """``(int m dy, int pi(m) m dy)`` per band of ``edges``, up to ``m``'s top."""
+    knots, mids, sums = _simpson_pairs(edges, m.curve.powers, top=m.y_hi)
+    ms = m.sample(knots), m.sample(mids), m.limit_from_below(knots[1:])
+    return sums(*ms), sums(*map(price.price_times_duration, ms))
 
 
 def unit_energy_price_spot(price: LoadCurve, plant_curve: LoadCurve, t1: float, t2: float) -> float:
@@ -243,7 +253,7 @@ def unit_energy_price_spot(price: LoadCurve, plant_curve: LoadCurve, t1: float, 
     t1, t2 = _time_slice(T, t1, t2)
     if not math.isclose(plant_curve.horizon, T, rel_tol=SAME_HORIZON_TOL):
         raise ValueError("price and trajectory horizons differ")
-    energy, value = _slice_integrals(price, plant_curve, t1, t2)
+    energy, value = (x.item() for x in _slice_sums(price, [plant_curve], np.array([t1, t2])))
     if energy <= 0.0:
         raise UndefinedPriceError(f"no energy on [{t1:.6g}, {t2:.6g}] h: unit price undefined")
     return value / energy
@@ -253,12 +263,13 @@ def unit_energy_price_duration(price: DurationPrice, m: MeasureFunction, y1: flo
     """Value per MWh of the power-band commodity ``[y1, y2]`` of a trajectory.
 
     ``int pi(m(y)) m(y) dy / int m(y) dy``.  Bands below the trajectory
-    minimum have ``m == T`` throughout and price at the anchor ``lam(0)``.
+    minimum have ``m == T`` throughout and price at the anchor ``lam(0)``;
+    above the trajectory's peak a band holds no energy and adds no value.
     """
     y1, y2 = _level_band(y1, y2)
     if not math.isclose(m.horizon, price.horizon, rel_tol=SAME_HORIZON_TOL):
         raise ValueError("price and measure-function horizons differ")
-    mass, value = _band_integrals(price, m, y1, y2)
+    mass, value = (x.item() for x in _band_sums(price, m, np.array([y1, y2])))
     if mass <= 0.0:
         raise UndefinedPriceError(f"zero measure mass on [{y1:.6g}, {y2:.6g}] MW: unit price undefined")
     return value / mass
@@ -273,21 +284,27 @@ def value_by_slice(
     price's breakpoints).  A slice's unit value is the market unit price of
     the slice commodity, total load settlement over total load energy, so
     the segments of one slice carry one value across plants.  Slices
-    without load and plants without energy in a slice are omitted.
+    without load and plants without energy in a slice are omitted.  An
+    energy or unit value past the float range raises :class:`NumericError`.
     """
     lam = sol.lambda_curve
     edges = list(time_edges) if time_edges is not None else list(lam.times)
+    slices = [_time_slice(lam.horizon, t1, t2) for t1, t2 in zip(edges, edges[1:])]
+    if not slices:
+        return ()
+    energy, value = _slice_sums(lam, [sol.load, *sol.outputs.values()], np.array(edges, dtype=float))
     rows: list[ValueSegment] = []
-    for t1, t2 in zip(edges, edges[1:]):
-        t1, t2 = _time_slice(lam.horizon, t1, t2)
-        load_energy, load_value = _slice_integrals(lam, sol.load, t1, t2)
+    for (t1, t2), (load_energy, *energies), load_value in zip(slices, energy.T.tolist(), value[0]):
         if load_energy <= 0.0:
             continue
-        unit = load_value / load_energy
-        energies = _output_integrals(sol, t1, t2, f"the energy on [{t1!r}, {t2!r}] h", priced=False)
+        unit = float(load_value) / load_energy
         for p, energy in zip(sol.plants, energies):
+            if not math.isfinite(energy):
+                raise NumericError.out_of_range(f"the energy on [{t1!r}, {t2!r}] h of {p.id}", t1)
             if energy > 0.0:
                 rows.append(ValueSegment("spot", p.id, t1, t2, energy, unit))
+        if not math.isfinite(unit):
+            raise NumericError.out_of_range(f"the unit value on [{t1!r}, {t2!r}] h", t1)
     return tuple(rows)
 
 
@@ -299,8 +316,9 @@ def value_by_band(
     The bands run between consecutive sorted ``band_edges`` (default, per
     plant: the base block ``[0, min output]`` and the bands between
     consecutive output breakpoint levels).  A band's unit value depends
-    only on the band, not on when its energy was produced.  Bands without
-    energy are omitted.  A band integrand past the float range raises
+    only on the band, not on when its energy was produced.  A band holds
+    energy only up to the plant's peak, and bands without energy are
+    omitted.  A band energy or value past the float range raises
     :class:`NumericError` naming the plant and the band.  A clamped
     dispatch has no duration price and raises
     :class:`UnsupportedOperationError`.
@@ -308,15 +326,15 @@ def value_by_band(
     price = duration_price(sol)
     rows: list[ValueSegment] = []
     for pid, curve in sol.outputs.items():
-        m = MeasureFunction(curve)
         edges = sorted({0.0, *curve.levels} if band_edges is None else set(map(float, band_edges)))
-        for y1, y2 in zip(edges, edges[1:]):
-            y1, y2 = _level_band(y1, y2)
-            try:
-                energy, value = _band_integrals(price, m, y1, y2)
-            except NumericError as exc:
+        bands = [_level_band(y1, y2) for y1, y2 in zip(edges, edges[1:])]
+        if not bands:
+            continue
+        energies, values = _band_sums(price, MeasureFunction(curve), np.array(edges))
+        for (y1, y2), energy, value in zip(bands, energies.tolist(), values.tolist()):
+            if not (math.isfinite(energy) and math.isfinite(value)):
                 where = f"the duration value of {pid} on [{y1!r}, {y2!r}] MW"
-                raise NumericError.out_of_range(where, exc.abscissa) from exc
+                raise NumericError.out_of_range(where, y1)
             if energy > 0.0:
                 rows.append(ValueSegment("duration", pid, y1, y2, energy, value / energy))
     return tuple(rows)

@@ -217,6 +217,15 @@ class TestUnitEnergyPriceDuration:
         val = unit_energy_price_duration(dp, m, 10.0, 110.0)
         assert val == pytest.approx(0.72, rel=1e-10)
 
+    def test_band_above_the_peak_prices_as_its_part_below(self, case_solution):
+        """plant3 peaks at 110 MW.  Above the peak m is 0 and no energy lies;
+        the MW up to 1000 used to be booked at lim pi(m) m as m -> 0."""
+        dp = duration_price(case_solution)
+        m = MeasureFunction(case_solution.outputs["plant3"])
+        val = unit_energy_price_duration(dp, m, 100.0, 1000.0)
+        assert val == unit_energy_price_duration(dp, m, 100.0, 110.0)
+        assert val == pytest.approx(4.68, rel=1e-12)
+
     def test_zero_mass_band_undefined(self, case_solution):
         dp = duration_price(case_solution)
         m = MeasureFunction(case_solution.outputs["plant3"])

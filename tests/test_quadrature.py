@@ -17,6 +17,7 @@ from ctmarket import (
     lebesgue_integrate,
     riemann_integrate,
 )
+from ctmarket.quadrature import EXACT_CONFIG
 
 PLANT1 = LoadCurve([(0.0, 250.0), (1.0, 650.0)])
 PLANT3 = LoadCurve([(0.0, 10.0), (1.0, 110.0)])
@@ -66,6 +67,18 @@ class TestRiemann:
     def test_reversed_bounds_rejected(self):
         with pytest.raises(DomainError, match="out of order"):
             riemann_integrate(lambda t: t, 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "cfg, kinks",
+        [(EXACT_CONFIG, ()), (EXACT_CONFIG, (0.0,)), (QuadratureConfig(), ())],
+        ids=["exact", "exact-kink-at-0", "default"],
+    )
+    def test_interval_wider_than_the_float_range_is_named(self, cfg, kinks):
+        """b - a overflows to inf; the panel count used to become NaN and
+        fail as an IndexError after three RuntimeWarnings."""
+        msg = r"^integration interval \[-1e\+308, 1e\+308\] is wider than the float range$"
+        with pytest.raises(DomainError, match=msg):
+            riemann_integrate(lambda x: 0 * x, -1e308, 1e308, cfg, breakpoints=kinks)
 
     def test_non_finite_value_reports_abscissa(self):
         def f(ts):

@@ -15,17 +15,23 @@ import pytest
 from ctmarket import (
     DomainError,
     LoadCurve,
+    MeasureFunction,
     NumericError,
     Plant,
     QuadraticCost,
+    UndefinedPriceError,
     UnsupportedOperationError,
     dispatch_cost,
+    duration_curve,
     duration_price,
+    lebesgue_integrate,
     riemann_integrate,
     settle_duration,
     settle_spot,
     solve_equilibrium,
     spot_price,
+    unit_energy_price_duration,
+    unit_energy_price_spot,
     validate,
     value_by_band,
     value_by_slice,
@@ -310,6 +316,51 @@ class TestValueDecomposition:
                 assert energy == pytest.approx(load_energy, rel=1e-12), (lo, hi)
             total = math.fsum(r.energy * r.unit_value for r in rows)
             assert total == pytest.approx(settle_spot(sol).total_revenue, rel=1e-12)
+
+    def test_band_above_the_peak_holds_nothing(self, case_solution):
+        """plant3 peaks at 110 MW: its [100, 1000] MW band holds the energy
+        of [100, 110] MW at the same unit value, and a band wholly above the
+        peak is omitted.  The empty MW above the peak used to be booked at
+        lim pi(m) m as m -> 0, 360.68 $/MWh instead of 4.68."""
+
+        def plant3(edges):
+            return [r for r in value_by_band(case_solution, edges) if r.plant == "plant3"]
+
+        wide, narrow = plant3([0, 100, 1000])[-1], plant3([0, 100, 110])[-1]
+        assert (wide.lo, wide.hi, narrow.hi) == (100.0, 1000.0, 110.0)
+        assert (wide.energy, wide.unit_value) == (narrow.energy, narrow.unit_value)
+        assert wide.unit_value == pytest.approx(4.68, rel=1e-12)
+        assert plant3([200, 300]) == []
+
+    def test_slice_energy_past_the_float_range_names_slice_and_plant(self):
+        """A flat 1e10 MW load over 1e300 h: every output is finite but each
+        plant's energy over the slice is not.  It used to come back as inf,
+        with a NaN unit value."""
+        plants = [
+            Plant("plant1", QuadraticCost(0.0005, 0.07, 0.2)),
+            Plant("plant2", QuadraticCost(0.001, 0.14, 0.4)),
+        ]
+        # As in run_scenario: the float-range diagnostic replaces numpy's warnings.
+        with np.errstate(all="ignore"):
+            sol = solve_equilibrium(plants, LoadCurve([(0.0, 1e10), (1e300, 1e10)]))
+            msg = r"^the energy on \[0\.0, 1e\+300\] h of plant1 is not finite: "
+            with pytest.raises(NumericError, match=msg) as err:
+                value_by_slice(sol)
+        assert err.value.abscissa == 0.0
+
+    def test_unit_value_past_the_float_range_names_the_slice(self):
+        """The price is about 2.3e299 $/MWh and the load 1e10 MW, so the
+        load's value over the slice overflows while every energy is finite."""
+        plants = [
+            Plant("plant1", QuadraticCost(1e289, 1e299, 0.0)),
+            Plant("plant2", QuadraticCost(2e289, 1e299, 0.0)),
+        ]
+        sol = solve_equilibrium(plants, LoadCurve([(0.0, 1e10), (1.0, 1e10)]))
+        with np.errstate(all="ignore"):
+            msg = r"^the unit value on \[0\.0, 1\.0\] h is not finite: "
+            with pytest.raises(NumericError, match=msg) as err:
+                value_by_slice(sol)
+        assert err.value.abscissa == 0.0
 
     @pytest.mark.parametrize("edges", [[0.0, 2.0], [0.5, 0.2]])
     def test_spot_slice_outside_cycle_named(self, case_solution, edges):
@@ -607,3 +658,117 @@ def test_spot_settlement_blocks_stay_within_the_entry_bound(monkeypatch):
             0.0, sol.horizon, EXACT_CONFIG, breakpoints=lam.times,
         )
         assert row.revenue == want, p.id
+
+
+def test_valuation_makes_no_engine_call(monkeypatch, case_solution):
+    """Slice and band values are summed in closed form on the knots: with
+    both engines refusing to run, the four valuation functions still return
+    on the case study, the clamped solution (slices only) and the seeded
+    interior solutions."""
+    import ctmarket.quadrature
+    import ctmarket.settlement
+
+    sols = [case_solution, _clamped_solution(), *_seeded_interior_solutions()]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a quadrature engine ran")
+
+    monkeypatch.setattr(ctmarket.quadrature, "_composite", refuse)
+    monkeypatch.setattr(ctmarket.settlement, "riemann_integrate", refuse)
+    monkeypatch.setattr(ctmarket.settlement, "lebesgue_integrate", refuse)
+    for sol in sols:
+        curve = max(sol.outputs.values(), key=lambda c: c.energy)
+        assert value_by_slice(sol)
+        assert unit_energy_price_spot(sol.lambda_curve, curve, 0.0, sol.horizon) > 0.0
+        if not sol.clamped:
+            price = duration_price(sol)
+            assert value_by_band(sol)
+            band = (0.0, curve.max_power)
+            assert unit_energy_price_duration(price, MeasureFunction(curve), *band) > 0.0
+    with pytest.raises(AssertionError, match="engine ran"):
+        settle_spot(case_solution)
+
+
+def _engine_slice(lam: LoadCurve, curve: LoadCurve, t1: float, t2: float):
+    """``(int P dt, int lam P dt)`` of ``curve`` over ``[t1, t2]`` on the
+    Riemann engine at ``EXACT_CONFIG``."""
+    kinks = np.concatenate([lam.times, curve.times])
+    energy = riemann_integrate(curve.sample, t1, t2, EXACT_CONFIG, breakpoints=kinks)
+    value = riemann_integrate(
+        lambda ts: lam.sample(ts) * curve.sample(ts), t1, t2, EXACT_CONFIG, breakpoints=kinks
+    )
+    return energy, value
+
+
+def _engine_band(price, m: MeasureFunction, y1: float, y2: float):
+    """``(int m dy, int pi(m) m dy)`` over ``[y1, y2]`` clipped at the
+    curve's top, on the Lebesgue engine at ``EXACT_CONFIG``."""
+    y2 = min(y2, m.y_hi)
+    if y1 >= y2:
+        return 0.0, 0.0
+    mass = lebesgue_integrate(m, y1, y2, lambda d: d, EXACT_CONFIG)
+    value = lebesgue_integrate(m, y1, y2, price.price_times_duration, EXACT_CONFIG)
+    return mass, value
+
+
+def _random_edges(rng, hi: float, chosen) -> np.ndarray:
+    """0, ``hi``, four uniform draws between them and ``chosen``, sorted."""
+    return np.unique(np.concatenate([[0.0, hi], rng.uniform(0.0, hi, 4), chosen]))
+
+
+def _flat_levels(curve: LoadCurve) -> np.ndarray:
+    p = curve.powers
+    return p[1:][p[1:] == p[:-1]]
+
+
+def _assert_close(got, want) -> None:
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert (np.abs(got - want) <= 1e-13 * np.abs(want)).all(), np.max(np.abs(got - want))
+
+
+def test_valuation_agrees_with_the_engines():
+    """The closed-form slice and band sums against the engine formulas
+    they replace, at ``EXACT_CONFIG`` with bands clipped at the curve's
+    top: 50 seeded interior solutions, with random slice edges (two on
+    the price's knots) and random band edges (two on output levels, every
+    flat level, and some above the peak).  Then unit band prices of
+    non-monotone outputs, flats included, under their load's duration
+    price."""
+    from ctmarket.settlement import _band_sums, _slice_sums
+
+    for k in range(50):
+        rng = np.random.default_rng([2121, k])
+        plants = random_plants(rng)
+        sol = solve_equilibrium(plants, random_monotone_load(rng, plants))
+        lam, price = sol.lambda_curve, duration_price(sol)
+        edges = _random_edges(rng, sol.horizon, rng.choice(lam.times, 2))
+        curves = [sol.load, *sol.outputs.values()]
+        want = [[_engine_slice(lam, c, t1, t2) for t1, t2 in zip(edges, edges[1:])] for c in curves]
+        _assert_close(np.stack(_slice_sums(lam, curves, edges), axis=-1), want)
+        for c in sol.outputs.values():
+            m = MeasureFunction(c)
+            edges = _random_edges(rng, 1.3 * c.max_power, [*_flat_levels(c), *rng.choice(c.powers, 2)])
+            want = [_engine_band(price, m, y1, y2) for y1, y2 in zip(edges, edges[1:])]
+            _assert_close(np.stack(_band_sums(price, m, edges), axis=-1), want)
+
+    for k in range(10):
+        rng = np.random.default_rng([2122, k])
+        plants = random_plants(rng)
+        times = np.linspace(0.0, float(rng.uniform(0.5, 24.0)), 8)
+        powers = interior_demand_floor(plants) + rng.uniform(0.0, 300.0, len(times))
+        powers[3] = powers[2]
+        load = LoadCurve(times=times, powers=powers)
+        sol = solve_equilibrium(plants, load)
+        price = duration_price(solve_equilibrium(plants, duration_curve(load)))
+        for c in sol.outputs.values():
+            m = MeasureFunction(c)
+            assert not c.is_non_decreasing and _flat_levels(c).size
+            edges = _random_edges(rng, 1.3 * c.max_power, [*_flat_levels(c), *rng.choice(c.powers, 2)])
+            for y1, y2 in zip(edges, edges[1:]):
+                mass, value = _engine_band(price, m, y1, y2)
+                if mass > 0.0:
+                    _assert_close(unit_energy_price_duration(price, m, y1, y2), value / mass)
+                else:
+                    with pytest.raises(UndefinedPriceError):
+                        unit_energy_price_duration(price, m, y1, y2)

@@ -1,26 +1,30 @@
-"""Per-call cost of the settlement engines, before and after a change.
+"""Per-call cost of settlement and valuation, before and after a change.
 
 Usage, from the root of a checkout::
 
     python3 tools/bench_engine_overhead.py --before OLD/src --after src \
         --rounds 7 --out BENCH_engine_overhead.json
 
-Times three things at four shapes (plants x load breakpoints): one
+Times five things at four shapes (plants x load breakpoints): one
 ``lebesgue_integrate`` call of duration settlement (the mean over the
-plants), ``settle_duration`` and ``settle_spot``.  The shapes are the
+plants), ``settle_duration``, ``settle_spot``, ``value_by_slice`` and
+``value_by_band`` (default edges).  The shapes are the
 built-in case study, one ``settle_deep`` and one ``clamped_spot`` scenario
 of ``perfbench/workloads.py`` (seed 1, index 0), and a seeded 50 x 2000
-daily load built like ``settle_deep``.  Spot settles the dispatch of the
-load as given; duration settles the dispatch of its duration curve, as
-the CLI does.  ``clamped_spot`` binds capacity bounds, so it has no
-duration price and only spot is timed there.
+daily load built like ``settle_deep``.  Spot settlement and slices take
+the dispatch of the load as given; duration settlement and bands take the
+dispatch of its duration curve, as the CLI does.  ``clamped_spot`` binds
+capacity bounds, so it has no duration price and only the spot items are
+timed there.
 
 Each round runs every side in a fresh process, alternating which side runs
 first; a process times each item as the best of 5 blocks of repeated calls
 under ``perfbench/speed.Stopwatch``, in normalised seconds (CPU time scaled
-to a fixed host speed) and in wall seconds.  The file reports, per item
-and side, the median and quartiles over the rounds, and the change of the
-medians.  Numpy is held to one thread, as the benchmark holds it.
+to a fixed host speed) and in wall seconds.  An item slower than
+``SLOW_CALL`` per call is timed in one block of one call instead.  The file
+reports, per item and side, the median and quartiles over the rounds, and
+the change of the medians.  Numpy is held to one thread, as the benchmark
+holds it.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SHAPES = ("case_study", "settle_deep", "clamped_spot", "daily_50x2000")
 BLOCKS = 5  # timed blocks per item and process; the best one counts
 BLOCK_SECONDS = 0.15  # rough length of one block
+SLOW_CALL = 1.0  # seconds per call above which one block of one call is timed
 
 
 def _daily_load(n_plants: int, n_bp: int, seed: int) -> dict:
@@ -97,7 +102,7 @@ def _time(fn) -> dict[str, float]:
         fn()
     reps = max(1, int(BLOCK_SECONDS / max(probe.wall, 1e-7)))
     best = None
-    for _ in range(BLOCKS):
+    for _ in range(BLOCKS if probe.wall < SLOW_CALL else 1):
         with Stopwatch() as watch:
             for _ in range(reps):
                 fn()
@@ -114,7 +119,10 @@ def measure() -> dict:
     out: dict = {}
     for shape in SHAPES:
         sol, dsol = _solutions(shape)
-        items = {"settle_spot": _time(lambda: ct.settle_spot(sol))}
+        items = {
+            "settle_spot": _time(lambda: ct.settle_spot(sol)),
+            "value_by_slice": _time(lambda: ct.value_by_slice(sol)),
+        }
         if dsol is not None:
             price = ct.duration_price(dsol)
             curves = [c for c in dsol.outputs.values() if c.max_power > c.min_power]
@@ -129,6 +137,7 @@ def measure() -> dict:
             per_plant = _time(lebesgue_calls)
             items["lebesgue_call"] = {k: v / len(curves) for k, v in per_plant.items()}
             items["settle_duration"] = _time(lambda: ct.settle_duration(dsol))
+            items["value_by_band"] = _time(lambda: ct.value_by_band(dsol))
         out[shape] = {
             "plants": len(sol.plants),
             "breakpoints": len(sol.load.times),
@@ -175,7 +184,7 @@ def compare(before: Path, after: Path, rounds: int, labels: dict[str, str]) -> d
             rows[item] = row
         shapes[shape] = {k: v for k, v in first.items() if k != "items"} | {"items": rows}
     return {
-        "what": "seconds per call of the settlement engines; see tools/bench_engine_overhead.py",
+        "what": "seconds per call of settlement and valuation; see tools/bench_engine_overhead.py",
         "command": f"python3 tools/bench_engine_overhead.py --rounds {rounds}",
         "before": labels["before"],
         "after": labels["after"],
