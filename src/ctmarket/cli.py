@@ -16,9 +16,11 @@ use it, since the duration price is defined on all of ``[0, T)``.
 
 Report numbers carry 6 significant digits; series files carry full
 round-trip precision: a float cell is its ``repr``.  The float series stay
-columns from sampling to the writer, which reprs a column at a time and
-joins rows once; ``csv`` writes the headers (plant ids may need quoting)
-and ``settlement.csv``, whose rows come from the reports.  Exit codes: 0
+columns from sampling to the writer, which formats a column with one
+``orjson`` call (``repr``'s own text for ``REPR_FIXED_LO <= |x| <
+REPR_FIXED_HI`` and zero; ``repr`` itself elsewhere) and joins rows
+once; ``csv`` writes the headers (plant ids may need quoting) and
+``settlement.csv``, whose rows come from the reports.  Exit codes: 0
 success, 1 validation/input errors, 2 unsupported-mechanism errors (e.g.
 duration pricing on clamped dispatch).
 """
@@ -33,6 +35,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .curves import duration_curve
 from .dispatch import DispatchSolution, solve_equilibrium
@@ -55,6 +58,10 @@ DURATION_FILE = "duration.csv"
 SETTLEMENT_FILE = "settlement.csv"
 GRID_POINTS = 501
 GRID_TOL = 1e-11  # times closer than this, relative to the horizon, are one row
+# CPython's float repr switches to exponent notation below 1e-4 and from
+# 1e16 up, where orjson does not; between the two they write the same text.
+REPR_FIXED_LO = 1e-4
+REPR_FIXED_HI = 1e16
 
 _MECHANISM_FLAG = {"spot": ("spot",), "duration": ("duration",), "both": ("spot", "duration")}
 
@@ -230,14 +237,28 @@ def render_report(out: RunOutput) -> str:
     return "\n".join(lines)
 
 
+def _cells(column) -> list[str]:
+    """Each float of ``column`` as its ``repr``: one ``orjson`` call, and ``repr``
+    itself for each nonzero cell whose magnitude is outside ``[REPR_FIXED_LO, REPR_FIXED_HI)``."""
+    c = np.ascontiguousarray(column, dtype=float)  # orjson keeps float32 digits, refuses strides
+    if not len(c):
+        return []
+    cells = orjson.dumps(c, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    mag = np.abs(c)
+    same = ((mag >= REPR_FIXED_LO) & (mag < REPR_FIXED_HI)) | (c == 0.0)
+    for i in np.flatnonzero(~same).tolist():
+        cells[i] = repr(float(c[i]))
+    return cells
+
+
 def _write_floats(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """A ``csv`` header row, then one row per cell of the longest column at
-    one ``repr`` per cell; cells past the end of a shorter column are empty."""
+    one ``repr`` per cell (:func:`_cells`); cells past a shorter column's end are empty."""
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
         n_rows = max(map(len, columns), default=0)
         if n_rows:
-            text = [list(map(repr, c.tolist())) + [""] * (n_rows - len(c)) for c in columns]
+            text = [_cells(c) + [""] * (n_rows - len(c)) for c in columns]
             fh.write("\r\n".join(map(",".join, zip(*text))) + "\r\n")
 
 

@@ -324,14 +324,16 @@ def value_by_band(
     :class:`UnsupportedOperationError`.
     """
     price = duration_price(sol)
+    given = None if band_edges is None else sorted(set(map(float, band_edges)))
+    for y1, y2 in [] if given is None else zip(given, given[1:]):
+        _level_band(y1, y2)  # once; default edges (output levels) are sorted, finite, >= 0
     rows: list[ValueSegment] = []
     for pid, curve in sol.outputs.items():
-        edges = sorted({0.0, *curve.levels} if band_edges is None else set(map(float, band_edges)))
-        bands = [_level_band(y1, y2) for y1, y2 in zip(edges, edges[1:])]
-        if not bands:
+        edges = sorted({0.0, *curve.levels}) if given is None else given
+        if len(edges) < 2:
             continue
         energies, values = _band_sums(price, MeasureFunction(curve), np.array(edges))
-        for (y1, y2), energy, value in zip(bands, energies.tolist(), values.tolist()):
+        for y1, y2, energy, value in zip(edges, edges[1:], energies.tolist(), values.tolist()):
             if not (math.isfinite(energy) and math.isfinite(value)):
                 where = f"the duration value of {pid} on [{y1!r}, {y2!r}] MW"
                 raise NumericError.out_of_range(where, y1)

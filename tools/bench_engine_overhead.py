@@ -1,21 +1,24 @@
-"""Per-call cost of settlement and valuation, before and after a change.
+"""Per-call cost of settlement, valuation and the CLI's run and emit,
+before and after a change.
 
 Usage, from the root of a checkout::
 
     python3 tools/bench_engine_overhead.py --before OLD/src --after src \
         --rounds 7 --out BENCH_engine_overhead.json
 
-Times five things at four shapes (plants x load breakpoints): one
+Times seven things at four shapes (plants x load breakpoints): one
 ``lebesgue_integrate`` call of duration settlement (the mean over the
-plants), ``settle_duration``, ``settle_spot``, ``value_by_slice`` and
-``value_by_band`` (default edges).  The shapes are the
-built-in case study, one ``settle_deep`` and one ``clamped_spot`` scenario
-of ``perfbench/workloads.py`` (seed 1, index 0), and a seeded 50 x 2000
-daily load built like ``settle_deep``.  Spot settlement and slices take
+plants), ``settle_duration``, ``settle_spot``, ``value_by_slice``,
+``value_by_band`` (default edges), and ``cli.run_scenario`` and
+``cli.emit_series`` with the CLI's flags for the shape (``--allow-clamp
+--mechanism spot`` on ``clamped_spot``, ``--mechanism both`` elsewhere).
+The shapes are the built-in case study, one ``settle_deep`` and one
+``clamped_spot`` scenario of ``perfbench/workloads.py`` (seed 1, index 0),
+and a seeded 50 x 2000 daily load built like ``settle_deep``.  Spot settlement and slices take
 the dispatch of the load as given; duration settlement and bands take the
 dispatch of its duration curve, as the CLI does.  ``clamped_spot`` binds
-capacity bounds, so it has no duration price and only the spot items are
-timed there.
+capacity bounds, so it has no duration price and only the spot and CLI
+items are timed there.
 
 Each round runs every side in a fresh process, alternating which side runs
 first; a process times each item as the best of 5 blocks of repeated calls
@@ -72,8 +75,10 @@ def _daily_load(n_plants: int, n_bp: int, seed: int) -> dict:
     }
 
 
-def _solutions(shape: str):
-    """(spot solution, duration solution or None) of a shape."""
+def _scenario(shape: str):
+    """The shape's scenario, its options set as the CLI's flags for it set them."""
+    from dataclasses import replace
+
     import ctmarket as ct
     import workloads
 
@@ -83,8 +88,17 @@ def _solutions(shape: str):
         scenario = ct.validate(_daily_load(50, 2000, seed=2000))
     else:
         scenario = ct.validate(json.loads(workloads.scenario_text(shape, 1, 0)))
-    load = scenario.load_curve()
     clamp = shape == "clamped_spot"
+    mechanisms = ("spot",) if clamp else ("spot", "duration")
+    return replace(scenario, options=replace(scenario.options, mechanisms=mechanisms, allow_clamp=clamp))
+
+
+def _solutions(scenario):
+    """(spot solution, duration solution or None) of a shape's scenario."""
+    import ctmarket as ct
+
+    load = scenario.load_curve()
+    clamp = scenario.options.allow_clamp
     sol = ct.solve_equilibrium(scenario.plants, load, allow_clamp=clamp)
     if clamp:
         return sol, None
@@ -113,16 +127,24 @@ def _time(fn) -> dict[str, float]:
 
 def measure() -> dict:
     """Every item's seconds per call with the ``ctmarket`` on ``sys.path``."""
+    import tempfile
+
     import ctmarket as ct
+    from ctmarket.cli import emit_series, run_scenario
     from ctmarket.quadrature import EXACT_CONFIG
 
     out: dict = {}
     for shape in SHAPES:
-        sol, dsol = _solutions(shape)
-        items = {
-            "settle_spot": _time(lambda: ct.settle_spot(sol)),
-            "value_by_slice": _time(lambda: ct.value_by_slice(sol)),
-        }
+        scenario = _scenario(shape)
+        sol, dsol = _solutions(scenario)
+        run = run_scenario(scenario)
+        with tempfile.TemporaryDirectory() as directory:
+            items = {
+                "settle_spot": _time(lambda: ct.settle_spot(sol)),
+                "value_by_slice": _time(lambda: ct.value_by_slice(sol)),
+                "run_scenario": _time(lambda: run_scenario(scenario)),
+                "emit_series": _time(lambda: emit_series(run, directory)),
+            }
         if dsol is not None:
             price = ct.duration_price(dsol)
             curves = [c for c in dsol.outputs.values() if c.max_power > c.min_power]
@@ -168,6 +190,7 @@ def compare(before: Path, after: Path, rounds: int, labels: dict[str, str]) -> d
         for side in order:
             runs[side].append(_run_side(before if side == "before" else after))
     import numpy
+    import orjson
 
     shapes = {}
     for shape, first in runs["after"][0].items():
@@ -184,7 +207,8 @@ def compare(before: Path, after: Path, rounds: int, labels: dict[str, str]) -> d
             rows[item] = row
         shapes[shape] = {k: v for k, v in first.items() if k != "items"} | {"items": rows}
     return {
-        "what": "seconds per call of settlement and valuation; see tools/bench_engine_overhead.py",
+        "what": "seconds per call of settlement, valuation, run_scenario and emit_series; "
+        "see tools/bench_engine_overhead.py",
         "command": f"python3 tools/bench_engine_overhead.py --rounds {rounds}",
         "before": labels["before"],
         "after": labels["after"],
@@ -193,6 +217,7 @@ def compare(before: Path, after: Path, rounds: int, labels: dict[str, str]) -> d
             "python": platform.python_version(),
             "implementation": platform.python_implementation(),
             "numpy": numpy.__version__,
+            "orjson": orjson.__version__,
             "blas": _blas(numpy),
             "cpu_count": os.cpu_count(),
             "machine": platform.machine(),
