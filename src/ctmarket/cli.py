@@ -16,20 +16,23 @@ use it, since the duration price is defined on all of ``[0, T)``.
 
 Report numbers carry 6 significant digits; series files carry full
 round-trip precision: a float cell is its ``repr``.  The float series stay
-columns from sampling to the writer, which formats a column with one
-``orjson`` call (``repr``'s own text for ``REPR_FIXED_LO <= |x| <
-REPR_FIXED_HI`` and zero; ``repr`` itself elsewhere) and joins rows
-once; ``csv`` writes the headers (plant ids may need quoting) and
-``settlement.csv``, whose rows come from the reports.  Exit codes: 0
-success, 1 validation/input errors, 2 unsupported-mechanism errors (e.g.
-duration pricing on clamped dispatch).
+columns from sampling to the writer, which lays a file's columns out as one
+row-major float block and writes it in binary, one ``orjson`` call per
+chunk of rows (``repr``'s own text for ``REPR_FIXED_LO <= |x| <
+REPR_FIXED_HI`` and zero), splitting into cells only the rows that hold a
+cell outside that band, which takes ``repr`` itself; ``csv`` writes the
+headers (plant ids may need quoting) and ``settlement.csv``, whose rows
+come from the reports.  Exit codes: 0 success, 1 validation/input errors,
+2 unsupported-mechanism errors (e.g. duration pricing on clamped dispatch).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import locale
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -50,6 +53,7 @@ from .errors import (
 from .pricing import DurationPrice, duration_price
 from .scenario import Scenario, builtin_case_study, validate
 from .settlement import SettlementReport, settle_duration, settle_spot
+from .tolerances import GRID_TOL
 
 __all__ = ["RunOutput", "run_scenario", "render_report", "emit_series", "main", "entrypoint"]
 
@@ -57,11 +61,14 @@ TIMESERIES_FILE = "timeseries.csv"
 DURATION_FILE = "duration.csv"
 SETTLEMENT_FILE = "settlement.csv"
 GRID_POINTS = 501
-GRID_TOL = 1e-11  # times closer than this, relative to the horizon, are one row
 # CPython's float repr switches to exponent notation below 1e-4 and from
 # 1e16 up, where orjson does not; between the two they write the same text.
 REPR_FIXED_LO = 1e-4
 REPR_FIXED_HI = 1e16
+# Series rows are formatted this many cells at a time, so one orjson call
+# covers many rows while a chunk's text stays small (tens of kB): with
+# 4096-cell chunks a long benchmark run's peak RSS crept 0.2 MB higher.
+CHUNK_CELLS = 2048
 
 _MECHANISM_FLAG = {"spot": ("spot",), "duration": ("duration",), "both": ("spot", "duration")}
 
@@ -162,12 +169,13 @@ def _build_timeseries(
     # pi_time stops at T - m_floor: a prefix of the sorted grid.
     priced = 0 if dprice is None else int(np.searchsorted(grid, T - m_floor, side="right"))
     pi = dprice.time_view(grid[:priced]) if priced else np.empty(0)
+    lam = sol.lambda_curve  # every output shares its times, so its domain check covers theirs
     columns = [
         grid,
         sol.load.sample(grid),
-        sol.lambda_curve.sample(grid),
+        lam.sample(grid),
         pi,
-        *(curve.sample(grid) for curve in sol.outputs.values()),
+        *(np.interp(grid, lam.times, curve.powers) for curve in sol.outputs.values()),
     ]
     for column in columns:
         _require_finite(f"a {TIMESERIES_FILE} cell", column)
@@ -237,29 +245,45 @@ def render_report(out: RunOutput) -> str:
     return "\n".join(lines)
 
 
-def _cells(column) -> list[str]:
-    """Each float of ``column`` as its ``repr``: one ``orjson`` call, and ``repr``
-    itself for each nonzero cell whose magnitude is outside ``[REPR_FIXED_LO, REPR_FIXED_HI)``."""
-    c = np.ascontiguousarray(column, dtype=float)  # orjson keeps float32 digits, refuses strides
-    if not len(c):
-        return []
-    cells = orjson.dumps(c, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
-    mag = np.abs(c)
-    same = ((mag >= REPR_FIXED_LO) & (mag < REPR_FIXED_HI)) | (c == 0.0)
-    for i in np.flatnonzero(~same).tolist():
-        cells[i] = repr(float(c[i]))
-    return cells
-
-
 def _write_floats(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """A ``csv`` header row, then one row per cell of the longest column at
-    one ``repr`` per cell (:func:`_cells`); cells past a shorter column's end are empty."""
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(header)
+    """A ``csv`` header row, then one row per cell of the longest column,
+    each float cell its ``repr``; cells past a shorter column's end are empty.
+
+    The columns become one (rows x columns) float block, NaN past a short
+    column's end, written ``CHUNK_CELLS`` cells of rows at a time with one
+    ``orjson`` call per chunk, whose text equals ``repr`` on
+    ``REPR_FIXED_LO <= |x| < REPR_FIXED_HI`` and on zero.  orjson writes NaN
+    as ``null`` and no float with an ``n``, ``u`` or ``l``, so deleting those
+    letters empties exactly the NaN cells.  A row with a nonzero cell outside
+    the band (real NaN and +-inf included) is split into cells and each such
+    cell set to its ``repr``; padding is never patched.
+    """
+    head = io.StringIO()
+    csv.writer(head).writerow(header)
+    with open(path, "wb") as fh:
+        fh.write(head.getvalue().encode(locale.getpreferredencoding(False)))  # as text-mode open()
         n_rows = max(map(len, columns), default=0)
-        if n_rows:
-            text = [_cells(c) + [""] * (n_rows - len(c)) for c in columns]
-            fh.write("\r\n".join(map(",".join, zip(*text))) + "\r\n")
+        if not n_rows:
+            return
+        block = np.full((n_rows, len(columns)), np.nan)  # float64, whatever the columns' dtype
+        for j, c in enumerate(columns):
+            block[: len(c), j] = c
+        mag = np.abs(block)
+        odd = (block != 0.0) & ~((mag >= REPR_FIXED_LO) & (mag < REPR_FIXED_HI))
+        odd &= np.arange(n_rows)[:, None] < [len(c) for c in columns]
+        odd_rows = np.flatnonzero(odd.any(axis=1))
+        step = max(1, CHUNK_CELLS // len(columns))
+        for start in range(0, n_rows, step):
+            text = orjson.dumps(block[start : start + step], option=orjson.OPT_SERIALIZE_NUMPY)
+            rows = text[2:-2].translate(None, b"nul").split(b"],[")
+            lo, hi = np.searchsorted(odd_rows, [start, start + step]).tolist()
+            for i in odd_rows[lo:hi].tolist():
+                cells = rows[i - start].split(b",")
+                for j in np.flatnonzero(odd[i]).tolist():
+                    cells[j] = repr(float(block[i, j])).encode()
+                rows[i - start] = b",".join(cells)
+            rows.append(b"")
+            fh.write(b"\r\n".join(rows))
 
 
 def emit_series(out: RunOutput, directory) -> None:

@@ -3,7 +3,8 @@
 Each is the slack a comparison allows for rounding, never a modelling
 parameter.  A tolerance on a time or duration axis is multiplied by
 ``max(T, 1)``, so it is relative on long cycles and absolute on short ones;
-a tolerance on a power or a price is multiplied by ``max(1, |value|)``.
+the one exception is ``GRID_TOL``, multiplied by ``T`` alone.  A tolerance
+on a power or a price is multiplied by ``max(1, |value|)``.
 """
 
 # Dispatch, times max(1, |value|): an output within this of a capacity bound
@@ -31,3 +32,9 @@ CLAMPED_KNOT_TOL = 1e-14
 # Times max(T, 1): rearranged load-duration points closer than this are one
 # point.
 DURATION_KNOT_TOL = 1e-15
+
+# Times T, not max(T, 1): series-file times closer than this are one row of
+# timeseries.csv.  The series grid is a uniform grid of T, so the tolerance
+# that merges its points into the breakpoint times is relative on every
+# cycle, however short; it only shapes the written series, never a result.
+GRID_TOL = 1e-11

@@ -1,13 +1,13 @@
 """Series CSVs against a ``csv.writer`` reference, byte for byte.
 
 ``cli.emit_series`` writes the float columns of ``timeseries.csv`` and
-``duration.csv`` as text, one column at a time.  The reference below
-turns the columns into rows (``None`` past the end of a short column)
-and writes every row through ``csv.writer``, one cell at a time, as the
-CLI once did.  Both must produce the same bytes.
+``duration.csv`` as one row-major block, formatted a chunk of rows at a
+time.  The reference below turns the columns into rows (``None`` past the
+end of a short column) and writes every row through ``csv.writer``, one
+cell at a time, as the CLI once did.  Both must produce the same bytes.
 
-The writer formats a column with orjson and falls back to ``repr`` only
-outside the band where the two agree, so the cells are also checked
+The writer formats a chunk with orjson and falls back to ``repr`` only
+outside the band where the two agree, so its cells are also checked
 against ``repr`` one by one on a seeded corpus of over a million floats.
 """
 
@@ -22,12 +22,13 @@ from hypothesis import strategies as st
 
 from ctmarket import builtin_case_study
 from ctmarket.cli import (
+    CHUNK_CELLS,
     DURATION_FILE,
     REPR_FIXED_HI,
     REPR_FIXED_LO,
     TIMESERIES_FILE,
     RunOutput,
-    _cells,
+    _write_floats,
     emit_series,
 )
 
@@ -44,18 +45,21 @@ def _ref_cell(x) -> str:
     return repr(float(x))
 
 
-def ref_series_files(out: RunOutput, directory) -> None:
-    with open(directory / TIMESERIES_FILE, "w", newline="") as fh:
+def ref_floats(path, header, columns) -> None:
+    with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "load", "lambda", "pi_time", *(f"P_{pid}" for pid in out.plant_ids)])
-        for row in zip_longest(*out.timeseries):
+        writer.writerow(header)
+        for row in zip_longest(*columns):
             writer.writerow([_ref_cell(v) for v in row])
 
-    with open(directory / DURATION_FILE, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "pi_measure"])
-        for m, pi in zip_longest(*out.duration_series):
-            writer.writerow([_ref_cell(m), _ref_cell(pi)])
+
+def ref_series_files(out: RunOutput, directory) -> None:
+    ref_floats(
+        directory / TIMESERIES_FILE,
+        ["t", "load", "lambda", "pi_time", *(f"P_{pid}" for pid in out.plant_ids)],
+        out.timeseries,
+    )
+    ref_floats(directory / DURATION_FILE, ["m", "pi_measure"], out.duration_series)
 
 
 def _output(plant_ids, timeseries, duration_series) -> RunOutput:
@@ -130,7 +134,6 @@ def test_column_hazards_match_reference(tmp_path):
     )
     assert_same_bytes(out, tmp_path)
     assert (tmp_path / "got" / DURATION_FILE).read_bytes() == b"m,pi_measure\r\n"
-    assert _cells(np.empty(0)) == []
 
 
 def test_int_column_is_written_as_floats(tmp_path):
@@ -140,6 +143,68 @@ def test_int_column_is_written_as_floats(tmp_path):
     out.timeseries[1] = np.arange(-3, 5)
     assert_same_bytes(out, tmp_path)
     assert (tmp_path / "got" / TIMESERIES_FILE).read_bytes().split(b"\r\n")[1] == b"0.0,-3.0,2.0,"
+
+
+def test_out_of_band_rows_on_both_sides_of_a_chunk_boundary(tmp_path):
+    """The last row of one chunk and the first of the next each hold cells
+    that orjson and ``repr`` write differently, NaN and +-inf among them."""
+    step = CHUNK_CELLS // 5  # rows per chunk of t, load, lambda, pi_time and one output
+    n_rows = 2 * step + 3
+    timeseries = [np.linspace(0.0, 1.0, n_rows), np.full(n_rows, 2.5), np.full(n_rows, 0.5)]
+    timeseries += [np.full(step + 1, 7.0), np.arange(float(n_rows))]
+    patched = [
+        (step - 1, 1, 1e-05), (step - 1, 4, np.nan),
+        (step, 2, 1e22), (step, 3, -np.inf), (step, 4, 5e-324),
+        (2 * step - 1, 0, np.inf), (2 * step, 1, -1e16),
+    ]
+    for i, j, x in patched:
+        timeseries[j][i] = x
+    out = _output(["g"], timeseries, [])
+    assert_same_bytes(out, tmp_path)
+    rows = (tmp_path / "got" / TIMESERIES_FILE).read_bytes().split(b"\r\n")[1:]
+    assert rows[step - 1].split(b",")[1::3] == [b"1e-05", b"nan"]
+    assert rows[step].split(b",")[2:] == [b"1e+22", b"-inf", b"5e-324"]
+    assert rows[2 * step].split(b",")[1] == b"-1e+16"
+
+
+def test_nan_in_a_short_column_is_nan_and_padding_is_empty(tmp_path):
+    """A NaN a short column holds is written ``nan``; the padding after the
+    column's end stays empty, also on a row whose other cells are patched."""
+    timeseries = [
+        [0.0, 0.5, 1.0, 1.5],
+        [1.0, 2.0, 3.0, np.nan],
+        [2.0] * 4,
+        [0.25, np.nan],  # pi_time, priced for two rows
+        [1e-7, 1.0, np.inf, 4.0],
+    ]
+    out = _output(["g"], timeseries, [[0.5, np.nan, 1.0], [np.nan]])
+    assert_same_bytes(out, tmp_path)
+    rows = (tmp_path / "got" / TIMESERIES_FILE).read_bytes().split(b"\r\n")[1:]
+    assert rows == [
+        b"0.0,1.0,2.0,0.25,1e-07",
+        b"0.5,2.0,2.0,nan,1.0",
+        b"1.0,3.0,2.0,,inf",
+        b"1.5,nan,2.0,,4.0",
+        b"",
+    ]
+    duration = (tmp_path / "got" / DURATION_FILE).read_bytes().split(b"\r\n")[1:]
+    assert duration == [b"0.5,nan", b"nan,", b"1.0,", b""]
+
+
+def test_one_column_and_one_row_blocks(tmp_path):
+    shapes = {
+        "column": [np.array([1e-05, 0.5, np.nan, 1e16, -0.0, 3.0])],
+        "row": [np.array([x]) for x in (0.5, 1e-05, np.nan, -np.inf, 2.0, 1e22)],
+        "cell": [np.array([1e300])],
+        "padded_row": [np.array([0.5]), np.empty(0), np.array([np.nan])],
+    }
+    for name, columns in shapes.items():
+        header = [f"c{j}" for j in range(len(columns))]
+        got, want = tmp_path / f"{name}.got", tmp_path / f"{name}.want"
+        _write_floats(got, header, columns)
+        ref_floats(want, header, columns)
+        assert got.read_bytes() == want.read_bytes(), name
+    assert (tmp_path / "row.got").read_bytes().split(b"\r\n")[1] == b"0.5,1e-05,nan,-inf,2.0,1e+22"
 
 
 floats = st.floats()  # NaN and +-inf included
@@ -216,11 +281,26 @@ def _steps(x: np.ndarray, k: int) -> np.ndarray:
     return x
 
 
-def test_cells_equal_repr_on_a_large_corpus():
+def test_cells_equal_repr_on_a_large_corpus(tmp_path):
+    """The corpus as an eight-column block whose fourth column stops short,
+    as pi_time does: every written cell is its float's ``repr`` and every
+    cell past the short column's end is empty."""
     corpus = _corpus()
     assert corpus.size >= 1_000_000
-    got, want = _cells(corpus), list(map(repr, corpus.tolist()))
-    assert len(got) == len(want)
+    n_rows = -(-2 * corpus.size // 15)  # seven full columns and one about half as long
+    ends = np.cumsum([n_rows] * 3 + [corpus.size - 7 * n_rows] + [n_rows] * 4)
+    assert 0 < ends[3] - ends[2] < n_rows and ends[-1] == corpus.size
+    columns = np.split(corpus, ends[:-1])
+    path = tmp_path / "block.csv"
+    _write_floats(path, [f"c{j}" for j in range(len(columns))], columns)
+    got = path.read_bytes().decode().split("\r\n")
+    assert got[0] == "c0,c1,c2,c3,c4,c5,c6,c7" and got[-1] == ""
+    got = got[1:-1]
+    text = [list(map(repr, c.tolist())) + [""] * (n_rows - len(c)) for c in columns]
+    want = list(map(",".join, zip(*text)))
+    assert len(got) == len(want) == n_rows
     if got != want:
-        first = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
-        raise AssertionError(f"cell {first}: written {got[first]!r}, repr {want[first]!r}")
+        i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+        j = next(j for j, (g, w) in enumerate(zip(got[i].split(","), text)) if g != w[i])
+        cell = got[i].split(",")[j]
+        raise AssertionError(f"row {i}, column {j}: written {cell!r}, want {text[j][i]!r}")

@@ -24,10 +24,12 @@ Each round runs every side in a fresh process, alternating which side runs
 first; a process times each item as the best of 5 blocks of repeated calls
 under ``perfbench/speed.Stopwatch``, in normalised seconds (CPU time scaled
 to a fixed host speed) and in wall seconds.  An item slower than
-``SLOW_CALL`` per call is timed in one block of one call instead.  The file
-reports, per item and side, the median and quartiles over the rounds, and
-the change of the medians.  Numpy is held to one thread, as the benchmark
-holds it.
+``SLOW_CALL`` per call is timed in one block of one call instead.
+``emit_series`` also records ``tracemalloc_peak_bytes``: the peak of
+traced allocations during one untimed call, above what was held before
+it.  The file reports, per item and side, the median and quartiles over
+the rounds, and the change of the medians.  Numpy is held to one thread,
+as the benchmark holds it.
 """
 
 from __future__ import annotations
@@ -125,6 +127,20 @@ def _time(fn) -> dict[str, float]:
     return {"normalised_s": best.normalised / reps, "wall_s": best.wall / reps}
 
 
+def _peak_bytes(fn) -> int:
+    """Peak bytes of Python and numpy allocations during one call of ``fn``,
+    above what was traced before it."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+
+
 def measure() -> dict:
     """Every item's seconds per call with the ``ctmarket`` on ``sys.path``."""
     import tempfile
@@ -145,6 +161,9 @@ def measure() -> dict:
                 "run_scenario": _time(lambda: run_scenario(scenario)),
                 "emit_series": _time(lambda: emit_series(run, directory)),
             }
+            items["emit_series"]["tracemalloc_peak_bytes"] = _peak_bytes(
+                lambda: emit_series(run, directory)
+            )
         if dsol is not None:
             price = ct.duration_price(dsol)
             curves = [c for c in dsol.outputs.values() if c.max_power > c.min_power]
@@ -200,15 +219,15 @@ def compare(before: Path, after: Path, rounds: int, labels: dict[str, str]) -> d
             for side, side_runs in runs.items():
                 row[side] = {
                     unit: _quartiles([run[shape]["items"][item][unit] for run in side_runs])
-                    for unit in ("normalised_s", "wall_s")
+                    for unit in first["items"][item]
                 }
             b, a = row["before"]["normalised_s"]["median"], row["after"]["normalised_s"]["median"]
             row["change_of_normalised_median"] = f"{100.0 * (a - b) / b:+.1f}%"
             rows[item] = row
         shapes[shape] = {k: v for k, v in first.items() if k != "items"} | {"items": rows}
     return {
-        "what": "seconds per call of settlement, valuation, run_scenario and emit_series; "
-        "see tools/bench_engine_overhead.py",
+        "what": "seconds per call of settlement, valuation, run_scenario and emit_series, "
+        "and emit_series' tracemalloc peak; see tools/bench_engine_overhead.py",
         "command": f"python3 tools/bench_engine_overhead.py --rounds {rounds}",
         "before": labels["before"],
         "after": labels["after"],
