@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import locale
@@ -147,8 +148,10 @@ def run_scenario(scenario: Scenario) -> RunOutput:
         duration_series=_build_duration_series(dprice, m_floor),
         diagnostics=diagnostics,
     )
-    for mech, plant, *numbers in _report_rows(reports):
-        _require_finite(f"the {mech} settlement of {plant}", [x for x in numbers if x is not None])
+    numbers = [x for _, _, *row in _report_rows(reports) for x in row if x is not None]
+    if not np.isfinite(numbers).all():
+        for mech, plant, *row in _report_rows(reports):
+            _require_finite(f"the {mech} settlement of {plant}", [x for x in row if x is not None])
     return out
 
 
@@ -170,16 +173,13 @@ def _build_timeseries(
     priced = 0 if dprice is None else int(np.searchsorted(grid, T - m_floor, side="right"))
     pi = dprice.time_view(grid[:priced]) if priced else np.empty(0)
     lam = sol.lambda_curve  # every output shares its times, so its domain check covers theirs
-    columns = [
-        grid,
-        sol.load.sample(grid),
-        lam.sample(grid),
-        pi,
-        *(np.interp(grid, lam.times, curve.powers) for curve in sol.outputs.values()),
-    ]
-    for column in columns:
+    columns = [grid, sol.load.sample(grid), lam.sample(grid), pi]
+    outputs = np.empty((len(sol.plants), len(grid)))
+    for out, row in zip(outputs, sol.block):
+        out[:] = np.interp(grid, lam.times, row)
+    for column in [*columns, outputs]:
         _require_finite(f"a {TIMESERIES_FILE} cell", column)
-    return columns
+    return [*columns, *outputs]
 
 
 def _unite_apart(kept: np.ndarray, extra: np.ndarray, tol: float) -> np.ndarray:
@@ -254,9 +254,11 @@ def _write_floats(path: Path, header: list[str], columns: list[np.ndarray]) -> N
     ``orjson`` call per chunk, whose text equals ``repr`` on
     ``REPR_FIXED_LO <= |x| < REPR_FIXED_HI`` and on zero.  orjson writes NaN
     as ``null`` and no float with an ``n``, ``u`` or ``l``, so deleting those
-    letters empties exactly the NaN cells.  A row with a nonzero cell outside
-    the band (real NaN and +-inf included) is split into cells and each such
-    cell set to its ``repr``; padding is never patched.
+    letters from a chunk that reaches past the shortest column's end empties
+    exactly its NaN cells; a chunk above that row holds no padding and is
+    left as it is.  A row with a nonzero cell outside the band (real NaN and
+    +-inf included) is split into cells and each such cell set to its
+    ``repr``; padding is never patched.
     """
     head = io.StringIO()
     csv.writer(head).writerow(header)
@@ -273,9 +275,12 @@ def _write_floats(path: Path, header: list[str], columns: list[np.ndarray]) -> N
         odd &= np.arange(n_rows)[:, None] < [len(c) for c in columns]
         odd_rows = np.flatnonzero(odd.any(axis=1))
         step = max(1, CHUNK_CELLS // len(columns))
+        full = min(map(len, columns))  # rows before this one hold no padding
         for start in range(0, n_rows, step):
-            text = orjson.dumps(block[start : start + step], option=orjson.OPT_SERIALIZE_NUMPY)
-            rows = text[2:-2].translate(None, b"nul").split(b"],[")
+            text = orjson.dumps(block[start : start + step], option=orjson.OPT_SERIALIZE_NUMPY)[2:-2]
+            if start + step > full:
+                text = text.translate(None, b"nul")
+            rows = text.split(b"],[")
             lo, hi = np.searchsorted(odd_rows, [start, start + step]).tolist()
             for i in odd_rows[lo:hi].tolist():
                 cells = rows[i - start].split(b",")
@@ -310,7 +315,9 @@ def _load_scenario_file(path: str) -> Scenario:
     return validate(data)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="ctmarket",
         description="Continuous-time market dispatch, pricing and settlement.",
@@ -324,7 +331,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", metavar="PATH", default=None, help="write series files here")
     parser.add_argument("--allow-clamp", action="store_true", help="permit clamped dispatch")
     parser.add_argument("--quiet", action="store_true", help="suppress the report")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         scenario = builtin_case_study() if args.case_study else _load_scenario_file(args.scenario)
@@ -350,14 +361,15 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if not args.quiet:
-        print(render_report(out))
-    if args.out_dir is not None:
-        try:
+    # A plant id the report's or the files' encoding cannot hold is an input error.
+    try:
+        if not args.quiet:
+            print(render_report(out))
+        if args.out_dir is not None:
             emit_series(out, args.out_dir)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    except (OSError, UnicodeEncodeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

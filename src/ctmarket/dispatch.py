@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -89,9 +90,12 @@ class DispatchSolution:
     order, to its trajectory.  ``lambda_curve`` and every
     output are array-backed :class:`LoadCurve` values on one knot grid:
     they share a single read-only ``times`` array (the load's own for an
-    interior solution), and only their ``powers`` differ.  The outputs'
-    ``powers`` are the read-only rows of one (plants x knots) block, so
-    holding any one output curve keeps the whole block alive.  ``clamped`` marks
+    interior solution), and only their ``powers`` differ.  ``block`` is the
+    read-only (plants x knots) array of every output in plant order, and
+    the outputs' ``powers`` are its rows, so holding any one output curve
+    keeps the whole block alive.  A solution built by hand, without the
+    solver's block, stacks it once on first use; that needs every output
+    on ``lambda_curve``'s times.  ``clamped`` marks
     solutions where a capacity bound is active on an interval
     (``clamp_events`` lists them); duration pricing refuses such solutions.
     """
@@ -103,10 +107,51 @@ class DispatchSolution:
     horizon: float
     clamped: bool = False
     clamp_events: tuple[ClampEvent, ...] = ()
+    _block: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "outputs", MappingProxyType(dict(self.outputs)))
         object.__setattr__(self, "plants", tuple(self.plants))
+
+    @property
+    def times(self) -> np.ndarray:
+        """The knot times that the shadow price and every output share."""
+        return self.lambda_curve.times
+
+    @property
+    def block(self) -> np.ndarray:
+        """The read-only (plants x knots) output block; row ``j`` is the
+        ``powers`` of plant ``j``.  :class:`ValueError` names the first
+        output not on the shadow price's knot times."""
+        if self._block is None:
+            times = self.times
+            rows = []
+            for p in self.plants:
+                curve = self.outputs[p.id]
+                if curve.times is not times and not np.array_equal(curve.times, times):
+                    raise ValueError(f"the output of {p.id!r} is not on the shadow price's knot times")
+                rows.append(curve.powers)
+            block = np.array(rows, dtype=float).reshape(len(rows), len(times))
+            block.setflags(write=False)
+            object.__setattr__(self, "_block", block)
+        return self._block
+
+    @cached_property
+    def _segment_sums(self) -> tuple[list[float], list[float]]:
+        """Per plant, ``int P^2 dt`` and the energy ``int P dt``: with
+        ``b0``, ``b1`` a segment's end outputs, ``dt (b0^2 + b0 b1 +
+        b1^2) / 3`` and ``dt (b0 + b1) / 2`` summed over the segments by one
+        ``np.dot`` per row.  The terms are taken on blocks of rows, so each
+        sum is bit for bit that of the plant's own curve arrays."""
+        t, block = self.times, self.block
+        dt = t[1:] - t[:-1]
+        squares: list[float] = []
+        energies: list[float] = []
+        for rows in _row_blocks(*block.shape):
+            b0, b1 = block[rows, :-1], block[rows, 1:]
+            squares += [float(np.dot(dt, row)) / 3.0 for row in b0 * b0 + b0 * b1 + b1 * b1]
+            energies += [float(np.dot(dt, row)) / 2.0 for row in b0 + b1]
+        return squares, energies
 
 
 class DispatchCost(NamedTuple):
@@ -218,6 +263,7 @@ def _solution(
         horizon=load.horizon,
         clamped=bool(events),
         clamp_events=tuple(events),
+        _block=block,
     )
 
 
@@ -361,32 +407,53 @@ class _Fleet:
         return float(_clip((lam - self.q1) / self.two_q2, self.p_min, self.p_max).sum())
 
 
-def _lambda_for_demand(fleet: _Fleet, demand: float) -> float:
-    """Smallest lam with total clipped supply equal to ``demand``.
+def _infeasible(fleet: _Fleet, demand: float) -> InfeasibleDispatchError:
+    return InfeasibleDispatchError(
+        f"demand {demand:.6g} MW outside the feasible range "
+        f"[{fleet.p_min_sum:.6g}, {fleet.p_max_sum:.6g}] MW",
+        kind="capacity",
+    )
 
-    The supply breakpoints locate the bracket; its sums, precomputed by
-    :class:`_Fleet`, give lam in closed form.
+
+@np.errstate(all="ignore")
+def _lambdas_for_demands(fleet: _Fleet, demands: np.ndarray) -> np.ndarray:
+    """The smallest lam with total clipped supply equal to each demand, for
+    the demands before the first one outside the feasible range (all of
+    them if none is).
+
+    One array pass: the supply breakpoints locate each demand's bracket,
+    whose sums, precomputed by :class:`_Fleet`, give lam in closed form.
+    Each entry is bit for bit the scalar formula, which warns of nothing;
+    ``np.where`` keeps Python's ``min`` / ``max`` tie rules.
     """
-    tol = DISPATCH_TOL * max(1.0, abs(demand))
-    if demand < fleet.p_min_sum - tol or demand > fleet.p_max_sum + tol:
-        raise InfeasibleDispatchError(
-            f"demand {demand:.6g} MW outside the feasible range "
-            f"[{fleet.p_min_sum:.6g}, {fleet.p_max_sum:.6g}] MW",
-            kind="capacity",
-        )
-    thr, supplies = fleet.thr, fleet.supplies
-    if demand <= supplies[0]:
-        return thr[0]
+    tol = DISPATCH_TOL * np.maximum(1.0, np.abs(demands))
+    bad = np.flatnonzero((demands < fleet.p_min_sum - tol) | (demands > fleet.p_max_sum + tol))
+    d = demands[: bad[0]] if bad.size else demands
+    thr, supplies = np.array(fleet.thr), np.array(fleet.supplies)
+    fixed, den, num = np.array(fleet.fixed), np.array(fleet.den), np.array(fleet.num)
     # Beyond the last threshold only the unbounded plants still move.
-    last = demand > supplies[-1]
-    k = len(thr) - 1 if last else bisect.bisect_left(supplies, demand) - 1
-    den = fleet.den[k]
-    if den == 0.0:
-        # Supply plateau at fixed[k].  The float supply at its far end may
-        # round above the plateau; a demand above it is met only at thr[k + 1].
-        return thr[k] if last or demand <= fleet.fixed[k] else thr[k + 1]
-    lam = (demand - fleet.fixed[k] + fleet.num[k]) / den
-    return max(lam, thr[k]) if last else min(max(lam, thr[k]), thr[k + 1])
+    last = d > supplies[-1]
+    k = np.where(last, len(thr) - 1, np.searchsorted(supplies, d, side="left") - 1)
+    k = np.maximum(k, 0)  # a demand at or below the first supply prices at thr[0]
+    lo, hi = thr[k], thr[np.minimum(k + 1, len(thr) - 1)]
+    lam = np.divide(d - fixed[k] + num[k], den[k], out=np.zeros_like(d), where=den[k] != 0.0)
+    lam = np.where(lo > lam, lo, lam)
+    lam = np.where(~last & (hi < lam), hi, lam)
+    # Supply plateau at fixed[k].  The float supply at its far end may round
+    # above the plateau; a demand above it is met only at thr[k + 1].
+    plateau = np.where(last | (d <= fixed[k]), lo, hi)
+    lam = np.where(den[k] == 0.0, plateau, lam)
+    return np.where(d <= supplies[0], thr[0], lam)
+
+
+def _lambda_for_demand(fleet: _Fleet, demand: float) -> float:
+    """Smallest lam with total clipped supply equal to ``demand``: the one
+    demand's :func:`_lambdas_for_demands`; outside the feasible range,
+    :class:`InfeasibleDispatchError`."""
+    lam = _lambdas_for_demands(fleet, np.array([float(demand)]))
+    if not lam.size:
+        raise _infeasible(fleet, demand)
+    return float(lam[0])
 
 
 def _clamped_knots(fleet: _Fleet, load: LoadCurve) -> tuple[np.ndarray, np.ndarray]:
@@ -404,12 +471,15 @@ def _clamped_knots(fleet: _Fleet, load: LoadCurve) -> tuple[np.ndarray, np.ndarr
             return
         knots.append((t, lam))
 
-    times, powers = load.times.tolist(), load.powers.tolist()
-    lam1 = _lambda_for_demand(fleet, powers[0])
+    lams = _lambdas_for_demands(fleet, load.powers).tolist()
+    # The segments before the first infeasible demand are crossed before it
+    # is refused, so a plateau on one of them is the error reported.
+    n = len(lams)
+    times, powers = load.times[:n].tolist(), load.powers[:n].tolist()
     for i in range(len(times) - 1):
         t0, t1 = times[i], times[i + 1]
         d0, d1 = powers[i], powers[i + 1]
-        lam0, lam1 = lam1, _lambda_for_demand(fleet, d1)
+        lam0, lam1 = lams[i], lams[i + 1]
         if not knots:
             knots.append((t0, lam0))
         # Thresholds strictly between lam0 and lam1, in the order crossed.
@@ -427,6 +497,8 @@ def _clamped_knots(fleet: _Fleet, load: LoadCurve) -> tuple[np.ndarray, np.ndarr
             push(tv, thr[k])
         push(t1, lam1)
 
+    if n < len(load.powers):
+        raise _infeasible(fleet, float(load.powers[n]))
     knot_times = np.array([t for t, _ in knots])
     knot_times.setflags(write=False)
     return knot_times, np.array([v for _, v in knots])
@@ -493,12 +565,13 @@ def dispatch_cost(sol: DispatchSolution) -> DispatchCost:
     Closed form, no quadrature: a segment of length ``dt`` on which the
     output runs linearly from ``b0`` to ``b1`` costs
     ``q2 dt (b0^2 + b0 b1 + b1^2) / 3 + q1 dt (b0 + b1) / 2 + q0 dt``.
+    The segment sums come from one pass over the solution's output block,
+    taken once per solution and shared with the settlements' energies.
     A total past the float range raises :class:`NumericError` naming it.
     """
-    per: dict[str, float] = {}
-    for p in sol.plants:
-        curve, c = sol.outputs[p.id], p.cost
-        t, b0, b1 = curve.times, curve.powers[:-1], curve.powers[1:]
-        square = float(np.dot(t[1:] - t[:-1], b0 * b0 + b0 * b1 + b1 * b1)) / 3.0
-        per[p.id] = c.q2 * square + c.q1 * curve.energy + c.q0 * sol.horizon
+    squares, energies = sol._segment_sums
+    per = {
+        p.id: p.cost.q2 * square + p.cost.q1 * energy + p.cost.q0 * sol.horizon
+        for p, square, energy in zip(sol.plants, squares, energies)
+    }
     return DispatchCost(per, checked_fsum(per.values(), "the total generation cost"))

@@ -3,8 +3,9 @@
 Settlement reads the fleet and the spot price (the shadow price) from the
 dispatch solution; duration settlement and band values build the duration
 price from that shadow price, so a solution settles at its own price
-only.  Generation cost and energy come in closed form from the
-output knots; only revenue differs between the mechanisms.  Spot revenue
+only.  Generation cost and energy come in closed form from one pass over
+the solution's (plants x knots) output block, taken once per solution and
+shared by both mechanisms; only revenue differs between them.  Spot revenue
 integrates price times output over time.  Duration revenue integrates
 ``pi(m(y)) * m(y)`` over the plant's output range and adds the base block
 ``[0, min output]``, settled at the anchor ``pi(T)``.  Revenues run on the
@@ -28,7 +29,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .curves import LoadCurve, MeasureFunction
-from .dispatch import DispatchSolution, Plant, _row_blocks, checked_fsum, dispatch_cost
+from .dispatch import DispatchSolution, _row_blocks, checked_fsum, dispatch_cost
 from .errors import DomainError, NumericError, UndefinedPriceError
 from .pricing import DurationPrice, duration_price
 from .quadrature import EXACT_CONFIG, lebesgue_integrate, riemann_integrate
@@ -116,29 +117,35 @@ def _plant_row(
 def _output_integrals(sol: DispatchSolution) -> Iterator[float]:
     """Each output's spot revenue ``int lam P_j dt``, in plant order: one
     row-valued engine call per block of at most ``_BLOCK_ENTRIES`` samples
-    (or one plant), each row bit for bit its plant's own call.  A
+    (or one plant), each row bit for bit its plant's own call.  The
+    integrand fills one (rows x points) array, one ``np.interp`` per row of
+    the output block; every row shares lam's times, so lam's domain check
+    covers them all, and the engine checks the whole array once.  A
     non-finite integrand raises :class:`NumericError` naming its plant,
     after the revenues of the plants before it."""
     lam = sol.lambda_curve
+    times, block = lam.times, sol.block
     # EXACT_CONFIG samples one Simpson pair, three points, per kink piece.
-    points = 3 * (len(lam.times) - 1)
+    points = 3 * (len(times) - 1)
 
-    def integrals(plants: tuple[Plant, ...]) -> list[float]:
-        curves = [sol.outputs[p.id] for p in plants]
+    def integrals(rows: np.ndarray) -> list[float]:
+        def values(ts: np.ndarray) -> np.ndarray:
+            lam_ts = lam.sample(ts)
+            out = np.empty((len(rows), len(ts)))
+            for j, row in enumerate(rows):
+                out[j] = np.interp(ts, times, row)
+            out *= lam_ts
+            return out
 
-        def rows(ts: np.ndarray) -> np.ndarray:
-            return lam.sample(ts) * np.array([curve.sample(ts) for curve in curves])
+        return riemann_integrate(values, 0.0, sol.horizon, EXACT_CONFIG, breakpoints=times).tolist()
 
-        return riemann_integrate(rows, 0.0, sol.horizon, EXACT_CONFIG, breakpoints=lam.times).tolist()
-
-    for block in _row_blocks(len(sol.plants), points):
-        plants = sol.plants[block]
+    for rows in _row_blocks(len(sol.plants), points):
         try:
-            yield from integrals(plants)
+            yield from integrals(block[rows])
         except NumericError as exc:
             # The plants before the bad row come first, as one call each would.
-            yield from integrals(plants[: exc.row]) if exc.row else ()
-            where = f"the spot settlement of {plants[exc.row].id}"
+            yield from integrals(block[rows][: exc.row]) if exc.row else ()
+            where = f"the spot settlement of {sol.plants[rows][exc.row].id}"
             raise NumericError.out_of_range(where, exc.abscissa) from exc
 
 
@@ -147,17 +154,18 @@ def settle_spot(sol: DispatchSolution) -> SettlementReport:
 
     ``lam`` is the dispatch's shadow price; every output shares its knot
     times, so the revenues of a block of plants come from one engine call
-    (see :func:`_output_integrals`).  The market purchasing cost (total
-    revenue) equals the integral of lam times the system load, since
+    (see :func:`_output_integrals`).  Cost and energy come from the
+    solution's one pass over its output block.  The market purchasing cost
+    (total revenue) equals the integral of lam times the system load, since
     outputs balance the load pointwise.  A revenue past the float range
     raises :class:`NumericError` naming the plant, the first in plant
     order, and a market total past it one naming the total.
     """
     costs = dispatch_cost(sol)
-    revenues = _output_integrals(sol)
+    energies = sol._segment_sums[1]
     rows = [
-        _plant_row("spot", p.id, costs.per_plant[p.id], revenue, sol.outputs[p.id].energy)
-        for p, revenue in zip(sol.plants, revenues)
+        _plant_row("spot", p.id, costs.per_plant[p.id], revenue, energy)
+        for p, revenue, energy in zip(sol.plants, _output_integrals(sol), energies)
     ]
     return _assemble("spot", rows)
 
@@ -167,10 +175,11 @@ def settle_duration(sol: DispatchSolution) -> SettlementReport:
 
     revenue = pi(T) * min_output * T + int pi(m_j(y)) m_j(y) dy over the
     plant's output range; the first term is the base block running the
-    whole cycle, priced at the anchor.  Generation cost is the same
-    closed form as under spot settlement.  A base block, level-band
-    integrand or revenue past the float range raises :class:`NumericError`
-    naming the plant, and a market total past it one naming the total.
+    whole cycle, priced at the anchor.  Generation cost and energy are the
+    same closed forms as under spot settlement, taken once per solution.
+    A base block, level-band integrand or revenue past the float range
+    raises :class:`NumericError` naming the plant, and a market total past
+    it one naming the total.
     A clamped dispatch has no duration price and raises
     :class:`UnsupportedOperationError`.
     """
@@ -178,7 +187,7 @@ def settle_duration(sol: DispatchSolution) -> SettlementReport:
     costs = dispatch_cost(sol)
     anchor, T, weight = price.anchor, sol.horizon, price.price_times_duration
     rows = []
-    for p in sol.plants:
+    for p, energy in zip(sol.plants, sol._segment_sums[1]):
         curve = sol.outputs[p.id]
         lo, hi = curve.min_power, curve.max_power
         revenue = anchor * lo * T
@@ -188,7 +197,7 @@ def settle_duration(sol: DispatchSolution) -> SettlementReport:
             except NumericError as exc:
                 where = f"the duration settlement of {p.id}"
                 raise NumericError.out_of_range(where, exc.abscissa) from exc
-        rows.append(_plant_row("duration", p.id, costs.per_plant[p.id], revenue, curve.energy))
+        rows.append(_plant_row("duration", p.id, costs.per_plant[p.id], revenue, energy))
     return _assemble("duration", rows)
 
 

@@ -1,0 +1,158 @@
+"""The (plants x knots) output block of a dispatch solution, and the cost
+and energy sums taken on it, against the per-curve formulas.
+
+``DispatchSolution.block`` is the solver's own array, whose rows are the
+outputs' ``powers``; a solution built by hand stacks its outputs once.
+``dispatch_cost`` and the settlements' energies come from one pass over
+the block per solution.  The reference below is the per-curve code that
+pass replaced: each output's own arrays, one ``np.dot`` for its squares
+and ``LoadCurve.energy`` for its energy.  The same IEEE operations run on
+every cell and the same dot product on every row, so the results must be
+equal bits.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from conftest import random_monotone_load, random_plants, random_wiggly_curve
+from ctmarket import (
+    LoadCurve,
+    Plant,
+    QuadraticCost,
+    dispatch_cost,
+    duration_curve,
+    settle_duration,
+    settle_spot,
+    solve_equilibrium,
+)
+from ctmarket import dispatch
+from ctmarket.dispatch import DispatchSolution
+
+
+def ref_cost_and_energy(sol: DispatchSolution) -> tuple[dict[str, float], dict[str, float]]:
+    cost, energy = {}, {}
+    for p in sol.plants:
+        curve, c = sol.outputs[p.id], p.cost
+        t, b0, b1 = curve.times, curve.powers[:-1], curve.powers[1:]
+        square = float(np.dot(t[1:] - t[:-1], b0 * b0 + b0 * b1 + b1 * b1)) / 3.0
+        energy[p.id] = curve.energy
+        cost[p.id] = c.q2 * square + c.q1 * curve.energy + c.q0 * sol.horizon
+    return cost, energy
+
+
+def _bits(values) -> list[str]:
+    return [float(x).hex() for x in values]
+
+
+def _hand_built(sol: DispatchSolution, **changes) -> DispatchSolution:
+    """``sol`` rebuilt from fresh copies of its curves, without its block."""
+    outputs = {pid: LoadCurve(times=c.times.copy(), powers=c.powers.copy()) for pid, c in sol.outputs.items()}
+    fields = dict(outputs=outputs, plants=list(sol.plants), load=sol.load, horizon=sol.horizon)
+    fields |= changes
+    return DispatchSolution(lambda_curve=sol.lambda_curve, **fields)
+
+
+def _clamped_fleet(rng: np.random.Generator, n: int) -> tuple[list[Plant], LoadCurve]:
+    """A ``clamped_spot``-shaped fleet (every marginal-cost range holds
+    [20, 25], so no supply plateau) and an oscillating load that binds
+    capacity bounds."""
+    q1 = rng.uniform(10.0, 20.0, n)
+    p_max = rng.uniform(20.0, 60.0, n)
+    q2 = rng.uniform(15.0, 30.0, n) / (2.0 * p_max)
+    plants = [
+        Plant(f"g{j}", QuadraticCost(float(q2[j]), float(q1[j]), float(rng.uniform(0.0, 50.0))), p_max=float(p_max[j]))
+        for j in range(n)
+    ]
+    knots = int(rng.integers(3, 40))
+    times = np.cumsum(np.concatenate([[0.0], rng.uniform(0.05, 1.0, knots - 1)]))
+    share = np.clip(0.55 + 0.4 * np.sin(times * rng.uniform(1.0, 5.0)), 0.05, 0.98)
+    return plants, LoadCurve(times=times, powers=p_max.sum() * share)
+
+
+def _solutions():
+    """Seeded interior (monotone and not), duration-rearranged and clamped
+    solutions, fleets of 1 to 40 plants."""
+    rng = np.random.default_rng(2024)
+    for k in range(40):
+        plants = random_plants(rng, int(rng.integers(1, 41)))
+        load = random_monotone_load(rng, plants)
+        yield f"interior-{k}", solve_equilibrium(plants, load)
+        wiggle = random_wiggly_curve(rng)
+        floor = load.powers[0]
+        wiggly = LoadCurve(times=wiggle.times, powers=wiggle.powers + floor)
+        yield f"wiggly-{k}", solve_equilibrium(plants, wiggly)
+        yield f"duration-{k}", solve_equilibrium(plants, duration_curve(wiggly))
+        plants, load = _clamped_fleet(rng, int(rng.integers(2, 41)))
+        sol = solve_equilibrium(plants, load, allow_clamp=True)
+        assert sol.clamped
+        yield f"clamped-{k}", sol
+
+
+@pytest.mark.parametrize("block_entries", [dispatch._BLOCK_ENTRIES, 7])
+def test_cost_and_energy_from_the_block_equal_the_per_curve_formulas(block_entries):
+    # Small row blocks split a fleet over several blocks, as a large one is.
+    with mock.patch.object(dispatch, "_BLOCK_ENTRIES", block_entries):
+        for name, solved in _solutions():
+            for sol in (solved, _hand_built(solved)):
+                cost, energy = ref_cost_and_energy(sol)
+                got = dispatch_cost(sol)
+                assert _bits(got.per_plant.values()) == _bits(cost.values()), name
+                assert list(got.per_plant) == list(cost), name
+                monotone = not sol.clamped and sol.load.is_non_decreasing
+                reports = [settle_spot(sol)] + ([settle_duration(sol)] if monotone else [])
+                for report in reports:
+                    assert _bits(r.energy for r in report.plants) == _bits(energy.values()), name
+                    assert _bits(r.generation_cost for r in report.plants) == _bits(cost.values()), name
+
+
+def test_solved_block_is_the_read_only_array_behind_the_outputs():
+    rng = np.random.default_rng(7)
+    plants = random_plants(rng, 5)
+    for sol in (
+        solve_equilibrium(plants, random_monotone_load(rng, plants)),
+        solve_equilibrium(*_clamped_fleet(rng, 6), allow_clamp=True),
+    ):
+        block = sol.block
+        assert block.shape == (len(sol.plants), len(sol.times))
+        assert not block.flags.writeable and block is sol.block
+        assert sol.times is sol.lambda_curve.times
+        for j, p in enumerate(sol.plants):
+            powers = sol.outputs[p.id].powers
+            assert np.shares_memory(block, powers)
+            assert powers.tobytes() == block[j].tobytes()
+            assert sol.outputs[p.id].times is sol.times
+        with pytest.raises(ValueError):
+            block[0, 0] = 1.0
+
+
+def test_hand_built_block_is_stacked_once_and_ignored_by_equality():
+    rng = np.random.default_rng(8)
+    plants = random_plants(rng, 4)
+    solved = solve_equilibrium(plants, random_monotone_load(rng, plants))
+    built = _hand_built(solved)
+    assert built == solved
+    block = built.block
+    assert block is built.block and not block.flags.writeable
+    assert block.tobytes() == solved.block.tobytes()
+    assert not np.shares_memory(block, solved.block)
+    (field,) = [f for f in dataclasses.fields(DispatchSolution) if f.name == "_block"]
+    assert not field.compare and not field.repr
+
+
+def test_hand_built_block_refuses_an_output_off_the_price_knots():
+    rng = np.random.default_rng(9)
+    plants = random_plants(rng, 3)
+    solved = solve_equilibrium(plants, random_monotone_load(rng, plants))
+    odd = solved.outputs[plants[1].id]
+    T = solved.horizon
+    shifted = LoadCurve(times=np.linspace(0.0, T, len(odd.times) + 1), powers=np.full(len(odd.times) + 1, 1.0))
+    built = _hand_built(solved, outputs={**solved.outputs, plants[1].id: shifted})
+    message = f"the output of {plants[1].id!r} is not on the shadow price's knot times"
+    for call in (lambda: built.block, lambda: dispatch_cost(built), lambda: settle_spot(built)):
+        with pytest.raises(ValueError, match=message):
+            call()

@@ -10,6 +10,7 @@ must be equal exactly (equal bits), not approximately.
 
 from __future__ import annotations
 
+import bisect
 from unittest import mock
 
 import numpy as np
@@ -74,6 +75,40 @@ def ref_lambda_for_demand(plants, fleet, demand: float) -> float:
         return v_lo if demand <= fixed else v_hi
     lam = (demand - fixed + num) / den
     return min(max(lam, v_lo), v_hi)
+
+
+def ref_lambdas_for_demands(plants, fleet, demands: np.ndarray) -> np.ndarray:
+    """:func:`ref_lambda_for_demand` of each demand, up to the first one
+    outside the feasible range."""
+    lams = []
+    for demand in demands.tolist():
+        try:
+            lams.append(ref_lambda_for_demand(plants, fleet, demand))
+        except InfeasibleDispatchError:
+            break
+    return np.array(lams)
+
+
+def scalar_lambda_for_demand(fleet, demand: float) -> float:
+    """The scalar bracket lookup on the fleet's precomputed sums, one demand
+    per call, that the array pass replaced."""
+    tol = 1e-9 * max(1.0, abs(demand))
+    if demand < fleet.p_min_sum - tol or demand > fleet.p_max_sum + tol:
+        raise InfeasibleDispatchError(
+            f"demand {demand:.6g} MW outside the feasible range "
+            f"[{fleet.p_min_sum:.6g}, {fleet.p_max_sum:.6g}] MW",
+            kind="capacity",
+        )
+    thr, supplies = fleet.thr, fleet.supplies
+    if demand <= supplies[0]:
+        return thr[0]
+    last = demand > supplies[-1]
+    k = len(thr) - 1 if last else bisect.bisect_left(supplies, demand) - 1
+    den = fleet.den[k]
+    if den == 0.0:
+        return thr[k] if last or demand <= fleet.fixed[k] else thr[k + 1]
+    lam = (demand - fleet.fixed[k] + fleet.num[k]) / den
+    return max(lam, thr[k]) if last else min(max(lam, thr[k]), thr[k + 1])
 
 
 def ref_thresholds(plants) -> list[float]:
@@ -156,7 +191,7 @@ def test_clamped_solution_matches_reference(plants, fractions):
 
     got = _outcome(lambda: solve_equilibrium(plants, load, allow_clamp=True))
     ref = mock.patch.object(
-        dispatch, "_lambda_for_demand", lambda fl, d: ref_lambda_for_demand(plants, fl, d)
+        dispatch, "_lambdas_for_demands", lambda fl, ds: ref_lambdas_for_demands(plants, fl, ds)
     )
     with ref:
         want = _outcome(lambda: solve_equilibrium(plants, load, allow_clamp=True))
@@ -170,6 +205,85 @@ def test_clamped_solution_matches_reference(plants, fractions):
         assert got.outputs[p.id].powers.tobytes() == want.outputs[p.id].powers.tobytes()
     assert got.clamp_events == want.clamp_events
     assert got.clamped == want.clamped
+
+
+def _load_order_demands(fleet: dispatch._Fleet, fractions) -> list[float]:
+    """Demands at or below the first supply, at every supply breakpoint
+    and between them, on a plateau's near and far side, and in the last
+    bracket, shuffled into load order by ``fractions``."""
+    below = [fleet.p_min_sum, fleet.supplies[0], np.nextafter(fleet.supplies[0], -np.inf)]
+    plateaus = [
+        x
+        for k in range(len(fleet.thr) - 1)
+        if fleet.den[k] == 0.0
+        for edge in (fleet.supplies[k], fleet.fixed[k], fleet.supplies[k + 1])
+        for x in (np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf))
+    ]
+    top = [fleet.supplies[-1] + 1e-3, fleet.p_max_sum * (1.0 + 1e-12)]
+    demands = [*below, *_demands(fleet, fractions), *plateaus, *top]
+    order = np.argsort(np.resize(np.asarray(fractions), len(demands)), kind="stable")
+    return [float(demands[i]) for i in order]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fleets(), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8), st.integers(0, 40))
+def test_array_lambdas_match_the_scalar_code(plants, fractions, infeasible_at):
+    """Each demand's lam from the one array pass is bit for bit the scalar
+    lookup's; a demand outside the feasible range ends the pass there, and
+    the scalar wrapper refuses it as the scalar code did."""
+    fleet = dispatch._Fleet(plants)
+    outcomes = [(d, _outcome(lambda: scalar_lambda_for_demand(fleet, d))) for d in _load_order_demands(fleet, fractions)]
+    # Every demand the scalar code accepts, those within the tolerance of the range's ends included.
+    demands = [d for d, lam in outcomes if np.isfinite(d) and not isinstance(lam, tuple)]
+    want = [_bits(lam) for d, lam in outcomes if np.isfinite(d) and not isinstance(lam, tuple)]
+    assert list(map(_bits, dispatch._lambdas_for_demands(fleet, np.array(demands)))) == want
+    assert [_bits(dispatch._lambda_for_demand(fleet, d)) for d in demands] == want
+    # A first infeasible demand in load order, with feasible and infeasible ones after it.
+    at = min(infeasible_at, len(demands))
+    bad = fleet.p_min_sum - 1.0 if infeasible_at % 2 else fleet.p_max_sum * 2.0 + 1.0
+    if not np.isfinite(bad):
+        bad = fleet.p_min_sum - 1.0
+    mixed = [*demands[:at], bad, *demands[at:], fleet.p_min_sum - 5.0]
+    got = dispatch._lambdas_for_demands(fleet, np.array(mixed))
+    assert list(map(_bits, got)) == want[:at]
+    assert _outcome(lambda: dispatch._lambda_for_demand(fleet, bad)) == _outcome(
+        lambda: scalar_lambda_for_demand(fleet, bad)
+    )
+
+
+@pytest.mark.parametrize(
+    "breakpoints, error, message",
+    [
+        (
+            [(0.0, 50.0), (1.0, 150.0), (2.0, 500.0)],
+            UnsupportedOperationError,
+            "shadow price jumps across a merit-order gap (supply plateau); "
+            "clamped dispatch cannot represent this load",
+        ),
+        (
+            [(0.0, 50.0), (1.0, 500.0), (2.0, 150.0), (3.0, 600.0)],
+            InfeasibleDispatchError,
+            "demand 500 MW outside the feasible range [0, 150] MW",
+        ),
+        (
+            [(0.0, 500.0), (1.0, 150.0)],
+            InfeasibleDispatchError,
+            "demand 500 MW outside the feasible range [0, 150] MW",
+        ),
+    ],
+    ids=["plateau-then-infeasible", "first-infeasible-in-load-order", "infeasible-at-start"],
+)
+def test_clamped_refusal_follows_load_order(breakpoints, error, message):
+    """A supply plateau on a segment before the first infeasible demand is
+    the refusal, as when each demand was priced in turn; otherwise the
+    first infeasible demand in load order is named."""
+    plants = [
+        Plant("low", QuadraticCost(0.001, 0.1, 0.0), p_max=100.0),
+        Plant("high", QuadraticCost(0.001, 1.0, 0.0), p_max=50.0),
+    ]
+    with pytest.raises(error) as err:
+        solve_equilibrium(plants, LoadCurve(breakpoints), allow_clamp=True)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,9 @@ import contextlib
 import csv
 import io
 import json
+import locale
 import math
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import raw_scenarios
+from ctmarket import cli
 from ctmarket.cli import main
 
 SETTLEMENT_HEADER = ["mechanism", "plant", "cost", "revenue", "profit", "profit_rate"]
@@ -494,6 +497,39 @@ def test_unwritable_out_dir_exits_1(tmp_path, capsys):
     rc = main(["--case-study", "--quiet", "--out-dir", str(blocker / "sub")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def _cafe_scenario(tmp_path):
+    data = json.loads((Path(__file__).parent / "data" / "golden" / "valley" / "scenario.json").read_text())
+    data["plants"][0]["id"] = "caf\u00e9"
+    return write_scenario(tmp_path, data)
+
+
+def test_plant_id_the_file_encoding_cannot_hold_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(locale, "getpreferredencoding", lambda do_setlocale=True: "ascii")
+    rc = main(["--scenario", _cafe_scenario(tmp_path), "--mechanism", "both", "--quiet", "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "'ascii' codec can't encode" in err[0]
+
+
+def test_plant_id_the_report_encoding_cannot_hold_exits_1(tmp_path, capsys, monkeypatch):
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["--scenario", _cafe_scenario(tmp_path), "--mechanism", "both"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "'ascii' codec can't encode" in err[0]
+    stdout.flush()
+    assert stdout.buffer.getvalue() == b""
+
+
+def test_parser_is_built_once_per_process(capsys):
+    assert cli._parser() is cli._parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["--mechanism", "spot"])
+    assert exc.value.code == 2
+    assert "one of the arguments --scenario --case-study is required" in capsys.readouterr().err
+    assert main(["--case-study", "--quiet"]) == 0
 
 
 def test_grid_n_option_is_an_unknown_field(tmp_path, capsys):

@@ -191,6 +191,41 @@ def test_nan_in_a_short_column_is_nan_and_padding_is_empty(tmp_path):
     assert duration == [b"0.5,nan", b"nan,", b"1.0,", b""]
 
 
+def test_chunk_ending_exactly_at_the_short_column_end(tmp_path):
+    """pi_time stops exactly at a chunk boundary: the chunk before holds no
+    padding and is written as it is, the one after is all padding there.
+    A one-row-longer short column puts the first padded cell in the next
+    chunk's first row."""
+    step = CHUNK_CELLS // 5
+    n_rows = 2 * step + 5
+    for priced in (step, step + 1, 2 * step):
+        timeseries = [np.linspace(0.0, 1.0, n_rows), np.full(n_rows, 2.5), np.full(n_rows, 0.5)]
+        timeseries += [np.linspace(0.5, 0.25, priced), np.arange(float(n_rows))]
+        timeseries[3][priced - 1] = np.nan
+        timeseries[4][priced - 1] = 1e-9
+        got = tmp_path / str(priced)
+        got.mkdir()
+        assert_same_bytes(_output(["g"], timeseries, []), got)
+        rows = (got / "got" / TIMESERIES_FILE).read_bytes().split(b"\r\n")[1:]
+        assert rows[priced - 1].split(b",")[3:] == [b"nan", b"1e-09"]
+        assert rows[priced].split(b",")[3] == b""
+
+
+def test_nan_and_inf_cells_in_a_chunk_without_padding(tmp_path):
+    """Equal-length columns, as duration.csv always has: no chunk is padded,
+    and a real NaN or +-inf cell is still written as its ``repr``."""
+    step = CHUNK_CELLS // 2
+    ms, pis = np.linspace(0.01, 1.0, 2 * step), np.full(2 * step, 0.5)
+    for i, j, x in [(0, 1, np.nan), (step - 1, 0, np.inf), (step, 1, -np.inf), (2 * step - 1, 1, np.nan)]:
+        (ms, pis)[j][i] = x
+    out = _output([], [[0.0, 1.0], [1.0, 1.0], [2.0, 2.0], []], [ms, pis])
+    assert_same_bytes(out, tmp_path)
+    rows = (tmp_path / "got" / DURATION_FILE).read_bytes().split(b"\r\n")[1:]
+    assert rows[0].split(b",")[1] == b"nan" and rows[step - 1].split(b",")[0] == b"inf"
+    assert rows[step].split(b",")[1] == b"-inf" and rows[-2].split(b",")[1] == b"nan"
+    assert all(b"null" not in row and row.count(b",") == 1 for row in rows[:-1])
+
+
 def test_one_column_and_one_row_blocks(tmp_path):
     shapes = {
         "column": [np.array([1e-05, 0.5, np.nan, 1e16, -0.0, 3.0])],

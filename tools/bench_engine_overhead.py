@@ -1,27 +1,38 @@
-"""Per-call cost of settlement, valuation and the CLI's run and emit,
-before and after a change.
+"""Per-call cost of dispatch, settlement, valuation and the CLI's run and
+emit, before and after a change.
 
 Usage, from the root of a checkout::
 
     python3 tools/bench_engine_overhead.py --before OLD/src --after src \
         --rounds 7 --out BENCH_engine_overhead.json
 
-Times seven things at four shapes (plants x load breakpoints): one
-``lebesgue_integrate`` call of duration settlement (the mean over the
-plants), ``settle_duration``, ``settle_spot``, ``value_by_slice``,
-``value_by_band`` (default edges), and ``cli.run_scenario`` and
-``cli.emit_series`` with the CLI's flags for the shape (``--allow-clamp
---mechanism spot`` on ``clamped_spot``, ``--mechanism both`` elsewhere).
+Times these items at four shapes (plants x load breakpoints):
+``solve_equilibrium``, ``dispatch_cost``, one ``lebesgue_integrate`` call
+of duration settlement (the mean over the plants), ``settle_duration``,
+``settle_spot``, ``value_by_slice``, ``value_by_band`` (default edges), and
+``cli.run_scenario`` and ``cli.emit_series`` with the CLI's flags for the
+shape (``--allow-clamp --mechanism spot`` on ``clamped_spot``,
+``--mechanism both`` elsewhere).  Two more items time the cost's segment
+sums on the (plants x knots) output block in two summation orders, the
+same on either side: ``block_sums_dot`` (one ``np.dot`` per row, as
+``dispatch_cost`` adds) and ``block_sums_cumsum`` (a left-to-right
+``np.cumsum`` along each row, an order no BLAS build changes), with the
+largest relative difference between the two.
 The shapes are the built-in case study, one ``settle_deep`` and one
 ``clamped_spot`` scenario of ``perfbench/workloads.py`` (seed 1, index 0),
 and a seeded 50 x 2000 daily load built like ``settle_deep``.  Spot settlement and slices take
 the dispatch of the load as given; duration settlement and bands take the
-dispatch of its duration curve, as the CLI does.  ``clamped_spot`` binds
-capacity bounds, so it has no duration price and only the spot and CLI
-items are timed there.
+dispatch of its duration curve, as the CLI does.  A solution may keep what
+it computed once, so every item that takes a solution gets a fresh copy of
+it (``dataclasses.replace``) on each call, as a run settles each solution
+once.  ``clamped_spot`` binds capacity bounds, so it has no duration price
+and only the dispatch, spot and CLI items are timed there.
 
 Each round runs every side in a fresh process, alternating which side runs
-first; a process times each item as the best of 5 blocks of repeated calls
+first; a process times every item of every shape in an order shuffled by
+the round's seed, the same on both sides of a round, so that no item
+always runs after the same others.  An item is timed as the best of 5
+blocks of repeated calls
 under ``perfbench/speed.Stopwatch``, in normalised seconds (CPU time scaled
 to a fixed host speed) and in wall seconds.  An item slower than
 ``SLOW_CALL`` per call is timed in one block of one call instead.
@@ -29,7 +40,8 @@ to a fixed host speed) and in wall seconds.  An item slower than
 traced allocations during one untimed call, above what was held before
 it.  The file reports, per item and side, the median and quartiles over
 the rounds, and the change of the medians.  Numpy is held to one thread,
-as the benchmark holds it.
+as the benchmark holds it.  Passing the same tree as ``--before`` and
+``--after`` (an A/A run) shows how far two sides differ on identical code.
 """
 
 from __future__ import annotations
@@ -141,58 +153,110 @@ def _peak_bytes(fn) -> int:
         tracemalloc.stop()
 
 
-def measure() -> dict:
-    """Every item's seconds per call with the ``ctmarket`` on ``sys.path``."""
-    import tempfile
+def _block_sums(sol, order: str):
+    """``int P^2 dt``'s segment sums of every output, on the stacked
+    (plants x knots) block: one ``np.dot`` per row, or each row's terms
+    added left to right by ``np.cumsum``."""
+    import numpy as np
+
+    block = np.array([sol.outputs[p.id].powers for p in sol.plants])
+    t = sol.lambda_curve.times
+    dt = t[1:] - t[:-1]
+    b0, b1 = block[:, :-1], block[:, 1:]
+
+    def sums() -> np.ndarray:
+        terms = b0 * b0 + b0 * b1 + b1 * b1
+        if order == "dot":
+            return np.array([np.dot(dt, row) for row in terms])
+        return np.cumsum(terms * dt, axis=1)[:, -1]
+
+    return sums
+
+
+def _shape_items(shape: str, directory: Path) -> tuple[dict, dict]:
+    """A shape's description and its items, each a call to time."""
+    from dataclasses import replace
+
+    import numpy as np
 
     import ctmarket as ct
     from ctmarket.cli import emit_series, run_scenario
     from ctmarket.quadrature import EXACT_CONFIG
 
+    scenario = _scenario(shape)
+    sol, dsol = _solutions(scenario)
+    run = run_scenario(scenario)
+    load, clamp = scenario.load_curve(), scenario.options.allow_clamp
+    dot, cumsum = _block_sums(sol, "dot"), _block_sums(sol, "cumsum")
+    items = {
+        "solve_equilibrium": lambda: ct.solve_equilibrium(scenario.plants, load, allow_clamp=clamp),
+        "dispatch_cost": lambda: ct.dispatch_cost(replace(sol)),
+        "settle_spot": lambda: ct.settle_spot(replace(sol)),
+        "value_by_slice": lambda: ct.value_by_slice(replace(sol)),
+        "run_scenario": lambda: run_scenario(scenario),
+        "emit_series": lambda: emit_series(run, directory),
+        "block_sums_dot": dot,
+        "block_sums_cumsum": cumsum,
+    }
+    with np.errstate(all="ignore"):
+        a, b = dot(), cumsum()
+        gap = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), np.finfo(float).tiny)))
+    info = {
+        "plants": len(sol.plants),
+        "breakpoints": len(sol.load.times),
+        "duration_breakpoints": None if dsol is None else len(dsol.load.times),
+        "block_sums_max_rel_diff": gap,
+    }
+    if dsol is not None:
+        price = ct.duration_price(dsol)
+        curves = [c for c in dsol.outputs.values() if c.max_power > c.min_power]
+        measures = [ct.MeasureFunction(c) for c in curves]
+
+        def lebesgue_calls() -> None:
+            for c, m in zip(curves, measures):
+                ct.lebesgue_integrate(m, c.min_power, c.max_power, price.price_times_duration, EXACT_CONFIG)
+
+        items["lebesgue_call"] = lebesgue_calls
+        items["settle_duration"] = lambda: ct.settle_duration(replace(dsol))
+        items["value_by_band"] = lambda: ct.value_by_band(replace(dsol))
+        info["lebesgue_calls_per_item"] = len(curves)
+    return info, items
+
+
+def measure(seed: int) -> dict:
+    """Every item's seconds per call with the ``ctmarket`` on ``sys.path``,
+    the items of all shapes timed in an order shuffled by ``seed``."""
+    import random
+    import tempfile
+
     out: dict = {}
-    for shape in SHAPES:
-        scenario = _scenario(shape)
-        sol, dsol = _solutions(scenario)
-        run = run_scenario(scenario)
-        with tempfile.TemporaryDirectory() as directory:
-            items = {
-                "settle_spot": _time(lambda: ct.settle_spot(sol)),
-                "value_by_slice": _time(lambda: ct.value_by_slice(sol)),
-                "run_scenario": _time(lambda: run_scenario(scenario)),
-                "emit_series": _time(lambda: emit_series(run, directory)),
-            }
-            items["emit_series"]["tracemalloc_peak_bytes"] = _peak_bytes(
-                lambda: emit_series(run, directory)
-            )
-        if dsol is not None:
-            price = ct.duration_price(dsol)
-            curves = [c for c in dsol.outputs.values() if c.max_power > c.min_power]
-            measures = [ct.MeasureFunction(c) for c in curves]
-
-            def lebesgue_calls() -> None:
-                for c, m in zip(curves, measures):
-                    ct.lebesgue_integrate(
-                        m, c.min_power, c.max_power, price.price_times_duration, EXACT_CONFIG
-                    )
-
-            per_plant = _time(lebesgue_calls)
-            items["lebesgue_call"] = {k: v / len(curves) for k, v in per_plant.items()}
-            items["settle_duration"] = _time(lambda: ct.settle_duration(dsol))
-            items["value_by_band"] = _time(lambda: ct.value_by_band(dsol))
-        out[shape] = {
-            "plants": len(sol.plants),
-            "breakpoints": len(sol.load.times),
-            "duration_breakpoints": None if dsol is None else len(dsol.load.times),
-            "items": items,
-        }
+    calls: list[tuple[str, str, object]] = []
+    with tempfile.TemporaryDirectory() as root:
+        for shape in SHAPES:
+            info, items = _shape_items(shape, Path(root) / shape)
+            out[shape] = info | {"items": {}}
+            calls += [(shape, name, fn) for name, fn in items.items()]
+        random.Random(seed).shuffle(calls)
+        for shape, name, fn in calls:
+            out[shape]["items"][name] = _time(fn)
+        for shape, name, fn in calls:
+            if name == "emit_series":
+                out[shape]["items"][name]["tracemalloc_peak_bytes"] = _peak_bytes(fn)
+    for info in out.values():
+        times = info["items"]
+        if "lebesgue_call" in times:
+            n = info.pop("lebesgue_calls_per_item")
+            times["lebesgue_call"] = {k: v / n for k, v in times["lebesgue_call"].items()}
+        info["items"] = dict(sorted(times.items()))
     return out
 
 
-def _run_side(src: Path) -> dict:
+def _run_side(src: Path, seed: int) -> dict:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(PERFBENCH)]))
     env.update({var: "1" for var in THREAD_VARS})
     done = subprocess.run(
-        [sys.executable, __file__, "--measure"], env=env, check=True, capture_output=True, text=True
+        [sys.executable, __file__, "--measure", "--seed", str(seed)],
+        env=env, check=True, capture_output=True, text=True,
     )
     return json.loads(done.stdout)
 
@@ -207,7 +271,7 @@ def compare(before: Path, after: Path, rounds: int, labels: dict[str, str]) -> d
     for r in range(rounds):
         order = ("before", "after") if r % 2 == 0 else ("after", "before")
         for side in order:
-            runs[side].append(_run_side(before if side == "before" else after))
+            runs[side].append(_run_side(before if side == "before" else after, seed=r))
     import numpy
     import orjson
 
@@ -226,8 +290,8 @@ def compare(before: Path, after: Path, rounds: int, labels: dict[str, str]) -> d
             rows[item] = row
         shapes[shape] = {k: v for k, v in first.items() if k != "items"} | {"items": rows}
     return {
-        "what": "seconds per call of settlement, valuation, run_scenario and emit_series, "
-        "and emit_series' tracemalloc peak; see tools/bench_engine_overhead.py",
+        "what": "seconds per call of dispatch, settlement, valuation, run_scenario and "
+        "emit_series, and emit_series' tracemalloc peak; see tools/bench_engine_overhead.py",
         "command": f"python3 tools/bench_engine_overhead.py --rounds {rounds}",
         "before": labels["before"],
         "after": labels["after"],
@@ -257,6 +321,7 @@ def _blas(numpy) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--measure", action="store_true", help="time the ctmarket on sys.path once")
+    parser.add_argument("--seed", type=int, default=0, help="with --measure: the order's shuffle seed")
     parser.add_argument("--before", type=Path, help="src/ directory of the old tree")
     parser.add_argument("--after", type=Path, default=ROOT / "src", help="src/ directory of the new tree")
     parser.add_argument("--before-label", default="before", help="what the old tree is, for the file")
@@ -266,7 +331,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.measure:
         sys.path.insert(0, str(PERFBENCH))
-        print(json.dumps(measure()))
+        print(json.dumps(measure(args.seed)))
         return 0
     if args.before is None:
         parser.error("--before is required")
