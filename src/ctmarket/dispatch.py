@@ -8,7 +8,10 @@ costs across interior plants, giving the affine map
     P_j(t) = (lam(t) - q1_j) / (2 q2_j)
 
 so a piecewise-linear load yields a piecewise-linear shadow price and
-piecewise-linear plant outputs sharing the load's breakpoint times.
+piecewise-linear plant outputs sharing the load's breakpoint times.  An
+interior solution keeps only the shadow price: each output is that affine
+image of it, made when it is looked up, and the (plants x knots) block of
+every output is filled the first time a consumer asks for all of them.
 
 Capacity bounds are validated after the fact.  The default refuses with the
 violating plant, time interval and bound; the opt-in clamped mode computes
@@ -24,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -91,11 +94,15 @@ class DispatchSolution:
     output are array-backed :class:`LoadCurve` values on one knot grid:
     they share a single read-only ``times`` array (the load's own for an
     interior solution), and only their ``powers`` differ.  ``block`` is the
-    read-only (plants x knots) array of every output in plant order, and
-    the outputs' ``powers`` are its rows, so holding any one output curve
-    keeps the whole block alive.  A solution built by hand, without the
-    solver's block, stacks it once on first use; that needs every output
-    on ``lambda_curve``'s times.  ``clamped`` marks
+    read-only (plants x knots) array of every output in plant order.  An
+    interior solution fills it the first time it is read; until then each
+    lookup in ``outputs`` makes a fresh read-only row from the shadow price
+    and keeps nothing.  Once the block exists, and always for a clamped
+    solution (whose solver needs every cell), the outputs' ``powers`` are
+    its rows, so holding any one output curve keeps the whole block alive.
+    A solution built by hand stacks its block once on first use; that needs
+    every output on ``lambda_curve``'s times.  A copy
+    (``dataclasses.replace``) builds its own block.  ``clamped`` marks
     solutions where a capacity bound is active on an interval
     (``clamp_events`` lists them); duration pricing refuses such solutions.
     """
@@ -107,10 +114,15 @@ class DispatchSolution:
     horizon: float
     clamped: bool = False
     clamp_events: tuple[ClampEvent, ...] = ()
-    _block: np.ndarray | None = field(default=None, compare=False, repr=False)
+    _block: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "outputs", MappingProxyType(dict(self.outputs)))
+        outputs = self.outputs
+        if isinstance(outputs, _InteriorOutputs):
+            outputs = outputs.unfilled()  # a copy fills its own block
+        else:
+            outputs = MappingProxyType(dict(outputs))
+        object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "plants", tuple(self.plants))
 
     @property
@@ -123,6 +135,8 @@ class DispatchSolution:
         """The read-only (plants x knots) output block; row ``j`` is the
         ``powers`` of plant ``j``.  :class:`ValueError` names the first
         output not on the shadow price's knot times."""
+        if self._block is None and isinstance(self.outputs, _InteriorOutputs):
+            object.__setattr__(self, "_block", self.outputs.block())
         if self._block is None:
             times = self.times
             rows = []
@@ -221,14 +235,81 @@ def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
     return [slice(first, first + step) for first in range(0, n_rows, step)]
 
 
-def _row_extremes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's NaN-ignoring minimum and maximum, and whether it holds a
-    NaN (``np.minimum`` keeps the NaN that ``np.fmin`` skips)."""
-    return (
-        np.fmin.reduce(rows, axis=1),
-        np.fmax.reduce(rows, axis=1),
-        np.isnan(np.minimum.reduce(rows, axis=1)),
-    )
+def _extremes(
+    lam: np.ndarray, outputs_at: Callable[[np.ndarray], np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each plant's NaN-ignoring minimum and maximum output over the knots,
+    and whether its output is NaN at one, taken from the shadow price's own.
+
+    ``outputs_at(prices)`` is every plant's output (a column each) at each
+    price of a column, by the IEEE operations that fill its output cells.
+    That map does not decrease with the price, and a non-decreasing map
+    commutes with min and max, so each value is its plant's cell at lam's
+    extreme.  Where ``1 / (2 q2)`` is 0 or inf the map can make a NaN of a
+    number (``0 * inf``, ``inf / inf``); an extreme it turns into NaN is a
+    NaN cell of that output, which the finiteness check refuses, and no
+    bound check would decide otherwise on the cell it hides.
+    """
+    lo, hi = outputs_at(np.array([[np.fmin.reduce(lam)], [np.fmax.reduce(lam)]]))
+    # np.minimum keeps the NaN that np.fmin skips.
+    has_nan = np.isnan(lo) | np.isnan(hi) | np.isnan(np.minimum.reduce(lam))
+    return lo, hi, has_nan
+
+
+class _InteriorOutputs(Mapping):
+    """An interior solution's outputs by plant id, in plant order.
+
+    Row ``j`` is ``(lam - q1_j) * inv2a_j``, with its cells below 0 set to
+    +0.0 where ``entry[j]`` (a plant at its merit-order entry point).  A
+    lookup makes its row on the spot, read-only, and keeps nothing, until
+    :meth:`block` fills every row into one read-only array, a few rows at a
+    time; from then on each output is a row of that array.
+    """
+
+    def __init__(self, ids: Sequence[str], times, lam, q1, inv2a, entry) -> None:
+        self._ids = {pid: j for j, pid in enumerate(ids)}
+        self._arrays = times, lam, q1, inv2a, entry
+        self._block: np.ndarray | None = None
+
+    def unfilled(self) -> _InteriorOutputs:
+        """The same outputs, without this mapping's block."""
+        return _InteriorOutputs(self._ids, *self._arrays)
+
+    def block(self) -> np.ndarray:
+        if self._block is None:
+            times, lam, q1, inv2a, entry = self._arrays
+            block = np.empty((len(q1), len(times)))
+            for rows in _row_blocks(*block.shape):
+                out = block[rows]
+                np.subtract(lam, q1[rows, None], out=out)
+                out *= inv2a[rows, None]
+            for j in np.flatnonzero(entry):
+                row = block[j]
+                row[row < 0.0] = 0.0
+            block.setflags(write=False)
+            self._block = block
+        return self._block
+
+    def __getitem__(self, pid: str) -> LoadCurve:
+        j = self._ids[pid]
+        times, lam, q1, inv2a, entry = self._arrays
+        if self._block is not None:
+            return LoadCurve._adopt(times, self._block[j])
+        row = lam - q1[j]
+        row *= inv2a[j]
+        if entry[j]:
+            row[row < 0.0] = 0.0
+        row.setflags(write=False)
+        return LoadCurve._adopt(times, row)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
 
 
 def _solution(
@@ -236,34 +317,31 @@ def _solution(
     load: LoadCurve,
     times: np.ndarray,
     lam: np.ndarray,
-    block: np.ndarray,
     extremes: tuple[np.ndarray, np.ndarray, np.ndarray],
+    outputs: Mapping[str, LoadCurve],
     events: Sequence[ClampEvent] = (),
 ) -> DispatchSolution:
-    """The solution with shadow price ``lam`` and row ``j`` of ``block`` as
-    plant ``j``'s output, all on the shared, already-validated axis ``times``.
+    """The solution with shadow price ``lam`` and ``outputs``, in plant
+    order, all on the shared, already-validated axis ``times``.
 
-    ``extremes`` are :func:`_row_extremes` of ``block``.  ``lam`` and then
-    the rows in plant order are checked as :class:`LoadCurve` checks them;
-    the first refusal is its own ``ValueError``.  Each output curve then
-    adopts a read-only row of ``block`` without a copy.
+    ``extremes`` are :func:`_extremes` of the outputs.  ``lam`` and then
+    the outputs in plant order are checked as :class:`LoadCurve` checks
+    them; the first refusal is its own ``ValueError``.
     """
     lam.setflags(write=False)
     lambda_curve = LoadCurve(times=times, powers=lam)
     lo, hi, has_nan = extremes
     bad = np.flatnonzero(has_nan | ~np.isfinite(lo) | ~np.isfinite(hi) | (lo < 0.0))
     if bad.size:
-        LoadCurve(times=times, powers=block[bad[0]])  # raises: not finite, or below 0
-    block.setflags(write=False)
+        LoadCurve(times=times, powers=outputs[plants[bad[0]].id].powers)  # raises
     return DispatchSolution(
         lambda_curve=lambda_curve,
-        outputs={p.id: LoadCurve._adopt(times, row) for p, row in zip(plants, block)},
+        outputs=outputs,
         plants=plants,
         load=load,
         horizon=load.horizon,
         clamped=bool(events),
         clamp_events=tuple(events),
-        _block=block,
     )
 
 
@@ -288,15 +366,8 @@ def solve_equilibrium(
 
     times = load.times
     lam = (load.powers + offset) / denom
-    # Every P_j = (lam - q1_j) / (2 q2_j) is a row of one (plants x knots) block.
-    block = np.empty((len(plants), len(times)))
-    parts = []
-    for rows in _row_blocks(*block.shape):
-        out = block[rows]
-        np.subtract(lam, q1[rows, None], out=out)
-        out *= inv2a[rows, None]
-        parts.append(_row_extremes(out))
-    lo, hi, has_nan = (np.concatenate(part) for part in zip(*parts))
+    # Every P_j = (lam - q1_j) / (2 q2_j), the same two operations per cell.
+    lo, hi, has_nan = _extremes(lam, lambda prices: (prices - q1) * inv2a)
 
     # Subtraction is monotone, so ``p_min - lo > tol`` exactly when some
     # ``p_min - P > tol``, and likewise for p_max; a NaN output decides nothing.
@@ -307,11 +378,9 @@ def solve_equilibrium(
     if not crossed.any():
         # An output a rounding below 0 that p_min's tolerance accepts is a
         # plant at its merit-order entry point: it runs at +0.0.
-        for j in np.flatnonzero(lo < 0.0):
-            row = block[j]
-            row[row < 0.0] = 0.0
-            lo[j] = 0.0
-        return _solution(plants, load, times, lam, block, (lo, hi, has_nan))
+        entry = lo < 0.0
+        outputs = _InteriorOutputs([p.id for p in plants], times, lam, q1, inv2a, entry)
+        return _solution(plants, load, times, lam, (np.where(entry, 0.0, lo), hi, has_nan), outputs)
 
     if allow_clamp:
         return _solve_clamped(plants, load)
@@ -322,7 +391,7 @@ def solve_equilibrium(
         bound = getattr(plant, kind)
         violations += [
             (s, e, plant, kind, bound)
-            for s, e in _violation_intervals(times, block[j], bound, kind == "p_min")
+            for s, e in _violation_intervals(times, (lam - q1[j]) * inv2a[j], bound, kind == "p_min")
         ]
     s, e, plant, kind, bound = min(violations, key=lambda v: v[0])
     side = "below p_min" if kind == "p_min" else "above p_max"
@@ -537,17 +606,22 @@ def _solve_clamped(plants: Sequence[Plant], load: LoadCurve) -> DispatchSolution
     fleet = _Fleet(plants)
     times, lam = _clamped_knots(fleet, load)
     block = np.empty((len(plants), len(times)))
-    parts, events = [], []
+    events = []
     for rows in _row_blocks(*block.shape):
         out = block[rows]
         np.subtract(lam, fleet.q1[rows, None], out=out)
         out /= fleet.two_q2[rows, None]
         p_min, p_max = fleet.p_min[rows], fleet.p_max[rows]
         _clip(out, p_min[:, None], p_max[:, None])
-        parts.append(_row_extremes(out))
         events += _clamp_events(plants[rows], p_min, p_max, times, out)
-    extremes = tuple(np.concatenate(part) for part in zip(*parts))
-    return _solution(plants, load, times, lam, block, extremes, events)
+    block.setflags(write=False)
+    extremes = _extremes(
+        lam, lambda prices: _clip((prices - fleet.q1) / fleet.two_q2, fleet.p_min, fleet.p_max)
+    )
+    outputs = {p.id: LoadCurve._adopt(times, row) for p, row in zip(plants, block)}
+    sol = _solution(plants, load, times, lam, extremes, outputs, events)
+    object.__setattr__(sol, "_block", block)
+    return sol
 
 
 def checked_fsum(values: Iterable[float], what: str) -> float:

@@ -66,6 +66,7 @@ class DurationPrice:
     lambda_curve: LoadCurve
     _g0: np.ndarray = field(init=False, repr=False, compare=False)
     _slope: np.ndarray = field(init=False, repr=False, compare=False)
+    _steep: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.lambda_curve.is_non_decreasing:
@@ -74,14 +75,24 @@ class DurationPrice:
                 "load with duration_curve() first"
             )
         T, tau, lam = self.horizon, self.lambda_curve.times, self.lambda_curve.powers
-        dt = np.diff(tau)
-        slope = np.diff(lam) / dt
+        dt, rise = np.diff(tau), np.diff(lam)
+        with np.errstate(over="ignore"):
+            slope = rise / dt
         # Closed-form segment integrals of lam'(s)(T - s): each contributes
-        # slope_i * ((T - tau_i) dt_i - dt_i^2 / 2) >= 0.
+        # slope_i * ((T - tau_i) dt_i - dt_i^2 / 2) >= 0.  A steep segment,
+        # whose slope is past the float range (a subnormal dt, say), gives
+        # the same integral as rise_i * ((T - tau_i) - dt_i / 2) and keeps a
+        # slope of 0; every other segment keeps its bits.
+        steep = np.flatnonzero(np.isinf(slope))
+        if steep.size:
+            slope[steep] = 0.0
         g0 = np.empty(len(tau))
         g0[0] = 0.0
-        g0[1:] = np.cumsum(slope * ((T - tau[:-1]) * dt - dt * dt / 2.0))
-        for name, arr in (("_g0", g0), ("_slope", slope)):
+        parts = slope * ((T - tau[:-1]) * dt - dt * dt / 2.0)
+        if steep.size:
+            parts[steep] = rise[steep] * ((T - tau[steep]) - dt[steep] / 2.0)
+        g0[1:] = np.cumsum(parts)
+        for name, arr in (("_g0", g0), ("_slope", slope), ("_steep", steep)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -103,7 +114,16 @@ class DurationPrice:
         idx = tau[1:-1].searchsorted(ts, side="right")
         t0 = tau[idx]
         u = ts - t0
-        return self._g0[idx] + self._slope[idx] * ((self.horizon - t0) * u - u * u / 2.0)
+        out = self._g0[idx] + self._slope[idx] * ((self.horizon - t0) * u - u * u / 2.0)
+        if self._steep.size:
+            # On a steep segment, add rise * (u / dt) * ((T - t0) - u / 2).
+            idx, t0, u, out = map(np.atleast_1d, (idx, t0, u, out))
+            at = np.isin(idx, self._steep)
+            k, t0, u = idx[at], t0[at], u[at]
+            rise, dt = np.diff(self.lambda_curve.powers)[k], np.diff(tau)[k]
+            out[at] += rise * (u / dt) * ((self.horizon - t0) - u / 2.0)
+            out = out.reshape(np.shape(ts))
+        return out
 
     def _lambda_at(self, ts: np.ndarray) -> np.ndarray:
         return np.interp(ts, self.lambda_curve.times, self.lambda_curve.powers)

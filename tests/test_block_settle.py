@@ -2,7 +2,9 @@
 and energy sums taken on it, against the per-curve formulas.
 
 ``DispatchSolution.block`` is the solver's own array, whose rows are the
-outputs' ``powers``; a solution built by hand stacks its outputs once.
+outputs' ``powers``; a solution built by hand stacks its outputs once.  An
+interior solution fills its block only when it is first read: until then
+each output is made from the shadow price on lookup, with the same bits.
 ``dispatch_cost`` and the settlements' energies come from one pass over
 the block per solution.  The reference below is the per-curve code that
 pass replaced: each output's own arrays, one ``np.dot`` for its squares
@@ -14,12 +16,13 @@ equal bits.
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from conftest import random_monotone_load, random_plants, random_wiggly_curve
+from conftest import interior_demand_floor, random_monotone_load, random_plants, random_wiggly_curve
 from ctmarket import (
     LoadCurve,
     Plant,
@@ -156,3 +159,57 @@ def test_hand_built_block_refuses_an_output_off_the_price_knots():
     for call in (lambda: built.block, lambda: dispatch_cost(built), lambda: settle_spot(built)):
         with pytest.raises(ValueError, match=message):
             call()
+
+
+def test_interior_outputs_are_made_without_a_block():
+    """200 plants x 20 000 knots: solving and reading every output never
+    holds the 32 MB (plants x knots) block, nor builds it."""
+    rng = np.random.default_rng(10)
+    plants = random_plants(rng, 200)
+    times = np.linspace(0.0, 24.0, 20_000)
+    load = LoadCurve(times=times, powers=interior_demand_floor(plants) + np.cumsum(rng.uniform(0.0, 300.0, len(times))))
+    tracemalloc.start()
+    try:
+        sol = solve_equilibrium(plants, load)
+        for p in plants:
+            assert sol.outputs[p.id].powers.shape == times.shape
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol._block is None
+    assert peak < 8 * len(plants) * len(times)
+
+
+def test_outputs_hold_the_block_rows_bits_before_and_after_it_is_built():
+    for name, sol in _solutions():
+        before = [sol.outputs[p.id].powers for p in sol.plants]
+        block = sol.block
+        after = [sol.outputs[p.id].powers for p in sol.plants]
+        assert _bits(np.concatenate(before)) == _bits(block.ravel()) == _bits(np.concatenate(after)), name
+
+
+def test_outputs_are_read_only_and_share_the_solution_times():
+    for name, sol in _solutions():
+        for stage in ("before the block", "rows of the block"):
+            for p in sol.plants:
+                curve = sol.outputs[p.id]
+                assert curve.times is sol.times, (name, stage)
+                with pytest.raises(ValueError):
+                    curve.powers[0] = 1.0
+            sol.block  # builds it, for the second pass
+
+
+def test_a_replaced_copy_builds_its_own_block():
+    rng = np.random.default_rng(11)
+    plants = random_plants(rng, 4)
+    for sol in (
+        solve_equilibrium(plants, random_monotone_load(rng, plants)),
+        solve_equilibrium(*_clamped_fleet(rng, 5), allow_clamp=True),
+    ):
+        early = dataclasses.replace(sol)
+        block = sol.block
+        late = dataclasses.replace(sol)
+        for copy in (early, late):
+            assert copy == sol and copy._block is None
+            assert copy.block.tobytes() == block.tobytes()
+            assert not np.shares_memory(copy.block, block)

@@ -1,7 +1,9 @@
 """Dispatch outputs as one (plants x knots) block, against per-plant code.
 
-``solve_equilibrium`` fills every plant's output as a row of one block and
-decides the bound checks from each row's NaN-ignoring extremes.  The
+``solve_equilibrium`` decides the bound checks from the shadow price's
+NaN-ignoring extremes.  An interior solution makes each output from lam
+when it is looked up and fills every output as a row of one block on first
+use; a clamped one fills the block as it solves.  The
 reference below is the per-plant code it replaced: one array, one
 ``np.any`` test per bound and one validated ``LoadCurve`` per plant, and
 per-plant clipping and clamp runs on the clamped path.  Its one addition is
@@ -220,32 +222,35 @@ _NEGATIVE_ZERO = (
 @example(_NEGATIVE_ZERO, dispatch._BLOCK_ENTRIES)
 def test_block_dispatch_matches_per_plant_reference(case, block_entries):
     plants, load, allow_clamp = case
-    # Small blocks fill the outputs a row or two at a time, as a long load does.
-    with mock.patch.object(dispatch, "_BLOCK_ENTRIES", block_entries):
-        got = _outcome(lambda: solve_equilibrium(plants, load, allow_clamp=allow_clamp))
     want = _outcome(lambda: ref_solve(plants, load, allow_clamp=allow_clamp))
-    if isinstance(want, tuple) or isinstance(got, tuple):
-        assert got == want
-        return
+    # Small blocks fill the outputs a row or two at a time, as a long load does.
+    with mock.patch.object(dispatch, "_BLOCK_ENTRIES", block_entries), np.errstate(all="ignore"):
+        got = _outcome(lambda: solve_equilibrium(plants, load, allow_clamp=allow_clamp))
+        if isinstance(want, tuple) or isinstance(got, tuple):
+            assert got == want
+            return
 
-    times = got.lambda_curve.times
-    assert times.tobytes() == want.lambda_curve.times.tobytes()
-    assert got.lambda_curve.powers.tobytes() == want.lambda_curve.powers.tobytes()
-    assert list(got.outputs) == list(want.outputs)
-    for p in plants:
-        assert got.outputs[p.id].powers.tobytes() == want.outputs[p.id].powers.tobytes(), p.id
-    assert list(map(_event_bits, got.clamp_events)) == list(map(_event_bits, want.clamp_events))
-    assert got.clamped == want.clamped
-    assert got.horizon == want.horizon and got.load is load
+        times = got.lambda_curve.times
+        assert times.tobytes() == want.lambda_curve.times.tobytes()
+        assert got.lambda_curve.powers.tobytes() == want.lambda_curve.powers.tobytes()
+        assert list(got.outputs) == list(want.outputs)
+        # An interior solution makes these from lam, before any block exists.
+        for p in plants:
+            assert got.outputs[p.id].powers.tobytes() == want.outputs[p.id].powers.tobytes(), p.id
+        assert list(map(_event_bits, got.clamp_events)) == list(map(_event_bits, want.clamp_events))
+        assert got.clamped == want.clamped
+        assert got.horizon == want.horizon and got.load is load
 
-    # The outputs are read-only rows of one block, on one times array.
-    block = got.outputs[plants[0].id].powers.base
+        # Once the block is built, the outputs are its read-only rows, with
+        # the same bits, on one times array.
+        block = got.block
     assert block.shape == (len(plants), len(times)) and not block.flags.writeable
     for j, p in enumerate(plants):
         curve = got.outputs[p.id]
         assert curve.times is times
         assert curve.powers.base is block and not curve.powers.flags.writeable
         assert curve.powers.ctypes.data == block[j].ctypes.data
+        assert curve.powers.tobytes() == want.outputs[p.id].powers.tobytes(), p.id
 
 
 def test_nan_cells_decide_no_bound():

@@ -162,6 +162,21 @@ class TestDurationPrice:
         again = duration_price(case_solution)
         assert a == again and hash(a) == hash(again)
 
+    def test_correction_is_finite_over_a_subnormal_horizon(self):
+        """lam rises by 0.2 over T = 1e-320 h, a slope past the float range;
+        G(t) = int_0^t lam'(s)(T - s) ds is still tiny: rise * T / 2 at T
+        and rise * 3T / 8 half-way, each within a few ulps."""
+        T = 1e-320
+        sol = solve_equilibrium([Plant("a", QuadraticCost(0.001, 0.1, 0.1))], LoadCurve([(0.0, 100.0), (T, 200.0)]))
+        price = duration_price(sol)
+        rise = float(np.diff(sol.lambda_curve.powers)[0])
+        # At m = 0 the price term lam(T) * m is 0, leaving G(T).
+        for got, want in (
+            (price.price_times_duration(0.0), rise * T / 2.0),
+            (float(price._correction(np.asarray(T / 2.0))), rise * (3.0 * T / 8.0)),
+        ):
+            assert math.isfinite(got) and abs(got - want) <= 4.0 * math.ulp(want)
+
 
 class TestUnitEnergyPriceSpot:
     def test_plant1_whole_cycle(self, case_solution):

@@ -233,18 +233,20 @@ class TestDurationSettlement:
         assert rows and all(math.isfinite(r.energy) and math.isfinite(r.unit_value) for r in rows)
 
     def test_overflowing_band_names_plant_and_band(self):
-        """A price rising over 1e-320 h overflows the duration price's slope,
-        so the band integrand is not finite.  Settlement names the plant;
-        band values name the plant and the band, not just the abscissa."""
+        """A price rising over 1e-320 h has a slope past the float range, so
+        the shadow price interpolated inside that segment is inf and the
+        band integrand above the base block is not finite (the base block,
+        priced by G alone, is finite).  Settlement names the plant; band
+        values name the plant and the band, not just the abscissa."""
         plants = [Plant("g1", QuadraticCost(0.001, 0.1, 0.1))]
         with np.errstate(all="ignore"):
             sol = solve_equilibrium(plants, LoadCurve([(0.0, 100.0), (1e-320, 200.0)]))
             with pytest.raises(NumericError, match="^the duration settlement of g1 is not finite: "):
                 settle_duration(sol)
-            band = r"^the duration value of g1 on \[0\.0, 99\.99999999999999\] MW is not finite: "
+            band = r"^the duration value of g1 on \[99\.99999999999999, 200\.0\] MW is not finite: "
             with pytest.raises(NumericError, match=band) as err:
                 value_by_band(sol)
-        assert err.value.abscissa == 0.0
+        assert err.value.abscissa == 99.99999999999999
 
 
 class TestValueDecomposition:

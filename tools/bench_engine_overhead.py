@@ -19,29 +19,37 @@ same on either side: ``block_sums_dot`` (one ``np.dot`` per row, as
 ``np.cumsum`` along each row, an order no BLAS build changes), with the
 largest relative difference between the two.
 The shapes are the built-in case study, one ``settle_deep`` and one
-``clamped_spot`` scenario of ``perfbench/workloads.py`` (seed 1, index 0),
-and a seeded 50 x 2000 daily load built like ``settle_deep``.  Spot settlement and slices take
-the dispatch of the load as given; duration settlement and bands take the
-dispatch of its duration curve, as the CLI does.  A solution may keep what
-it computed once, so every item that takes a solution gets a fresh copy of
-it (``dataclasses.replace``) on each call, as a run settles each solution
-once.  ``clamped_spot`` binds capacity bounds, so it has no duration price
-and only the dispatch, spot and CLI items are timed there.
+``clamped_spot`` scenario of ``perfbench/workloads.py`` (seed 1, index
+0), and a seeded 50 x 2000 daily load built like ``settle_deep``.  A
+fifth shape, ``dispatch_wide`` (300 x 10 000, monotone; seed 1, index
+0), times one item, the benchmark's library path: ``solve_and_sample``
+solves the dispatch and samples every output at the load's knots.  Spot
+settlement and slices take the dispatch of the load as given; duration
+settlement and bands take the dispatch of its duration curve, as the CLI
+does.  A solution may keep what it computed once, so every item that
+takes a solution gets a fresh copy of it (``dataclasses.replace``) on
+each call, as a run settles each solution once.  A copy fills its own
+output block in the first item that reads it, so a change that moves
+that fill out of ``solve_equilibrium`` moves its cost into those items;
+``run_scenario`` holds both.  ``clamped_spot`` binds capacity bounds, so
+it has no duration price and only the dispatch, spot and CLI items are
+timed there.
 
-Each round runs every side in a fresh process, alternating which side runs
-first; a process times every item of every shape in an order shuffled by
-the round's seed, the same on both sides of a round, so that no item
-always runs after the same others.  An item is timed as the best of 5
-blocks of repeated calls
-under ``perfbench/speed.Stopwatch``, in normalised seconds (CPU time scaled
-to a fixed host speed) and in wall seconds.  An item slower than
-``SLOW_CALL`` per call is timed in one block of one call instead.
-``emit_series`` also records ``tracemalloc_peak_bytes``: the peak of
-traced allocations during one untimed call, above what was held before
-it.  The file reports, per item and side, the median and quartiles over
-the rounds, and the change of the medians.  Numpy is held to one thread,
-as the benchmark holds it.  Passing the same tree as ``--before`` and
-``--after`` (an A/A run) shows how far two sides differ on identical code.
+Each round runs every side in a fresh process, alternating which side
+runs first; a process times every item of every shape in an order
+shuffled by the round's seed, the same on both sides of a round, so that
+no item always runs after the same others.  An item is timed as the best
+of 5 blocks of repeated calls under ``perfbench/speed.Stopwatch``, in
+normalised seconds (CPU time scaled to a fixed host speed) and in wall
+seconds.  An item slower than ``SLOW_CALL`` per call is timed in one
+block of one call instead.  ``emit_series`` and ``solve_and_sample``
+also record ``tracemalloc_peak_bytes``: the peak of traced allocations
+during one untimed call, above what was held before it.  The file
+reports, per item and side, the median and quartiles over the rounds,
+and the change of the medians.  Numpy is held to one thread, as the
+benchmark holds it.  Passing the same tree as ``--before`` and
+``--after`` (an A/A run) shows how far two sides differ on identical
+code.  Quartiles need at least two rounds.
 """
 
 from __future__ import annotations
@@ -58,7 +66,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-SHAPES = ("case_study", "settle_deep", "clamped_spot", "daily_50x2000")
+SHAPES = ("case_study", "settle_deep", "clamped_spot", "daily_50x2000", "dispatch_wide")
+PEAKED = ("emit_series", "solve_and_sample")  # items whose tracemalloc peak is recorded
 BLOCKS = 5  # timed blocks per item and process; the best one counts
 BLOCK_SECONDS = 0.15  # rough length of one block
 SLOW_CALL = 1.0  # seconds per call above which one block of one call is timed
@@ -173,6 +182,20 @@ def _block_sums(sol, order: str):
     return sums
 
 
+def _wide_items(scenario) -> tuple[dict, dict]:
+    """``dispatch_wide``'s description and its one item: the library path
+    of the benchmark's workload, without validation and pricing."""
+    import ctmarket as ct
+
+    plants, load = scenario.plants, scenario.load_curve()
+
+    def solve_and_sample() -> list:
+        sol = ct.solve_equilibrium(plants, load)
+        return [sol.outputs[p.id].sample(load.times) for p in plants]
+
+    return {"plants": len(plants), "breakpoints": len(load.times)}, {"solve_and_sample": solve_and_sample}
+
+
 def _shape_items(shape: str, directory: Path) -> tuple[dict, dict]:
     """A shape's description and its items, each a call to time."""
     from dataclasses import replace
@@ -184,6 +207,8 @@ def _shape_items(shape: str, directory: Path) -> tuple[dict, dict]:
     from ctmarket.quadrature import EXACT_CONFIG
 
     scenario = _scenario(shape)
+    if shape == "dispatch_wide":
+        return _wide_items(scenario)
     sol, dsol = _solutions(scenario)
     run = run_scenario(scenario)
     load, clamp = scenario.load_curve(), scenario.options.allow_clamp
@@ -240,7 +265,7 @@ def measure(seed: int) -> dict:
         for shape, name, fn in calls:
             out[shape]["items"][name] = _time(fn)
         for shape, name, fn in calls:
-            if name == "emit_series":
+            if name in PEAKED:
                 out[shape]["items"][name]["tracemalloc_peak_bytes"] = _peak_bytes(fn)
     for info in out.values():
         times = info["items"]
@@ -329,6 +354,8 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=7)
     parser.add_argument("--out", type=Path, help="write the JSON here instead of stdout")
     args = parser.parse_args(argv)
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2: quartiles need two rounds")
     if args.measure:
         sys.path.insert(0, str(PERFBENCH))
         print(json.dumps(measure(args.seed)))
