@@ -237,9 +237,9 @@ def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
 
 def _extremes(
     lam: np.ndarray, outputs_at: Callable[[np.ndarray], np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Each plant's NaN-ignoring minimum and maximum output over the knots,
-    and whether its output is NaN at one, taken from the shadow price's own.
+    taken from the shadow price's own.
 
     ``outputs_at(prices)`` is every plant's output (a column each) at each
     price of a column, by the IEEE operations that fill its output cells.
@@ -248,12 +248,10 @@ def _extremes(
     extreme.  Where ``1 / (2 q2)`` is 0 or inf the map can make a NaN of a
     number (``0 * inf``, ``inf / inf``); an extreme it turns into NaN is a
     NaN cell of that output, which the finiteness check refuses, and no
-    bound check would decide otherwise on the cell it hides.
+    bound check would decide otherwise on the cell it hides.  A NaN in
+    lam itself is refused by lam's own check, before any output's.
     """
-    lo, hi = outputs_at(np.array([[np.fmin.reduce(lam)], [np.fmax.reduce(lam)]]))
-    # np.minimum keeps the NaN that np.fmin skips.
-    has_nan = np.isnan(lo) | np.isnan(hi) | np.isnan(np.minimum.reduce(lam))
-    return lo, hi, has_nan
+    return outputs_at(np.array([[np.fmin.reduce(lam)], [np.fmax.reduce(lam)]]))
 
 
 class _InteriorOutputs(Mapping):
@@ -317,7 +315,7 @@ def _solution(
     load: LoadCurve,
     times: np.ndarray,
     lam: np.ndarray,
-    extremes: tuple[np.ndarray, np.ndarray, np.ndarray],
+    extremes: tuple[np.ndarray, np.ndarray],
     outputs: Mapping[str, LoadCurve],
     events: Sequence[ClampEvent] = (),
 ) -> DispatchSolution:
@@ -330,8 +328,8 @@ def _solution(
     """
     lam.setflags(write=False)
     lambda_curve = LoadCurve(times=times, powers=lam)
-    lo, hi, has_nan = extremes
-    bad = np.flatnonzero(has_nan | ~np.isfinite(lo) | ~np.isfinite(hi) | (lo < 0.0))
+    lo, hi = extremes
+    bad = np.flatnonzero(~np.isfinite(lo) | ~np.isfinite(hi) | (lo < 0.0))
     if bad.size:
         LoadCurve(times=times, powers=outputs[plants[bad[0]].id].powers)  # raises
     return DispatchSolution(
@@ -367,7 +365,7 @@ def solve_equilibrium(
     times = load.times
     lam = (load.powers + offset) / denom
     # Every P_j = (lam - q1_j) / (2 q2_j), the same two operations per cell.
-    lo, hi, has_nan = _extremes(lam, lambda prices: (prices - q1) * inv2a)
+    lo, hi = _extremes(lam, lambda prices: (prices - q1) * inv2a)
 
     # Subtraction is monotone, so ``p_min - lo > tol`` exactly when some
     # ``p_min - P > tol``, and likewise for p_max; a NaN output decides nothing.
@@ -380,7 +378,7 @@ def solve_equilibrium(
         # plant at its merit-order entry point: it runs at +0.0.
         entry = lo < 0.0
         outputs = _InteriorOutputs([p.id for p in plants], times, lam, q1, inv2a, entry)
-        return _solution(plants, load, times, lam, (np.where(entry, 0.0, lo), hi, has_nan), outputs)
+        return _solution(plants, load, times, lam, (np.where(entry, 0.0, lo), hi), outputs)
 
     if allow_clamp:
         return _solve_clamped(plants, load)
