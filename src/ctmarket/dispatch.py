@@ -8,26 +8,27 @@ costs across interior plants, giving the affine map
     P_j(t) = (lam(t) - q1_j) / (2 q2_j)
 
 so a piecewise-linear load yields a piecewise-linear shadow price and
-piecewise-linear plant outputs sharing the load's breakpoint times.  An
-interior solution keeps only the shadow price: each output is that affine
-image of it, made when it is looked up, and the (plants x knots) block of
-every output is filled the first time a consumer asks for all of them.
+piecewise-linear plant outputs sharing the load's breakpoint times.
 
 Capacity bounds are validated after the fact.  The default refuses with the
 violating plant, time interval and bound; the opt-in clamped mode computes
 the exact active-set dispatch instead, subdividing time at the shadow-price
 levels where a plant enters or leaves a bound.  A clamped solution supports
 spot settlement only.
+
+Either way a solution keeps only the shadow price: each output is the
+plant's inverse marginal cost of it, clipped at a binding bound, made when
+it is looked up, and the (plants x knots) block of every output is filled
+the first time a consumer asks for all of them.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,24 +88,24 @@ class ClampEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class DispatchSolution:
-    """Equilibrium dispatch: shadow-price curve plus per-plant trajectories.
+    """Equilibrium dispatch: shadow-price curve plus per-plant trajectories,
+    as :func:`solve_equilibrium` returns it.
 
     ``plants`` is the fleet solved; ``outputs`` maps each plant id, in that
     order, to its trajectory.  ``lambda_curve`` and every
     output are array-backed :class:`LoadCurve` values on one knot grid:
     they share a single read-only ``times`` array (the load's own for an
-    interior solution), and only their ``powers`` differ.  ``block`` is the
-    read-only (plants x knots) array of every output in plant order.  An
-    interior solution fills it the first time it is read; until then each
-    lookup in ``outputs`` makes a fresh read-only row from the shadow price
-    and keeps nothing.  Once the block exists, and always for a clamped
-    solution (whose solver needs every cell), the outputs' ``powers`` are
-    its rows, so holding any one output curve keeps the whole block alive.
-    A solution built by hand stacks its block once on first use; that needs
-    every output on ``lambda_curve``'s times.  A copy
-    (``dataclasses.replace``) builds its own block.  ``clamped`` marks
-    solutions where a capacity bound is active on an interval
-    (``clamp_events`` lists them); duration pricing refuses such solutions.
+    interior solution), and only their ``powers`` differ.  Each output is
+    the plant's inverse marginal cost of the shadow price, clipped at a
+    binding capacity bound.  ``block`` is the read-only (plants x knots)
+    array of every output in plant order, filled the first time it is
+    read; until then each lookup in ``outputs`` makes a fresh read-only
+    row from the shadow price and keeps nothing.  Once the block exists,
+    the outputs' ``powers`` are its rows, so holding any one output curve
+    keeps the whole block alive.  A copy (``dataclasses.replace``) fills
+    its own block.  ``clamped`` marks solutions where a capacity bound is
+    active on an interval (``clamp_events`` lists them); duration pricing
+    refuses such solutions.
     """
 
     lambda_curve: LoadCurve
@@ -114,16 +115,9 @@ class DispatchSolution:
     horizon: float
     clamped: bool = False
     clamp_events: tuple[ClampEvent, ...] = ()
-    _block: np.ndarray | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        outputs = self.outputs
-        if isinstance(outputs, _InteriorOutputs):
-            outputs = outputs.unfilled()  # a copy fills its own block
-        else:
-            outputs = MappingProxyType(dict(outputs))
-        object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "plants", tuple(self.plants))
+        object.__setattr__(self, "outputs", self.outputs.unfilled())  # a copy fills its own block
 
     @property
     def times(self) -> np.ndarray:
@@ -133,22 +127,8 @@ class DispatchSolution:
     @property
     def block(self) -> np.ndarray:
         """The read-only (plants x knots) output block; row ``j`` is the
-        ``powers`` of plant ``j``.  :class:`ValueError` names the first
-        output not on the shadow price's knot times."""
-        if self._block is None and isinstance(self.outputs, _InteriorOutputs):
-            object.__setattr__(self, "_block", self.outputs.block())
-        if self._block is None:
-            times = self.times
-            rows = []
-            for p in self.plants:
-                curve = self.outputs[p.id]
-                if curve.times is not times and not np.array_equal(curve.times, times):
-                    raise ValueError(f"the output of {p.id!r} is not on the shadow price's knot times")
-                rows.append(curve.powers)
-            block = np.array(rows, dtype=float).reshape(len(rows), len(times))
-            block.setflags(write=False)
-            object.__setattr__(self, "_block", block)
-        return self._block
+        ``powers`` of plant ``j``."""
+        return self.outputs.block()
 
     @cached_property
     def _segment_sums(self) -> tuple[list[float], list[float]]:
@@ -235,15 +215,12 @@ def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
     return [slice(first, first + step) for first in range(0, n_rows, step)]
 
 
-def _extremes(
-    lam: np.ndarray, outputs_at: Callable[[np.ndarray], np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
+def _extremes(lam: np.ndarray, q1, scale, op, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Each plant's NaN-ignoring minimum and maximum output over the knots,
-    taken from the shadow price's own.
+    taken from the shadow price's own: the rows of :func:`_outputs_at`
+    at lam's extremes.
 
-    ``outputs_at(prices)`` is every plant's output (a column each) at each
-    price of a column, by the IEEE operations that fill its output cells.
-    That map does not decrease with the price, and a non-decreasing map
+    Each output does not decrease with the price, and a non-decreasing map
     commutes with min and max, so each value is its plant's cell at lam's
     extreme.  Where ``1 / (2 q2)`` is 0 or inf the map can make a NaN of a
     number (``0 * inf``, ``inf / inf``); an extreme it turns into NaN is a
@@ -251,54 +228,81 @@ def _extremes(
     bound check would decide otherwise on the cell it hides.  A NaN in
     lam itself is refused by lam's own check, before any output's.
     """
-    return outputs_at(np.array([[np.fmin.reduce(lam)], [np.fmax.reduce(lam)]]))
+    return _outputs_at(np.array([[np.fmin.reduce(lam)], [np.fmax.reduce(lam)]]), q1, scale, op, lo, hi)
 
 
-class _InteriorOutputs(Mapping):
-    """An interior solution's outputs by plant id, in plant order.
+def _outputs_at(prices, q1, scale, op, lo, hi) -> np.ndarray:
+    """Every plant's output (a column each) at each price of a column:
+    ``op(price - q1_j, scale_j)`` clipped to ``[lo_j, hi_j]``."""
+    return _clip(op(prices - q1, scale), lo, hi)
 
-    Row ``j`` is ``(lam - q1_j) * inv2a_j``, with its cells below 0 set to
-    +0.0 where ``entry[j]`` (a plant at its merit-order entry point).  A
-    lookup makes its row on the spot, read-only, and keeps nothing, until
-    :meth:`block` fills every row into one read-only array, a few rows at a
-    time; from then on each output is a row of that array.
+
+def _clip(raw, lo, hi):
+    """Set ``raw`` to ``min(max(raw, lo), hi)`` elementwise, in place and
+    keeping Python's tie rules; return it."""
+    np.copyto(raw, lo, where=lo > raw)
+    np.copyto(raw, hi, where=hi < raw)
+    return raw
+
+
+class _Outputs(Mapping):
+    """A solution's outputs by plant id, in plant order.
+
+    Row ``j`` is the plant's inverse marginal cost of the shadow price,
+    ``op(lam - q1_j, scale_j)``, clipped to ``[lo_j, hi_j]`` where a bound
+    binds.  A lookup makes its row on the spot, read-only, and keeps
+    nothing, until :meth:`block` fills every row into one read-only array,
+    a few rows at a time; from then on each output is a row of that array.
+    A bound of -inf (``lo``) or +inf (``hi``) meets no cell, so its
+    comparison is skipped.
     """
 
-    def __init__(self, ids: Sequence[str], times, lam, q1, inv2a, entry) -> None:
-        self._ids = {pid: j for j, pid in enumerate(ids)}
-        self._arrays = times, lam, q1, inv2a, entry
+    def __init__(self, plants: Sequence[Plant], times, lam, q1, scale, op, lo, hi) -> None:
+        self._ids = {p.id: j for j, p in enumerate(plants)}
+        self.times, self.lam, self.model = times, lam, (q1, scale, op, lo, hi)
+        self._binds = lo > -_INF, hi < _INF
         self._block: np.ndarray | None = None
 
-    def unfilled(self) -> _InteriorOutputs:
+    def unfilled(self) -> _Outputs:
         """The same outputs, without this mapping's block."""
-        return _InteriorOutputs(self._ids, *self._arrays)
+        copy = object.__new__(_Outputs)
+        copy.__dict__.update(self.__dict__, _block=None)
+        return copy
+
+    def fill(self, rows: slice, out: np.ndarray) -> np.ndarray:
+        """Write the outputs of the plants ``rows`` into ``out``, a row
+        each, and return it."""
+        q1, scale, op, lo, hi = self.model
+        np.subtract(self.lam, q1[rows, None], out=out)
+        op(out, scale[rows, None], out=out)
+        if self._binds[0][rows].any():
+            np.copyto(out, lo[rows, None], where=lo[rows, None] > out)
+        if self._binds[1][rows].any():
+            np.copyto(out, hi[rows, None], where=hi[rows, None] < out)
+        return out
 
     def block(self) -> np.ndarray:
         if self._block is None:
-            times, lam, q1, inv2a, entry = self._arrays
-            block = np.empty((len(q1), len(times)))
+            block = np.empty((len(self._ids), len(self.times)))
             for rows in _row_blocks(*block.shape):
-                out = block[rows]
-                np.subtract(lam, q1[rows, None], out=out)
-                out *= inv2a[rows, None]
-            for j in np.flatnonzero(entry):
-                row = block[j]
-                row[row < 0.0] = 0.0
+                self.fill(rows, block[rows])
             block.setflags(write=False)
             self._block = block
         return self._block
 
     def __getitem__(self, pid: str) -> LoadCurve:
         j = self._ids[pid]
-        times, lam, q1, inv2a, entry = self._arrays
         if self._block is not None:
-            return LoadCurve._adopt(times, self._block[j])
-        row = lam - q1[j]
-        row *= inv2a[j]
-        if entry[j]:
-            row[row < 0.0] = 0.0
+            return LoadCurve._adopt(self.times, self._block[j])
+        q1, scale, op, lo, hi = self.model
+        row = self.lam - q1[j]
+        op(row, scale[j], out=row)
+        if self._binds[0][j]:
+            np.copyto(row, lo[j], where=lo[j] > row)
+        if self._binds[1][j]:
+            np.copyto(row, hi[j], where=hi[j] < row)
         row.setflags(write=False)
-        return LoadCurve._adopt(times, row)
+        return LoadCurve._adopt(self.times, row)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._ids)
@@ -310,32 +314,25 @@ class _InteriorOutputs(Mapping):
         return repr(dict(self))
 
 
-def _solution(
-    plants: Sequence[Plant],
-    load: LoadCurve,
-    times: np.ndarray,
-    lam: np.ndarray,
-    extremes: tuple[np.ndarray, np.ndarray],
-    outputs: Mapping[str, LoadCurve],
-    events: Sequence[ClampEvent] = (),
-) -> DispatchSolution:
-    """The solution with shadow price ``lam`` and ``outputs``, in plant
-    order, all on the shared, already-validated axis ``times``.
+def _solution(plants: Sequence[Plant], load: LoadCurve, outputs: _Outputs, events=()) -> DispatchSolution:
+    """The solution with ``outputs``, on the shared, already-validated
+    axis ``outputs.times``.
 
-    ``extremes`` are :func:`_extremes` of the outputs.  ``lam`` and then
-    the outputs in plant order are checked as :class:`LoadCurve` checks
-    them; the first refusal is its own ``ValueError``.
+    The shadow price and then the outputs in plant order are checked as
+    :class:`LoadCurve` checks them, the outputs from their
+    :func:`_extremes`; the first refusal is its own ``ValueError``.
     """
+    times, lam = outputs.times, outputs.lam
     lam.setflags(write=False)
     lambda_curve = LoadCurve(times=times, powers=lam)
-    lo, hi = extremes
+    lo, hi = _extremes(lam, *outputs.model)
     bad = np.flatnonzero(~np.isfinite(lo) | ~np.isfinite(hi) | (lo < 0.0))
     if bad.size:
         LoadCurve(times=times, powers=outputs[plants[bad[0]].id].powers)  # raises
     return DispatchSolution(
         lambda_curve=lambda_curve,
         outputs=outputs,
-        plants=plants,
+        plants=tuple(plants),
         load=load,
         horizon=load.horizon,
         clamped=bool(events),
@@ -365,7 +362,7 @@ def solve_equilibrium(
     times = load.times
     lam = (load.powers + offset) / denom
     # Every P_j = (lam - q1_j) / (2 q2_j), the same two operations per cell.
-    lo, hi = _extremes(lam, lambda prices: (prices - q1) * inv2a)
+    lo, hi = _extremes(lam, q1, inv2a, np.multiply, -_INF, _INF)
 
     # Subtraction is monotone, so ``p_min - lo > tol`` exactly when some
     # ``p_min - P > tol``, and likewise for p_max; a NaN output decides nothing.
@@ -376,9 +373,9 @@ def solve_equilibrium(
     if not crossed.any():
         # An output a rounding below 0 that p_min's tolerance accepts is a
         # plant at its merit-order entry point: it runs at +0.0.
-        entry = lo < 0.0
-        outputs = _InteriorOutputs([p.id for p in plants], times, lam, q1, inv2a, entry)
-        return _solution(plants, load, times, lam, (np.where(entry, 0.0, lo), hi), outputs)
+        floor = np.where(lo < 0.0, 0.0, -_INF)
+        outputs = _Outputs(plants, times, lam, q1, inv2a, np.multiply, floor, np.full(len(plants), _INF))
+        return _solution(plants, load, outputs)
 
     if allow_clamp:
         return _solve_clamped(plants, load)
@@ -409,14 +406,6 @@ def solve_equilibrium(
 # ----------------------------------------------------------------------
 
 
-def _clip(raw, lo, hi):
-    """Set ``raw`` to ``min(max(raw, lo), hi)`` elementwise, in place and
-    keeping Python's tie rules; return it."""
-    np.copyto(raw, lo, where=lo > raw)
-    np.copyto(raw, hi, where=hi < raw)
-    return raw
-
-
 def _ordered_sums(values: np.ndarray) -> np.ndarray:
     """``0.0 + values[..., 0] + values[..., 1] + ...``: each row of ``values``
     added left to right along its last axis."""
@@ -443,14 +432,22 @@ class _Fleet:
         self.two_q2 = np.array([2.0 * p.cost.q2 for p in plants])
         self.p_min = np.array([p.p_min for p in plants])
         self.p_max = np.array([p.p_max_or_inf for p in plants])
+        self.model = self.q1, self.two_q2, np.divide, self.p_min, self.p_max
         # ``QuadraticCost.marginal``'s operations in its order; an unbounded
-        # plant's p_max threshold is inf and is no breakpoint.
-        lo_thr = self.two_q2 * self.p_min + self.q1
-        hi_thr = self.two_q2 * self.p_max + self.q1
+        # plant's p_max threshold is inf and is no breakpoint.  A listed one
+        # past the float range (``inf * 0`` is NaN) has no place in the order.
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo_thr = self.two_q2 * self.p_min + self.q1
+            hi_thr = self.two_q2 * self.p_max + self.q1
+        listed = np.column_stack([np.full(len(plants), True), self.p_max < _INF])
+        thresholds = np.column_stack([lo_thr, hi_thr])
+        bad = np.argwhere(listed & ~np.isfinite(thresholds))
+        if bad.size:
+            j, k = bad[0]
+            raise NumericError.out_of_range(f"the marginal cost of plant {plants[j].id!r} at {_KINDS[k]}")
+        self.thr = sorted(set(thresholds[listed].tolist()))
         self.p_min_sum = float(_ordered_sums(self.p_min))
         self.p_max_sum = float(_ordered_sums(self.p_max))
-        listed = np.column_stack([np.full(len(plants), True), self.p_max < _INF])
-        self.thr = sorted(set(np.column_stack([lo_thr, hi_thr])[listed].tolist()))
 
         slope, offset = 1.0 / self.two_q2, self.q1 / self.two_q2
         edges = np.append(self.thr, _INF)
@@ -460,8 +457,7 @@ class _Fleet:
             last = min(first + rows, len(self.thr))
             v_lo, v_hi = edges[first:last, None], edges[first + 1 : last + 1, None]
             # Row by row the same pairwise sum as ``supply`` at each threshold.
-            raw = (v_lo - self.q1) / self.two_q2
-            self.supplies += _clip(raw, self.p_min, self.p_max).sum(axis=1).tolist()
+            self.supplies += _outputs_at(v_lo, *self.model).sum(axis=1).tolist()
             at_max = hi_thr <= v_lo
             at_min = ~at_max & (lo_thr >= v_hi)
             active = ~(at_max | at_min)
@@ -471,7 +467,7 @@ class _Fleet:
             self.num += _ordered_sums(np.where(active, offset, 0.0)).tolist()
 
     def supply(self, lam: float) -> float:
-        return float(_clip((lam - self.q1) / self.two_q2, self.p_min, self.p_max).sum())
+        return float(_outputs_at(lam, *self.model).sum())
 
 
 def _infeasible(fleet: _Fleet, demand: float) -> InfeasibleDispatchError:
@@ -602,24 +598,16 @@ def _clamp_events(
 
 def _solve_clamped(plants: Sequence[Plant], load: LoadCurve) -> DispatchSolution:
     fleet = _Fleet(plants)
-    times, lam = _clamped_knots(fleet, load)
-    block = np.empty((len(plants), len(times)))
+    outputs = _Outputs(plants, *_clamped_knots(fleet, load), *fleet.model)
+    times = outputs.times
+    # The clamp events are found on a few rows at a time; no block is kept.
+    blocks = _row_blocks(len(plants), len(times))
+    scratch = np.empty((min(blocks[0].stop, len(plants)), len(times)))
     events = []
-    for rows in _row_blocks(*block.shape):
-        out = block[rows]
-        np.subtract(lam, fleet.q1[rows, None], out=out)
-        out /= fleet.two_q2[rows, None]
-        p_min, p_max = fleet.p_min[rows], fleet.p_max[rows]
-        _clip(out, p_min[:, None], p_max[:, None])
-        events += _clamp_events(plants[rows], p_min, p_max, times, out)
-    block.setflags(write=False)
-    extremes = _extremes(
-        lam, lambda prices: _clip((prices - fleet.q1) / fleet.two_q2, fleet.p_min, fleet.p_max)
-    )
-    outputs = {p.id: LoadCurve._adopt(times, row) for p, row in zip(plants, block)}
-    sol = _solution(plants, load, times, lam, extremes, outputs, events)
-    object.__setattr__(sol, "_block", block)
-    return sol
+    for rows in blocks:
+        out = outputs.fill(rows, scratch[: len(plants[rows])])
+        events += _clamp_events(plants[rows], fleet.p_min[rows], fleet.p_max[rows], times, out)
+    return _solution(plants, load, outputs, events)
 
 
 def checked_fsum(values: Iterable[float], what: str) -> float:

@@ -339,6 +339,9 @@ def _validate_plants(raw: Any, bad) -> list[Plant]:
         elif not math.isfinite(1.0 / (2.0 * q2)):
             bad(f"{path}.q2", f"too small: 1/(2*q2) overflows the float range (plant {pid!r})")
             ok = False
+        elif not math.isfinite(2.0 * q2):
+            bad(f"{path}.q2", f"too large: 2*q2 overflows the float range (plant {pid!r})")
+            ok = False
         q1 = item.get("q1")
         if not _is_number(q1) or q1 < 0:
             bad(f"{path}.q1", f"must be a finite number >= 0 (plant {pid!r})")

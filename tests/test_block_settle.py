@@ -1,10 +1,10 @@
 """The (plants x knots) output block of a dispatch solution, and the cost
 and energy sums taken on it, against the per-curve formulas.
 
-``DispatchSolution.block`` is the solver's own array, whose rows are the
-outputs' ``powers``; a solution built by hand stacks its outputs once.  An
-interior solution fills its block only when it is first read: until then
-each output is made from the shadow price on lookup, with the same bits.
+``DispatchSolution.block`` is the read-only array whose rows are the
+outputs' ``powers``.  Interior and clamped solutions alike fill it only
+when it is first read: until then each output is made from the shadow
+price on lookup, with the same bits.
 ``dispatch_cost`` and the settlements' energies come from one pass over
 the block per solution.  The reference below is the per-curve code that
 pass replaced: each output's own arrays, one ``np.dot`` for its squares
@@ -52,14 +52,6 @@ def _bits(values) -> list[str]:
     return [float(x).hex() for x in values]
 
 
-def _hand_built(sol: DispatchSolution, **changes) -> DispatchSolution:
-    """``sol`` rebuilt from fresh copies of its curves, without its block."""
-    outputs = {pid: LoadCurve(times=c.times.copy(), powers=c.powers.copy()) for pid, c in sol.outputs.items()}
-    fields = dict(outputs=outputs, plants=list(sol.plants), load=sol.load, horizon=sol.horizon)
-    fields |= changes
-    return DispatchSolution(lambda_curve=sol.lambda_curve, **fields)
-
-
 def _clamped_fleet(rng: np.random.Generator, n: int) -> tuple[list[Plant], LoadCurve]:
     """A ``clamped_spot``-shaped fleet (every marginal-cost range holds
     [20, 25], so no supply plateau) and an oscillating load that binds
@@ -100,17 +92,16 @@ def _solutions():
 def test_cost_and_energy_from_the_block_equal_the_per_curve_formulas(block_entries):
     # Small row blocks split a fleet over several blocks, as a large one is.
     with mock.patch.object(dispatch, "_BLOCK_ENTRIES", block_entries):
-        for name, solved in _solutions():
-            for sol in (solved, _hand_built(solved)):
-                cost, energy = ref_cost_and_energy(sol)
-                got = dispatch_cost(sol)
-                assert _bits(got.per_plant.values()) == _bits(cost.values()), name
-                assert list(got.per_plant) == list(cost), name
-                monotone = not sol.clamped and sol.load.is_non_decreasing
-                reports = [settle_spot(sol)] + ([settle_duration(sol)] if monotone else [])
-                for report in reports:
-                    assert _bits(r.energy for r in report.plants) == _bits(energy.values()), name
-                    assert _bits(r.generation_cost for r in report.plants) == _bits(cost.values()), name
+        for name, sol in _solutions():
+            cost, energy = ref_cost_and_energy(sol)
+            got = dispatch_cost(sol)
+            assert _bits(got.per_plant.values()) == _bits(cost.values()), name
+            assert list(got.per_plant) == list(cost), name
+            monotone = not sol.clamped and sol.load.is_non_decreasing
+            reports = [settle_spot(sol)] + ([settle_duration(sol)] if monotone else [])
+            for report in reports:
+                assert _bits(r.energy for r in report.plants) == _bits(energy.values()), name
+                assert _bits(r.generation_cost for r in report.plants) == _bits(cost.values()), name
 
 
 def test_solved_block_is_the_read_only_array_behind_the_outputs():
@@ -133,34 +124,6 @@ def test_solved_block_is_the_read_only_array_behind_the_outputs():
             block[0, 0] = 1.0
 
 
-def test_hand_built_block_is_stacked_once_and_ignored_by_equality():
-    rng = np.random.default_rng(8)
-    plants = random_plants(rng, 4)
-    solved = solve_equilibrium(plants, random_monotone_load(rng, plants))
-    built = _hand_built(solved)
-    assert built == solved
-    block = built.block
-    assert block is built.block and not block.flags.writeable
-    assert block.tobytes() == solved.block.tobytes()
-    assert not np.shares_memory(block, solved.block)
-    (field,) = [f for f in dataclasses.fields(DispatchSolution) if f.name == "_block"]
-    assert not field.compare and not field.repr
-
-
-def test_hand_built_block_refuses_an_output_off_the_price_knots():
-    rng = np.random.default_rng(9)
-    plants = random_plants(rng, 3)
-    solved = solve_equilibrium(plants, random_monotone_load(rng, plants))
-    odd = solved.outputs[plants[1].id]
-    T = solved.horizon
-    shifted = LoadCurve(times=np.linspace(0.0, T, len(odd.times) + 1), powers=np.full(len(odd.times) + 1, 1.0))
-    built = _hand_built(solved, outputs={**solved.outputs, plants[1].id: shifted})
-    message = f"the output of {plants[1].id!r} is not on the shadow price's knot times"
-    for call in (lambda: built.block, lambda: dispatch_cost(built), lambda: settle_spot(built)):
-        with pytest.raises(ValueError, match=message):
-            call()
-
-
 def test_interior_outputs_are_made_without_a_block():
     """200 plants x 20 000 knots: solving and reading every output never
     holds the 32 MB (plants x knots) block, nor builds it."""
@@ -176,8 +139,29 @@ def test_interior_outputs_are_made_without_a_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sol._block is None
+    assert sol.outputs._block is None
     assert peak < 8 * len(plants) * len(times)
+
+
+def test_a_clamped_solve_holds_no_block():
+    """50 plants at their p_max on an oscillating 20 000-breakpoint load:
+    the clamp events are found a few rows at a time, and the solve never
+    holds the (plants x knots) block of about 8.7 MB."""
+    rng = np.random.default_rng(12)
+    q1, p_max = rng.uniform(10.0, 20.0, 50), rng.uniform(20.0, 60.0, 50)
+    q2 = rng.uniform(15.0, 30.0, 50) / (2.0 * p_max)
+    plants = [Plant(f"g{j}", QuadraticCost(q2[j], q1[j], 0.0), p_max=p_max[j]) for j in range(50)]
+    times = np.linspace(0.0, 24.0, 20_000)
+    load = LoadCurve(times=times, powers=p_max.sum() * (0.55 + 0.4 * np.sin(5.0 * times)))
+    tracemalloc.start()
+    try:
+        sol = solve_equilibrium(plants, load, allow_clamp=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.clamped and len(sol.times) > len(times)
+    assert sol.outputs._block is None
+    assert peak < 8 * len(plants) * len(sol.times)
 
 
 def test_outputs_hold_the_block_rows_bits_before_and_after_it_is_built():
@@ -210,6 +194,6 @@ def test_a_replaced_copy_builds_its_own_block():
         block = sol.block
         late = dataclasses.replace(sol)
         for copy in (early, late):
-            assert copy == sol and copy._block is None
+            assert copy == sol and copy.outputs._block is None
             assert copy.block.tobytes() == block.tobytes()
             assert not np.shares_memory(copy.block, block)

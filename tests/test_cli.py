@@ -455,6 +455,26 @@ def test_any_raw_scenario_exits_0_1_or_2_with_error_lines_only(data):
     assert all(math.isfinite(float(cell)) for cell in cells), cells
 
 
+def test_q2_whose_double_overflows_is_one_error_line(tmp_path, capsys):
+    """2*q2 past the float range made the clamped solve's supply threshold
+    ``inf * 0``, a NaN that changed its answer from call to call."""
+    path = write_scenario(
+        tmp_path,
+        {
+            "name": "huge-q2",
+            "horizon": 1.0,
+            "load": {"breakpoints": [[0.0, 5e307], [1.0, 1.7e308]]},
+            "plants": [
+                {"id": "a", "q2": 1e308, "q1": 0.0, "q0": 0.0},
+                {"id": "b", "q2": 3e-309, "q1": 1.0, "q0": 0.0, "p_max": 5.0},
+            ],
+        },
+    )
+    assert main(["--scenario", path, "--mechanism", "spot", "--allow-clamp", "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: plants[0].q2: too large: 2*q2 overflows the float range (plant 'a')"], err
+
+
 def test_tiny_horizon_names_horizon_under_duration(tmp_path, capsys):
     """The default m_floor = 1e-6 * horizon underflows to 0 for this horizon;
     the diagnostic used to blame m_floor, an option the scenario never set."""

@@ -8,12 +8,14 @@ import pytest
 from ctmarket import (
     InfeasibleDispatchError,
     LoadCurve,
+    NumericError,
     Plant,
     QuadraticCost,
     dispatch_cost,
     solve_equilibrium,
 )
 from conftest import random_monotone_load, random_plants
+from ctmarket import dispatch
 
 
 class TestCaseStudyDispatch:
@@ -265,6 +267,22 @@ class TestClampedDispatch:
         ts = np.linspace(0.0, 1.0, 11)
         assert np.allclose(sol.outputs["dear"].sample(ts), 0.0, atol=1e-12)
         assert np.allclose(sol.outputs["cheap"].sample(ts), load.sample(ts), atol=1e-9)
+
+
+def test_supply_threshold_past_the_float_range_is_refused_by_name():
+    """2 q2 of plant a overflows, so its marginal cost at p_min = 0 is
+    ``inf * 0``: a NaN threshold, which put the clamped solve's supply
+    breakpoints in an order that changed from call to call."""
+    plants = [Plant("a", QuadraticCost(1e308, 0.0, 0.0)), Plant("b", QuadraticCost(3e-309, 1.0, 0.0), p_max=5.0)]
+    load = LoadCurve([(0.0, 5e307), (1.0, 1.7e308)])
+    refusal = r"^the marginal cost of plant 'a' at p_min is not finite"
+    # The unconstrained attempt before it overflows and warns; that is not under test.
+    with np.errstate(all="ignore"):
+        for _ in range(20):
+            with pytest.raises(NumericError, match=refusal):
+                solve_equilibrium(plants, load, allow_clamp=True)
+    with pytest.raises(NumericError, match=refusal):
+        dispatch._Fleet(plants)  # and the thresholds themselves warn of nothing
 
 
 @pytest.mark.parametrize("clamp", [False, True], ids=["interior", "clamped"])

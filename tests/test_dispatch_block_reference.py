@@ -1,10 +1,11 @@
 """Dispatch outputs as one (plants x knots) block, against per-plant code.
 
 ``solve_equilibrium`` decides the bound checks from the shadow price's
-NaN-ignoring extremes.  An interior solution makes each output from lam
-when it is looked up and fills every output as a row of one block on first
-use; a clamped one fills the block as it solves.  The
-reference below is the per-plant code it replaced: one array, one
+NaN-ignoring extremes.  Every solution, interior or clamped, makes each
+output from lam when it is looked up and fills every output as a row of
+one block on first use.  The
+reference below is the per-plant code it replaced, returning plain
+arrays and curves rather than a solution: one array, one
 ``np.any`` test per bound and one validated ``LoadCurve`` per plant, and
 per-plant clipping and clamp runs on the clamped path.  Its one addition is
 the merit-order entry-point rule, marked where it applies: an interior
@@ -20,6 +21,7 @@ inf) reach the checks instead of stopping at the first warning.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -28,7 +30,7 @@ from hypothesis import strategies as st
 
 from ctmarket import InfeasibleDispatchError, LoadCurve, Plant, QuadraticCost, solve_equilibrium
 from ctmarket import dispatch
-from ctmarket.dispatch import ClampEvent, DispatchSolution
+from ctmarket.dispatch import ClampEvent
 
 # ----------------------------------------------------------------------
 # Reference: the per-plant interior and clamped code
@@ -56,7 +58,7 @@ def _clamp_runs(times, at) -> list[tuple[float, float]]:
     return [(float(times[s]), float(times[e])) for s, e in zip(edges[::2], edges[1::2])]
 
 
-def ref_solve(plants, load, allow_clamp=False) -> DispatchSolution:
+def ref_solve(plants, load, allow_clamp=False) -> SimpleNamespace:
     plants = list(plants)
     dispatch._check_plants(plants)
     inv2a = np.array([1.0 / (2.0 * p.cost.q2) for p in plants])
@@ -77,12 +79,14 @@ def ref_solve(plants, load, allow_clamp=False) -> DispatchSolution:
     if not any(_crosses(outputs[p.id], bound, below) for p, _, bound, below in bounds):
         # The entry-point rule: the one change from the per-plant code.
         outputs = {pid: np.where(vals < 0.0, 0.0, vals) for pid, vals in outputs.items()}
-        return DispatchSolution(
+        return SimpleNamespace(
             lambda_curve=_curve_on(times, lam),
             outputs={pid: _curve_on(times, vals) for pid, vals in outputs.items()},
             plants=plants,
             load=load,
             horizon=load.horizon,
+            clamped=False,
+            clamp_events=(),
         )
 
     if not allow_clamp:
@@ -118,7 +122,7 @@ def ref_solve(plants, load, allow_clamp=False) -> DispatchSolution:
                 continue
             at = np.abs(vals - bound) <= 1e-9 * max(1.0, abs(bound))
             events.extend(ClampEvent(p.id, s, e, kind, bound) for s, e in _clamp_runs(knot_times, at))
-    return DispatchSolution(
+    return SimpleNamespace(
         lambda_curve=_curve_on(knot_times, lam_vals),
         outputs={pid: _curve_on(knot_times, vals) for pid, vals in out_vals.items()},
         plants=plants,

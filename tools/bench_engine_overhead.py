@@ -23,7 +23,11 @@ The shapes are the built-in case study, one ``settle_deep`` and one
 0), and a seeded 50 x 2000 daily load built like ``settle_deep``.  A
 fifth shape, ``dispatch_wide`` (300 x 10 000, monotone; seed 1, index
 0), times one item, the benchmark's library path: ``solve_and_sample``
-solves the dispatch and samples every output at the load's knots.  Spot
+solves the dispatch and samples every output at the load's knots.  A
+sixth, ``clamped_wide`` (3000 x 200; ``clamped_spot``'s generator at that
+size, seed 1, index 0), times one item, ``solve_equilibrium`` with
+clamping allowed: a wide active-set solve, whose (plants x knots) output
+block is far larger than anything the solve needs to hold.  Spot
 settlement and slices take the dispatch of the load as given; duration
 settlement and bands take the dispatch of its duration curve, as the CLI
 does.  A solution may keep what it computed once, so every item that
@@ -42,9 +46,10 @@ no item always runs after the same others.  An item is timed as the best
 of 5 blocks of repeated calls under ``perfbench/speed.Stopwatch``, in
 normalised seconds (CPU time scaled to a fixed host speed) and in wall
 seconds.  An item slower than ``SLOW_CALL`` per call is timed in one
-block of one call instead.  ``emit_series`` and ``solve_and_sample``
-also record ``tracemalloc_peak_bytes``: the peak of traced allocations
-during one untimed call, above what was held before it.  The file
+block of one call instead.  ``emit_series``, ``solve_and_sample`` and
+``solve_equilibrium`` also record ``tracemalloc_peak_bytes``: the peak of
+traced allocations during one untimed call, above what was held before
+it.  The file
 reports, per item and side, the median and quartiles over the rounds,
 and the change of the medians.  Numpy is held to one thread, as the
 benchmark holds it.  Passing the same tree as ``--before`` and
@@ -66,8 +71,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-SHAPES = ("case_study", "settle_deep", "clamped_spot", "daily_50x2000", "dispatch_wide")
-PEAKED = ("emit_series", "solve_and_sample")  # items whose tracemalloc peak is recorded
+SHAPES = ("case_study", "settle_deep", "clamped_spot", "daily_50x2000", "dispatch_wide", "clamped_wide")
+PEAKED = ("emit_series", "solve_and_sample", "solve_equilibrium")  # items whose tracemalloc peak is recorded
 BLOCKS = 5  # timed blocks per item and process; the best one counts
 BLOCK_SECONDS = 0.15  # rough length of one block
 SLOW_CALL = 1.0  # seconds per call above which one block of one call is timed
@@ -101,6 +106,7 @@ def _daily_load(n_plants: int, n_bp: int, seed: int) -> dict:
 def _scenario(shape: str):
     """The shape's scenario, its options set as the CLI's flags for it set them."""
     from dataclasses import replace
+    from unittest import mock
 
     import ctmarket as ct
     import workloads
@@ -109,9 +115,12 @@ def _scenario(shape: str):
         scenario = ct.builtin_case_study()
     elif shape == "daily_50x2000":
         scenario = ct.validate(_daily_load(50, 2000, seed=2000))
+    elif shape == "clamped_wide":
+        with mock.patch.dict(workloads.SIZES, clamped_spot=(3000, 200)):
+            scenario = ct.validate(workloads.clamped_spot(1, 0))
     else:
         scenario = ct.validate(json.loads(workloads.scenario_text(shape, 1, 0)))
-    clamp = shape == "clamped_spot"
+    clamp = shape in ("clamped_spot", "clamped_wide")
     mechanisms = ("spot",) if clamp else ("spot", "duration")
     return replace(scenario, options=replace(scenario.options, mechanisms=mechanisms, allow_clamp=clamp))
 
@@ -209,6 +218,10 @@ def _shape_items(shape: str, directory: Path) -> tuple[dict, dict]:
     scenario = _scenario(shape)
     if shape == "dispatch_wide":
         return _wide_items(scenario)
+    if shape == "clamped_wide":
+        plants, load = scenario.plants, scenario.load_curve()
+        info = {"plants": len(plants), "breakpoints": len(load.times)}
+        return info, {"solve_equilibrium": lambda: ct.solve_equilibrium(plants, load, allow_clamp=True)}
     sol, dsol = _solutions(scenario)
     run = run_scenario(scenario)
     load, clamp = scenario.load_curve(), scenario.options.allow_clamp
@@ -316,7 +329,7 @@ def compare(before: Path, after: Path, rounds: int, labels: dict[str, str]) -> d
         shapes[shape] = {k: v for k, v in first.items() if k != "items"} | {"items": rows}
     return {
         "what": "seconds per call of dispatch, settlement, valuation, run_scenario and "
-        "emit_series, and emit_series' tracemalloc peak; see tools/bench_engine_overhead.py",
+        "emit_series, and some items' tracemalloc peak; see tools/bench_engine_overhead.py",
         "command": f"python3 tools/bench_engine_overhead.py --rounds {rounds}",
         "before": labels["before"],
         "after": labels["after"],
