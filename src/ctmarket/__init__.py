@@ -49,7 +49,7 @@ from .scenario import (
 from .settlement import (
     PlantSettlement,
     SettlementReport,
-    ValueSegment,
+    ValueTable,
     settle_duration,
     settle_spot,
     unit_energy_price_duration,
@@ -83,7 +83,7 @@ __all__ = [
     "UndefinedPriceError",
     "UnsupportedOperationError",
     "ValidationIssue",
-    "ValueSegment",
+    "ValueTable",
     "builtin_case_study",
     "dispatch_cost",
     "duration_curve",

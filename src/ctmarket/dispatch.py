@@ -117,6 +117,8 @@ class DispatchSolution:
     clamp_events: tuple[ClampEvent, ...] = ()
 
     def __post_init__(self) -> None:
+        if not isinstance(self.outputs, _Outputs):
+            raise TypeError("a DispatchSolution is made only by solve_equilibrium")
         object.__setattr__(self, "outputs", self.outputs.unfilled())  # a copy fills its own block
 
     @property
@@ -340,6 +342,7 @@ def _solution(plants: Sequence[Plant], load: LoadCurve, outputs: _Outputs, event
     )
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # the checks refuse what overflows
 def solve_equilibrium(
     plants: Sequence[Plant], load: LoadCurve, *, allow_clamp: bool = False
 ) -> DispatchSolution:

@@ -14,10 +14,10 @@ spot revenue takes one row-valued call per block of plants (see
 :func:`_output_integrals`).  A unit energy price is ``int lam P dt / int P
 dt`` over a time slice or ``int pi(m) m dy / int m dy`` over a power band,
 and ``value_by_slice`` / ``value_by_band`` value every segment from those
-integrals in closed form, with no engine call: cut at every knot (bands
-no higher than the curve's top, above which no energy lies), each
-integrand is a polynomial of degree <= 2 on a piece, so one Simpson pair
-per piece is exact.
+integrals in closed form, with no engine call, into one table of columns:
+cut at every knot (bands no higher than the curve's top, above which no
+energy lies), each integrand is a polynomial of degree <= 2 on a piece, so
+one Simpson pair per piece is exact.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .tolerances import DOMAIN_TOL, SAME_HORIZON_TOL
 __all__ = [
     "PlantSettlement",
     "SettlementReport",
-    "ValueSegment",
+    "ValueTable",
     "settle_spot",
     "settle_duration",
     "unit_energy_price_spot",
@@ -72,16 +72,21 @@ class SettlementReport:
     market_profit_rate: float | None
 
 
-@dataclass(frozen=True)
-class ValueSegment:
-    """Unit energy value of one commodity segment of one plant."""
+@dataclass(frozen=True, eq=False)
+class ValueTable:
+    """Unit energy values as read-only columns, a row per plant and segment
+    with energy; ``plant`` is a numpy string array: ``t.energy[t.plant == "p1"]``."""
 
     mechanism: str
-    plant: str
-    lo: float  # slice start (hours) under spot, band bottom (MW) under duration
-    hi: float
-    energy: float
-    unit_value: float
+    plant: np.ndarray
+    lo: np.ndarray  # slice start (hours) under spot, band bottom (MW) under duration
+    hi: np.ndarray
+    energy: np.ndarray
+    unit_value: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in (self.plant, self.lo, self.hi, self.energy, self.unit_value):
+            column.setflags(write=False)
 
 
 def _assemble(mechanism: str, rows: list[PlantSettlement]) -> SettlementReport:
@@ -201,21 +206,19 @@ def settle_duration(sol: DispatchSolution) -> SettlementReport:
     return _assemble("duration", rows)
 
 
-def _time_slice(T: float, t1: float, t2: float) -> tuple[float, float]:
-    """``(t1, t2)`` as floats; :class:`DomainError` unless ``0 <= t1 < t2 <= T``
-    (``t2`` may pass ``T`` by ``DOMAIN_TOL`` relative)."""
-    t1, t2 = float(t1), float(t2)
-    if not (0.0 <= t1 < t2 <= T + DOMAIN_TOL * max(T, 1.0)):
-        raise DomainError(f"need 0 <= t1 < t2 <= {T!r}, got [{t1!r}, {t2!r}]")
-    return t1, t2
-
-
-def _level_band(y1: float, y2: float) -> tuple[float, float]:
-    """``(y1, y2)`` as floats; :class:`DomainError` unless ``0 <= y1 < y2 < inf``."""
-    y1, y2 = float(y1), float(y2)
-    if not (0.0 <= y1 < y2 < math.inf):
-        raise DomainError(f"need 0 <= y1 < y2 < inf, got [{y1!r}, {y2!r}]")
-    return y1, y2
+def _edges(edges, horizon: float | None = None) -> np.ndarray:
+    """``edges`` as a float array once every consecutive pair passes one
+    check: ``0 <= t1 < t2 <= horizon`` for slices (``t2`` may pass it by
+    ``DOMAIN_TOL`` relative), ``0 <= y1 < y2 < inf`` for bands (``horizon``
+    None).  The first pair that fails raises :class:`DomainError`."""
+    e = np.asarray(edges, dtype=float)
+    top = np.finfo(float).max if horizon is None else horizon + DOMAIN_TOL * max(horizon, 1.0)
+    bad = np.flatnonzero(~((0.0 <= e[:-1]) & (e[:-1] < e[1:]) & (e[1:] <= top)))
+    if bad.size:
+        e1, e2 = e[bad[0] : bad[0] + 2].tolist()
+        need = "0 <= y1 < y2 < inf" if horizon is None else f"0 <= t1 < t2 <= {horizon!r}"
+        raise DomainError(f"need {need}, got [{e1!r}, {e2!r}]")
+    return e
 
 
 def _simpson_pairs(edges: np.ndarray, kinks: np.ndarray, top: float = math.inf):
@@ -258,11 +261,10 @@ def _band_sums(price: DurationPrice, m: MeasureFunction, edges: np.ndarray):
 def unit_energy_price_spot(price: LoadCurve, plant_curve: LoadCurve, t1: float, t2: float) -> float:
     """Value per MWh of the time-slice commodity ``[t1, t2]`` of a trajectory
     at the spot price ``price``: ``int lam * P dt / int P dt``."""
-    T = price.horizon
-    t1, t2 = _time_slice(T, t1, t2)
-    if not math.isclose(plant_curve.horizon, T, rel_tol=SAME_HORIZON_TOL):
+    t1, t2 = edges = _edges([t1, t2], price.horizon)
+    if not math.isclose(plant_curve.horizon, price.horizon, rel_tol=SAME_HORIZON_TOL):
         raise ValueError("price and trajectory horizons differ")
-    energy, value = (x.item() for x in _slice_sums(price, [plant_curve], np.array([t1, t2])))
+    energy, value = (x.item() for x in _slice_sums(price, [plant_curve], edges))
     if energy <= 0.0:
         raise UndefinedPriceError(f"no energy on [{t1:.6g}, {t2:.6g}] h: unit price undefined")
     return value / energy
@@ -275,77 +277,71 @@ def unit_energy_price_duration(price: DurationPrice, m: MeasureFunction, y1: flo
     minimum have ``m == T`` throughout and price at the anchor ``lam(0)``;
     above the trajectory's peak a band holds no energy and adds no value.
     """
-    y1, y2 = _level_band(y1, y2)
+    y1, y2 = edges = _edges([y1, y2])
     if not math.isclose(m.horizon, price.horizon, rel_tol=SAME_HORIZON_TOL):
         raise ValueError("price and measure-function horizons differ")
-    mass, value = (x.item() for x in _band_sums(price, m, np.array([y1, y2])))
+    mass, value = (x.item() for x in _band_sums(price, m, edges))
     if mass <= 0.0:
         raise UndefinedPriceError(f"zero measure mass on [{y1:.6g}, {y2:.6g}] MW: unit price undefined")
     return value / mass
 
 
-def value_by_slice(
-    sol: DispatchSolution, time_edges: Sequence[float] | None = None
-) -> tuple[ValueSegment, ...]:
+@np.errstate(over="ignore", invalid="ignore")  # the values past the float range are refused below
+def value_by_slice(sol: DispatchSolution, time_edges: Sequence[float] | None = None) -> ValueTable:
     """Each plant's energy by time slice, valued at the spot price.
 
     The slices run between consecutive ``time_edges`` (default: the shadow
     price's breakpoints).  A slice's unit value is the market unit price of
     the slice commodity, total load settlement over total load energy, so
-    the segments of one slice carry one value across plants.  Slices
-    without load and plants without energy in a slice are omitted.  An
-    energy or unit value past the float range raises :class:`NumericError`.
+    the rows of one slice carry one value across plants.  Rows run by
+    slice, then plant; slices without load and plants without energy in a
+    slice are omitted.  The first energy or unit value past the float range
+    in that order (a slice's unit value last) raises :class:`NumericError`.
     """
     lam = sol.lambda_curve
-    edges = list(time_edges) if time_edges is not None else list(lam.times)
-    slices = [_time_slice(lam.horizon, t1, t2) for t1, t2 in zip(edges, edges[1:])]
-    if not slices:
-        return ()
-    energy, value = _slice_sums(lam, [sol.load, *sol.outputs.values()], np.array(edges, dtype=float))
-    rows: list[ValueSegment] = []
-    for (t1, t2), (load_energy, *energies), load_value in zip(slices, energy.T.tolist(), value[0]):
-        if load_energy <= 0.0:
-            continue
-        unit = float(load_value) / load_energy
-        for p, energy in zip(sol.plants, energies):
-            if not math.isfinite(energy):
-                raise NumericError.out_of_range(f"the energy on [{t1!r}, {t2!r}] h of {p.id}", t1)
-            if energy > 0.0:
-                rows.append(ValueSegment("spot", p.id, t1, t2, energy, unit))
-        if not math.isfinite(unit):
-            raise NumericError.out_of_range(f"the unit value on [{t1!r}, {t2!r}] h", t1)
-    return tuple(rows)
+    edges = _edges(lam.times if time_edges is None else time_edges, lam.horizon)
+    ids, curves = np.array([p.id for p in sol.plants]), [sol.load, *sol.outputs.values()]
+    energy, value = _slice_sums(lam, curves, edges) if len(edges) > 1 else np.zeros((2, len(curves), 0))
+    held = ~(energy[0] <= 0.0)  # slices with load; a NaN load energy is refused below
+    lo, hi, unit = edges[:-1][held], edges[1:][held], value[0, held] / energy[0, held]
+    energies = energy[1:, held].T  # (slices x plants)
+    bad = np.flatnonzero(~np.isfinite(np.column_stack([energies, unit])))
+    if bad.size:
+        s, j = divmod(int(bad[0]), len(ids) + 1)
+        on = f"on [{lo[s].item()!r}, {hi[s].item()!r}] h"
+        what = f"the energy {on} of {sol.plants[j].id}" if j < len(ids) else f"the unit value {on}"
+        raise NumericError.out_of_range(what, lo[s].item())
+    s, j = np.nonzero(energies > 0.0)
+    return ValueTable("spot", ids[j], lo[s], hi[s], energies[s, j], unit[s])
 
 
-def value_by_band(
-    sol: DispatchSolution, band_edges: Sequence[float] | None = None
-) -> tuple[ValueSegment, ...]:
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")  # empty bands are dropped below
+def value_by_band(sol: DispatchSolution, band_edges: Sequence[float] | None = None) -> ValueTable:
     """Each plant's energy by power band, valued at its market duration price.
 
     The bands run between consecutive sorted ``band_edges`` (default, per
     plant: the base block ``[0, min output]`` and the bands between
     consecutive output breakpoint levels).  A band's unit value depends
-    only on the band, not on when its energy was produced.  A band holds
-    energy only up to the plant's peak, and bands without energy are
-    omitted.  A band energy or value past the float range raises
-    :class:`NumericError` naming the plant and the band.  A clamped
-    dispatch has no duration price and raises
-    :class:`UnsupportedOperationError`.
+    only on the band, not on when its energy was produced, and a band holds
+    energy only up to the plant's peak.  Rows run by plant, then band;
+    bands without energy are omitted.  The first band energy or value past
+    the float range in that order raises :class:`NumericError` naming the
+    plant and the band.  A clamped dispatch has no duration price and
+    raises :class:`UnsupportedOperationError`.
     """
     price = duration_price(sol)
-    given = None if band_edges is None else sorted(set(map(float, band_edges)))
-    for y1, y2 in [] if given is None else zip(given, given[1:]):
-        _level_band(y1, y2)  # once; default edges (output levels) are sorted, finite, >= 0
-    rows: list[ValueSegment] = []
-    for pid, curve in sol.outputs.items():
-        edges = sorted({0.0, *curve.levels}) if given is None else given
-        if len(edges) < 2:
-            continue
-        energies, values = _band_sums(price, MeasureFunction(curve), np.array(edges))
-        for y1, y2, energy, value in zip(edges, edges[1:], energies.tolist(), values.tolist()):
-            if not (math.isfinite(energy) and math.isfinite(value)):
-                where = f"the duration value of {pid} on [{y1!r}, {y2!r}] MW"
-                raise NumericError.out_of_range(where, y1)
-            if energy > 0.0:
-                rows.append(ValueSegment("duration", pid, y1, y2, energy, value / energy))
-    return tuple(rows)
+    given = None if band_edges is None else _edges(sorted(set(map(float, band_edges))))
+    ids, parts = np.array([p.id for p in sol.plants]), []  # per plant: (plant, lo, hi, energy, unit)
+    for j, (p, curve) in enumerate(zip(sol.plants, sol.outputs.values())):
+        # Default sorted({0.0, *curve.levels}): levels are >= 0, and + 0.0 turns a -0.0 one into 0.0.
+        edges = np.union1d(curve.powers, [0.0]) + 0.0 if given is None else given
+        m = MeasureFunction(curve)
+        energy, value = _band_sums(price, m, edges) if len(edges) > 1 else np.zeros((2, 0))
+        bad = np.flatnonzero(~(np.isfinite(energy) & np.isfinite(value)))
+        if bad.size:
+            y1, y2 = edges[bad[0] : bad[0] + 2].tolist()
+            raise NumericError.out_of_range(f"the duration value of {p.id} on [{y1!r}, {y2!r}] MW", y1)
+        parts.append((np.full(energy.size, j), edges[:-1], edges[1:], energy, value / energy))
+    j, lo, hi, energy, unit = map(np.concatenate, zip(*parts))
+    held = energy > 0.0
+    return ValueTable("duration", ids[j[held]], lo[held], hi[held], energy[held], unit[held])

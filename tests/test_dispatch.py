@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 from ctmarket import (
+    DispatchSolution,
     InfeasibleDispatchError,
     LoadCurve,
     NumericError,
@@ -276,13 +279,75 @@ def test_supply_threshold_past_the_float_range_is_refused_by_name():
     plants = [Plant("a", QuadraticCost(1e308, 0.0, 0.0)), Plant("b", QuadraticCost(3e-309, 1.0, 0.0), p_max=5.0)]
     load = LoadCurve([(0.0, 5e307), (1.0, 1.7e308)])
     refusal = r"^the marginal cost of plant 'a' at p_min is not finite"
-    # The unconstrained attempt before it overflows and warns; that is not under test.
-    with np.errstate(all="ignore"):
-        for _ in range(20):
-            with pytest.raises(NumericError, match=refusal):
-                solve_equilibrium(plants, load, allow_clamp=True)
+    for _ in range(20):
+        with pytest.raises(NumericError, match=refusal):
+            solve_equilibrium(plants, load, allow_clamp=True)
     with pytest.raises(NumericError, match=refusal):
         dispatch._Fleet(plants)  # and the thresholds themselves warn of nothing
+
+
+@pytest.mark.parametrize(
+    "plants, allow_clamp, refusal",
+    [
+        pytest.param(
+            [Plant("a", QuadraticCost(1e308, 0.0, 0.0)), Plant("b", QuadraticCost(3e-309, 1.0, 0.0), p_max=5.0)],
+            False,
+            (InfeasibleDispatchError, r"^unconstrained dispatch puts plant 'b' above p_max = 5 MW on t in \[0, 1\] h;"),
+            id="overflowing-sums-interior",
+        ),
+        pytest.param(
+            [Plant("a", QuadraticCost(1e308, 0.0, 0.0)), Plant("b", QuadraticCost(3e-309, 1.0, 0.0), p_max=5.0)],
+            True,
+            (NumericError, r"^the marginal cost of plant 'a' at p_min is not finite: "),
+            id="overflowing-sums-clamped",
+        ),
+        pytest.param(
+            [Plant("a", QuadraticCost(1e308, 0.0, 0.0))],
+            False,
+            (ValueError, r"^power values must be finite$"),
+            id="zero-supply-slope",
+        ),
+    ],
+)
+def test_numbers_past_the_float_range_are_refused_without_a_warning(plants, allow_clamp, refusal):
+    """Coefficient sums past the float range (or a fleet whose ``1/(2 q2)``
+    are all 0) used to warn from numpy on the library path, outside
+    ``run_scenario``'s ``np.errstate``, before any check refused them;
+    under warnings as errors the warning was the failure.  The checks'
+    own refusals come instead."""
+    load = LoadCurve([(0.0, 5e307), (1.0, 1.7e308)])
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        with pytest.raises(refusal[0], match=refusal[1]):
+            solve_equilibrium(plants, load, allow_clamp=allow_clamp)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"id": ""}, "plant id must be a non-empty string"),
+        ({"p_min": -1.0}, "p_min must be finite and >= 0, got -1.0"),
+        ({"p_min": float("nan")}, "p_min must be finite and >= 0, got nan"),
+        ({"p_min": 5.0, "p_max": 4.0}, "p_max must be finite and >= p_min, got 4.0"),
+        ({"p_max": float("inf")}, "p_max must be finite and >= p_min, got inf"),
+    ],
+)
+def test_plant_constructor_refusals(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Plant(**{"id": "a", "cost": QuadraticCost(0.001, 0.1, 0.0), **kwargs})
+
+
+def test_a_solution_is_not_built_from_a_mapping_of_curves(case_solution):
+    """The constructor is reachable through the package exports, but only
+    ``solve_equilibrium`` makes the outputs a solution holds."""
+    curves = {pid: case_solution.outputs[pid] for pid in case_solution.outputs}
+    with pytest.raises(TypeError, match="^a DispatchSolution is made only by solve_equilibrium$"):
+        DispatchSolution(
+            lambda_curve=case_solution.lambda_curve,
+            outputs=curves,
+            plants=case_solution.plants,
+            load=case_solution.load,
+            horizon=case_solution.horizon,
+        )
 
 
 @pytest.mark.parametrize("clamp", [False, True], ids=["interior", "clamped"])

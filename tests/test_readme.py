@@ -16,4 +16,4 @@ def test_library_example_runs():
     exec(compile(blocks[0], str(README), "exec"), namespace)
     assert namespace["spot"].total_revenue > 0.0
     assert namespace["dur"].total_revenue > 0.0
-    assert namespace["slices"] and namespace["bands"]
+    assert namespace["slices"].energy.size and namespace["bands"].energy.size

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -46,6 +47,31 @@ class TestBuiltinCaseStudy:
         assert case_study.options.mechanisms == ("spot", "duration")
         assert case_study.options.allow_clamp is False
         assert case_study.resolved_m_floor() == pytest.approx(1e-6)
+
+
+# One bad field of a valid scenario: its path (empty: the whole scenario),
+# the bad value, and the one diagnostic it must give.
+_ONE_BAD_FIELD = [
+    ((), [], ["$: scenario must be an object"]),
+    (("name",), "", ["name: must be a non-empty string"]),
+    (("load",), 5, ["load: must be an object with exactly one of 'affine' or 'breakpoints'"]),
+    (("load", "peak"), 1.0, ["load.peak: unknown field"]),
+    (("load", "affine"), 3, ["load.affine: must be an object with 'base' and 'slope'"]),
+    (("load", "affine", "base"), math.inf, ["load.affine.base: must be a finite number"]),
+    (("load", "affine", "slope"), math.nan, ["load.affine.slope: must be a finite number"]),
+    (("load", "affine", "base"), -1.0, ["load.affine.base: must be >= 0 (power is non-negative)"]),
+    (
+        ("load",),
+        {"breakpoints": [[0.0, 1.0]]},
+        ["load.breakpoints: must be a list of at least 2 [time, power] pairs"],
+    ),
+    (("plants",), [5], ["plants[0]: must be an object"]),
+    (("plants", 0, "id"), "", ["plants[0].id: must be a non-empty string"]),
+    (("plants", 0, "p_min"), math.inf, ["plants[0].p_min: must be a finite number >= 0 (plant 'a')"]),
+    (("plants", 0, "p_max"), math.nan, ["plants[0].p_max: must be a finite number (plant 'a')"]),
+    (("options",), [], ["options: must be an object"]),
+    (("options",), {"allow_clamp": "yes"}, ["options.allow_clamp: must be a boolean"]),
+]
 
 
 class TestValidationDiagnostics:
@@ -196,6 +222,21 @@ class TestValidationDiagnostics:
         data = self.base()
         data["plants"][0]["id"] = "Kraftwerk Süd 2 (CCGT)"
         assert issues_of(data) == []
+
+    @pytest.mark.parametrize("path, value, issues", _ONE_BAD_FIELD, ids=[c[2][0] for c in _ONE_BAD_FIELD])
+    def test_each_diagnostic_names_its_field(self, path, value, issues):
+        """One bad field of a valid scenario (at ``path``; the empty path
+        replaces the whole scenario) gives exactly its one diagnostic."""
+        data = self.base()
+        if not path:
+            data = value
+        else:
+            *parents, key = path
+            node = data
+            for k in parents:
+                node = node[k]
+            node[key] = value
+        assert issues_of(data) == issues
 
 
 def random_scenario(rng: np.random.Generator) -> Scenario:

@@ -229,8 +229,8 @@ class TestDurationSettlement:
         sol = solve_equilibrium(plants, LoadCurve([(0.0, 100.0), (1e-320, 100.0)]))
         report = settle_duration(sol)
         assert all(math.isfinite(x) for x in (report.total_cost, report.total_revenue))
-        rows = value_by_band(sol)
-        assert rows and all(math.isfinite(r.energy) and math.isfinite(r.unit_value) for r in rows)
+        table = value_by_band(sol)
+        assert table.energy.size and np.isfinite(table.energy).all() and np.isfinite(table.unit_value).all()
 
     def test_overflowing_band_names_plant_and_band(self):
         """A price rising over 1e-320 h has a slope past the float range, so
@@ -251,46 +251,46 @@ class TestDurationSettlement:
 
 class TestValueDecomposition:
     def test_spot_same_slice_same_value_across_plants(self, case_solution, case_plants):
-        rows = value_by_slice(case_solution, [0.4, 0.6])
-        assert len(rows) == len(case_plants)
-        values = {r.unit_value for r in rows}
-        assert len(values) == 1
+        table = value_by_slice(case_solution, [0.4, 0.6])
+        assert table.plant.tolist() == [p.id for p in case_plants]
+        assert len(set(table.unit_value.tolist())) == 1
 
     def test_spot_default_slices_cover_cycle(self, case_solution):
-        rows = value_by_slice(case_solution)
-        assert {(r.lo, r.hi) for r in rows} == {(0.0, 1.0)}
-        plant1 = next(r for r in rows if r.plant == "plant1")
-        assert plant1.energy == pytest.approx(450.0, rel=1e-10)
+        table = value_by_slice(case_solution)
+        assert set(zip(table.lo.tolist(), table.hi.tolist())) == {(0.0, 1.0)}
+        (plant1,) = table.energy[table.plant == "plant1"]
+        assert plant1 == pytest.approx(450.0, rel=1e-10)
 
     @staticmethod
-    def _band(rows, plant, lo, hi):
-        # band edges come from computed output levels, so match to 1e-6 MW
-        for r in rows:
-            if r.plant == plant and abs(r.lo - lo) < 1e-6 and abs(r.hi - hi) < 1e-6:
-                return r
-        raise AssertionError(f"no band [{lo}, {hi}] for {plant}: {rows}")
+    def _band(table, plant, lo, hi) -> int:
+        """The row of ``plant``'s band ``[lo, hi]``; band edges come from
+        computed output levels, so they match to 1e-6 MW."""
+        rows = np.flatnonzero(
+            (table.plant == plant) & (np.abs(table.lo - lo) < 1e-6) & (np.abs(table.hi - hi) < 1e-6)
+        )
+        assert rows.size == 1, f"no band [{lo}, {hi}] for {plant}: {table}"
+        return int(rows[0])
 
     def test_duration_band_value_independent_of_time(self, case_solution):
-        rows = value_by_band(case_solution)
-        peak = self._band(rows, "plant1", 250.0, 650.0)
-        base = self._band(rows, "plant1", 0.0, 250.0)
-        assert peak.unit_value == pytest.approx(0.72, rel=1e-10)
-        assert base.unit_value == pytest.approx(0.32, rel=1e-12)
+        table = value_by_band(case_solution)
+        peak = table.unit_value[self._band(table, "plant1", 250.0, 650.0)]
+        base = table.unit_value[self._band(table, "plant1", 0.0, 250.0)]
+        assert peak == pytest.approx(0.72, rel=1e-10)
+        assert base == pytest.approx(0.32, rel=1e-12)
         # the base block is cheaper than the variable (peakier) band
-        assert base.unit_value < peak.unit_value
+        assert base < peak
 
     def test_duration_band_energies(self, case_solution):
-        rows = value_by_band(case_solution)
-        assert self._band(rows, "plant1", 0.0, 250.0).energy == pytest.approx(250.0, rel=1e-9)
-        assert self._band(rows, "plant1", 250.0, 650.0).energy == pytest.approx(200.0, rel=1e-9)
+        table = value_by_band(case_solution)
+        assert table.energy[self._band(table, "plant1", 0.0, 250.0)] == pytest.approx(250.0, rel=1e-9)
+        assert table.energy[self._band(table, "plant1", 250.0, 650.0)] == pytest.approx(200.0, rel=1e-9)
 
     def test_duration_segment_values_sum_to_revenue(self, case_solution):
         for sol in [case_solution, *_seeded_interior_solutions()]:
-            rows = value_by_band(sol)
+            table = value_by_band(sol)
             for rep_row in settle_duration(sol).plants:
-                total = math.fsum(
-                    r.energy * r.unit_value for r in rows if r.plant == rep_row.plant
-                )
+                mine = table.plant == rep_row.plant
+                total = math.fsum((table.energy[mine] * table.unit_value[mine]).tolist())
                 assert total == pytest.approx(rep_row.revenue, rel=1e-10)
 
     @pytest.mark.parametrize("custom_edges", [False, True], ids=["default-edges", "custom-edges"])
@@ -309,14 +309,14 @@ class TestValueDecomposition:
             if custom_edges:
                 inner = np.sort(rng.uniform(0.0, sol.horizon, 4)).tolist()
                 edges = [0.0, *inner, sol.horizon]
-            rows = value_by_slice(sol, edges)
-            for lo, hi in sorted({(r.lo, r.hi) for r in rows}):
+            table = value_by_slice(sol, edges)
+            for lo, hi in sorted(set(zip(table.lo.tolist(), table.hi.tolist()))):
                 load_energy = riemann_integrate(
                     sol.load.sample, lo, hi, breakpoints=sol.load.times
                 )
-                energy = math.fsum(r.energy for r in rows if (r.lo, r.hi) == (lo, hi))
+                energy = math.fsum(table.energy[(table.lo == lo) & (table.hi == hi)].tolist())
                 assert energy == pytest.approx(load_energy, rel=1e-12), (lo, hi)
-            total = math.fsum(r.energy * r.unit_value for r in rows)
+            total = math.fsum((table.energy * table.unit_value).tolist())
             assert total == pytest.approx(settle_spot(sol).total_revenue, rel=1e-12)
 
     def test_band_above_the_peak_holds_nothing(self, case_solution):
@@ -326,13 +326,16 @@ class TestValueDecomposition:
         lim pi(m) m as m -> 0, 360.68 $/MWh instead of 4.68."""
 
         def plant3(edges):
-            return [r for r in value_by_band(case_solution, edges) if r.plant == "plant3"]
+            """plant3's last band: (lo, hi, energy, unit value)."""
+            t = value_by_band(case_solution, edges)
+            row = np.flatnonzero(t.plant == "plant3")[-1]
+            return t.lo[row], t.hi[row], t.energy[row], t.unit_value[row]
 
-        wide, narrow = plant3([0, 100, 1000])[-1], plant3([0, 100, 110])[-1]
-        assert (wide.lo, wide.hi, narrow.hi) == (100.0, 1000.0, 110.0)
-        assert (wide.energy, wide.unit_value) == (narrow.energy, narrow.unit_value)
-        assert wide.unit_value == pytest.approx(4.68, rel=1e-12)
-        assert plant3([200, 300]) == []
+        wide, narrow = plant3([0, 100, 1000]), plant3([0, 100, 110])
+        assert (wide[0], wide[1], narrow[1]) == (100.0, 1000.0, 110.0)
+        assert wide[2:] == narrow[2:]
+        assert wide[3] == pytest.approx(4.68, rel=1e-12)
+        assert "plant3" not in value_by_band(case_solution, [200, 300]).plant.tolist()
 
     def test_slice_energy_past_the_float_range_names_slice_and_plant(self):
         """A flat 1e10 MW load over 1e300 h: every output is finite but each
@@ -377,6 +380,18 @@ class TestValueDecomposition:
     def test_duration_band_that_is_not_finite_named(self, case_solution, edges, band):
         with pytest.raises(DomainError, match=rf"^need 0 <= y1 < y2 < inf, got {band}$"):
             value_by_band(case_solution, edges)
+
+
+def test_unit_prices_refuse_a_curve_on_another_horizon(case_solution):
+    """The slice or band is checked first; then the two horizons must agree."""
+    curve = case_solution.outputs["plant1"]
+    longer = LoadCurve(times=2.0 * curve.times, powers=curve.powers)
+    with pytest.raises(ValueError, match="^price and trajectory horizons differ$"):
+        unit_energy_price_spot(case_solution.lambda_curve, longer, 0.0, 0.5)
+    with pytest.raises(ValueError, match="^price and measure-function horizons differ$"):
+        unit_energy_price_duration(duration_price(case_solution), MeasureFunction(longer), 0.0, 100.0)
+    with pytest.raises(DomainError, match=r"^need 0 <= t1 < t2 <= 1\.0, got \[0\.5, 0\.5\]$"):
+        unit_energy_price_spot(case_solution.lambda_curve, longer, 0.5, 0.5)
 
 
 def test_level_domain_cost_identity(case_solution, case_plants):
@@ -680,11 +695,11 @@ def test_valuation_makes_no_engine_call(monkeypatch, case_solution):
     monkeypatch.setattr(ctmarket.settlement, "lebesgue_integrate", refuse)
     for sol in sols:
         curve = max(sol.outputs.values(), key=lambda c: c.energy)
-        assert value_by_slice(sol)
+        assert value_by_slice(sol).energy.size
         assert unit_energy_price_spot(sol.lambda_curve, curve, 0.0, sol.horizon) > 0.0
         if not sol.clamped:
             price = duration_price(sol)
-            assert value_by_band(sol)
+            assert value_by_band(sol).energy.size
             band = (0.0, curve.max_power)
             assert unit_energy_price_duration(price, MeasureFunction(curve), *band) > 0.0
     with pytest.raises(AssertionError, match="engine ran"):
