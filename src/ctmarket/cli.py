@@ -175,8 +175,9 @@ def _build_timeseries(
     lam = sol.lambda_curve  # every output shares its times, so its domain check covers theirs
     columns = [grid, sol.load.sample(grid), lam.sample(grid), pi]
     outputs = np.empty((len(sol.plants), len(grid)))
-    for out, row in zip(outputs, sol.block):
-        out[:] = np.interp(grid, lam.times, row)
+    for rows, block in sol.outputs.row_blocks():
+        for out, row in zip(outputs[rows], block):
+            out[:] = np.interp(grid, lam.times, row)
     for column in [*columns, outputs]:
         _require_finite(f"a {TIMESERIES_FILE} cell", column)
     return [*columns, *outputs]

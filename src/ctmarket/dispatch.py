@@ -17,9 +17,9 @@ levels where a plant enters or leaves a bound.  A clamped solution supports
 spot settlement only.
 
 Either way a solution keeps only the shadow price: each output is the
-plant's inverse marginal cost of it, clipped at a binding bound, made when
-it is looked up, and the (plants x knots) block of every output is filled
-the first time a consumer asks for all of them.
+plant's inverse marginal cost of it, clipped at a binding bound, made anew
+whenever it is read, one plant at a time or a bounded block of plants at a
+time, and never cached.
 """
 
 from __future__ import annotations
@@ -97,15 +97,12 @@ class DispatchSolution:
     they share a single read-only ``times`` array (the load's own for an
     interior solution), and only their ``powers`` differ.  Each output is
     the plant's inverse marginal cost of the shadow price, clipped at a
-    binding capacity bound.  ``block`` is the read-only (plants x knots)
-    array of every output in plant order, filled the first time it is
-    read; until then each lookup in ``outputs`` makes a fresh read-only
-    row from the shadow price and keeps nothing.  Once the block exists,
-    the outputs' ``powers`` are its rows, so holding any one output curve
-    keeps the whole block alive.  A copy (``dataclasses.replace``) fills
-    its own block.  ``clamped`` marks solutions where a capacity bound is
-    active on an interval (``clamp_events`` lists them); duration pricing
-    refuses such solutions.
+    binding capacity bound: each lookup in ``outputs`` makes a fresh
+    read-only row from the shadow price, which the solution does not keep.
+    Only the cost and energy sums (``_segment_sums``) are cached.
+    ``clamped`` marks solutions where a capacity bound is active on an
+    interval (``clamp_events`` lists them); duration pricing refuses such
+    solutions.
     """
 
     lambda_curve: LoadCurve
@@ -119,18 +116,11 @@ class DispatchSolution:
     def __post_init__(self) -> None:
         if not isinstance(self.outputs, _Outputs):
             raise TypeError("a DispatchSolution is made only by solve_equilibrium")
-        object.__setattr__(self, "outputs", self.outputs.unfilled())  # a copy fills its own block
 
     @property
     def times(self) -> np.ndarray:
         """The knot times that the shadow price and every output share."""
         return self.lambda_curve.times
-
-    @property
-    def block(self) -> np.ndarray:
-        """The read-only (plants x knots) output block; row ``j`` is the
-        ``powers`` of plant ``j``."""
-        return self.outputs.block()
 
     @cached_property
     def _segment_sums(self) -> tuple[list[float], list[float]]:
@@ -139,12 +129,12 @@ class DispatchSolution:
         b1^2) / 3`` and ``dt (b0 + b1) / 2`` summed over the segments by one
         ``np.dot`` per row.  The terms are taken on blocks of rows, so each
         sum is bit for bit that of the plant's own curve arrays."""
-        t, block = self.times, self.block
+        t = self.times
         dt = t[1:] - t[:-1]
         squares: list[float] = []
         energies: list[float] = []
-        for rows in _row_blocks(*block.shape):
-            b0, b1 = block[rows, :-1], block[rows, 1:]
+        for _, block in self.outputs.row_blocks():
+            b0, b1 = block[:, :-1], block[:, 1:]
             squares += [float(np.dot(dt, row)) / 3.0 for row in b0 * b0 + b0 * b1 + b1 * b1]
             energies += [float(np.dot(dt, row)) / 2.0 for row in b0 + b1]
         return squares, energies
@@ -165,9 +155,9 @@ def _check_plants(plants: Sequence[Plant]) -> None:
 
 _KINDS = ("p_min", "p_max")
 
-# Row blocks of the output block, and of the clamped bracket sums, hold at
-# most this many entries: each is filled and reduced while it is in cache,
-# and a large fleet needs no (brackets x plants) matrix at once.
+# Blocks of output rows, and of the clamped bracket sums, hold at most this
+# many entries: each is made and reduced while it is in cache, and a large
+# fleet needs no (plants x knots) or (brackets x plants) matrix at once.
 _BLOCK_ENTRIES = 1 << 16
 
 
@@ -210,13 +200,6 @@ def _violation_intervals(
     return intervals
 
 
-def _row_blocks(n_rows: int, n_cols: int) -> list[slice]:
-    """Consecutive row ranges of an (``n_rows`` x ``n_cols``) block of at
-    most ``_BLOCK_ENTRIES`` entries each (at least one row)."""
-    step = max(1, _BLOCK_ENTRIES // n_cols)
-    return [slice(first, first + step) for first in range(0, n_rows, step)]
-
-
 def _extremes(lam: np.ndarray, q1, scale, op, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Each plant's NaN-ignoring minimum and maximum output over the knots,
     taken from the shadow price's own: the rows of :func:`_outputs_at`
@@ -252,53 +235,44 @@ class _Outputs(Mapping):
 
     Row ``j`` is the plant's inverse marginal cost of the shadow price,
     ``op(lam - q1_j, scale_j)``, clipped to ``[lo_j, hi_j]`` where a bound
-    binds.  A lookup makes its row on the spot, read-only, and keeps
-    nothing, until :meth:`block` fills every row into one read-only array,
-    a few rows at a time; from then on each output is a row of that array.
-    A bound of -inf (``lo``) or +inf (``hi``) meets no cell, so its
-    comparison is skipped.
+    binds.  A lookup makes its row on the spot, read-only, and
+    :meth:`row_blocks` makes every row a block of plants at a time; neither
+    keeps anything.  A bound of -inf (``lo``) or +inf (``hi``) meets no
+    cell, so its comparison is skipped.  The map may overflow where a
+    bound clips the cell back into range, so it runs with numpy's
+    floating-point warnings off; an output left out of range was refused
+    when the solution was made.
     """
 
     def __init__(self, plants: Sequence[Plant], times, lam, q1, scale, op, lo, hi) -> None:
         self._ids = {p.id: j for j, p in enumerate(plants)}
         self.times, self.lam, self.model = times, lam, (q1, scale, op, lo, hi)
         self._binds = lo > -_INF, hi < _INF
-        self._block: np.ndarray | None = None
 
-    def unfilled(self) -> _Outputs:
-        """The same outputs, without this mapping's block."""
-        copy = object.__new__(_Outputs)
-        copy.__dict__.update(self.__dict__, _block=None)
-        return copy
-
-    def fill(self, rows: slice, out: np.ndarray) -> np.ndarray:
-        """Write the outputs of the plants ``rows`` into ``out``, a row
-        each, and return it."""
+    def row_blocks(self, width: int | None = None) -> Iterator[tuple[slice, np.ndarray]]:
+        """``(rows, outputs)`` for consecutive ranges of plants: a fresh
+        array of their outputs, a row each, of at most ``_BLOCK_ENTRIES``
+        entries when a row counts ``width`` (default: the knots), and at
+        least one row."""
         q1, scale, op, lo, hi = self.model
-        np.subtract(self.lam, q1[rows, None], out=out)
-        op(out, scale[rows, None], out=out)
-        if self._binds[0][rows].any():
-            np.copyto(out, lo[rows, None], where=lo[rows, None] > out)
-        if self._binds[1][rows].any():
-            np.copyto(out, hi[rows, None], where=hi[rows, None] < out)
-        return out
-
-    def block(self) -> np.ndarray:
-        if self._block is None:
-            block = np.empty((len(self._ids), len(self.times)))
-            for rows in _row_blocks(*block.shape):
-                self.fill(rows, block[rows])
-            block.setflags(write=False)
-            self._block = block
-        return self._block
+        step = max(1, _BLOCK_ENTRIES // (width or len(self.times)))
+        for first in range(0, len(self._ids), step):
+            rows = slice(first, first + step)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # clipped below
+                out = self.lam - q1[rows, None]
+                op(out, scale[rows, None], out=out)
+            if self._binds[0][rows].any():
+                np.copyto(out, lo[rows, None], where=lo[rows, None] > out)
+            if self._binds[1][rows].any():
+                np.copyto(out, hi[rows, None], where=hi[rows, None] < out)
+            yield rows, out
 
     def __getitem__(self, pid: str) -> LoadCurve:
         j = self._ids[pid]
-        if self._block is not None:
-            return LoadCurve._adopt(self.times, self._block[j])
         q1, scale, op, lo, hi = self.model
-        row = self.lam - q1[j]
-        op(row, scale[j], out=row)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # clipped below
+            row = self.lam - q1[j]
+            op(row, scale[j], out=row)
         if self._binds[0][j]:
             np.copyto(row, lo[j], where=lo[j] > row)
         if self._binds[1][j]:
@@ -360,6 +334,9 @@ def solve_equilibrium(
     inv2a = np.array([1.0 / (2.0 * p.cost.q2) for p in plants])
     q1 = np.array([p.cost.q1 for p in plants])
     denom = float(inv2a.sum())
+    if denom == 0.0:  # no price moves the supply
+        p = plants[0]
+        raise NumericError(f"every plant's 1/(2 q2) rounds to 0: plant {p.id!r} has q2 = {p.cost.q2!r}")
     offset = float((q1 * inv2a).sum())
 
     times = load.times
@@ -602,14 +579,10 @@ def _clamp_events(
 def _solve_clamped(plants: Sequence[Plant], load: LoadCurve) -> DispatchSolution:
     fleet = _Fleet(plants)
     outputs = _Outputs(plants, *_clamped_knots(fleet, load), *fleet.model)
-    times = outputs.times
-    # The clamp events are found on a few rows at a time; no block is kept.
-    blocks = _row_blocks(len(plants), len(times))
-    scratch = np.empty((min(blocks[0].stop, len(plants)), len(times)))
+    # The clamp events are found on a few rows at a time.
     events = []
-    for rows in blocks:
-        out = outputs.fill(rows, scratch[: len(plants[rows])])
-        events += _clamp_events(plants[rows], fleet.p_min[rows], fleet.p_max[rows], times, out)
+    for rows, block in outputs.row_blocks():
+        events += _clamp_events(plants[rows], fleet.p_min[rows], fleet.p_max[rows], outputs.times, block)
     return _solution(plants, load, outputs, events)
 
 
@@ -628,8 +601,9 @@ def dispatch_cost(sol: DispatchSolution) -> DispatchCost:
     Closed form, no quadrature: a segment of length ``dt`` on which the
     output runs linearly from ``b0`` to ``b1`` costs
     ``q2 dt (b0^2 + b0 b1 + b1^2) / 3 + q1 dt (b0 + b1) / 2 + q0 dt``.
-    The segment sums come from one pass over the solution's output block,
-    taken once per solution and shared with the settlements' energies.
+    The segment sums come from one pass over the solution's outputs, a
+    block of plants at a time, taken once per solution and shared with the
+    settlements' energies.
     A total past the float range raises :class:`NumericError` naming it.
     """
     squares, energies = sol._segment_sums

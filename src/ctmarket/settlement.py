@@ -3,13 +3,14 @@
 Settlement reads the fleet and the spot price (the shadow price) from the
 dispatch solution; duration settlement and band values build the duration
 price from that shadow price, so a solution settles at its own price
-only.  Generation cost and energy come in closed form from one pass over
-the solution's (plants x knots) output block, taken once per solution and
-shared by both mechanisms; only revenue differs between them.  Spot revenue
-integrates price times output over time.  Duration revenue integrates
-``pi(m(y)) * m(y)`` over the plant's output range and adds the base block
-``[0, min output]``, settled at the anchor ``pi(T)``.  Revenues run on the
-quadrature engines at ``EXACT_CONFIG``, one Simpson pair per kink piece;
+only.  The solution keeps no output: each is made from the shadow price
+whenever it is read, a bounded block of plants at a time.  Generation cost
+and energy come in closed form from one pass over the outputs, taken once
+per solution and shared by both mechanisms; only revenue differs between
+them.  Spot revenue integrates price times output over time, making the
+outputs again.  Duration revenue integrates ``pi(m(y)) * m(y)`` over the
+plant's output range and adds the base block ``[0, min output]``, settled
+at the anchor ``pi(T)``.  Revenues run on the quadrature engines at ``EXACT_CONFIG``, one Simpson pair per kink piece;
 spot revenue takes one row-valued call per block of plants (see
 :func:`_output_integrals`).  A unit energy price is ``int lam P dt / int P
 dt`` over a time slice or ``int pi(m) m dy / int m dy`` over a power band,
@@ -29,7 +30,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .curves import LoadCurve, MeasureFunction
-from .dispatch import DispatchSolution, _row_blocks, checked_fsum, dispatch_cost
+from .dispatch import DispatchSolution, checked_fsum, dispatch_cost
 from .errors import DomainError, NumericError, UndefinedPriceError
 from .pricing import DurationPrice, duration_price
 from .quadrature import EXACT_CONFIG, lebesgue_integrate, riemann_integrate
@@ -123,13 +124,13 @@ def _output_integrals(sol: DispatchSolution) -> Iterator[float]:
     """Each output's spot revenue ``int lam P_j dt``, in plant order: one
     row-valued engine call per block of at most ``_BLOCK_ENTRIES`` samples
     (or one plant), each row bit for bit its plant's own call.  The
-    integrand fills one (rows x points) array, one ``np.interp`` per row of
-    the output block; every row shares lam's times, so lam's domain check
+    integrand fills one (rows x points) array, one ``np.interp`` per output
+    row of the block; every row shares lam's times, so lam's domain check
     covers them all, and the engine checks the whole array once.  A
     non-finite integrand raises :class:`NumericError` naming its plant,
     after the revenues of the plants before it."""
     lam = sol.lambda_curve
-    times, block = lam.times, sol.block
+    times = lam.times
     # EXACT_CONFIG samples one Simpson pair, three points, per kink piece.
     points = 3 * (len(times) - 1)
 
@@ -144,12 +145,12 @@ def _output_integrals(sol: DispatchSolution) -> Iterator[float]:
 
         return riemann_integrate(values, 0.0, sol.horizon, EXACT_CONFIG, breakpoints=times).tolist()
 
-    for rows in _row_blocks(len(sol.plants), points):
+    for rows, block in sol.outputs.row_blocks(points):
         try:
-            yield from integrals(block[rows])
+            yield from integrals(block)
         except NumericError as exc:
             # The plants before the bad row come first, as one call each would.
-            yield from integrals(block[rows][: exc.row]) if exc.row else ()
+            yield from integrals(block[: exc.row]) if exc.row else ()
             where = f"the spot settlement of {sol.plants[rows][exc.row].id}"
             raise NumericError.out_of_range(where, exc.abscissa) from exc
 
@@ -160,7 +161,7 @@ def settle_spot(sol: DispatchSolution) -> SettlementReport:
     ``lam`` is the dispatch's shadow price; every output shares its knot
     times, so the revenues of a block of plants come from one engine call
     (see :func:`_output_integrals`).  Cost and energy come from the
-    solution's one pass over its output block.  The market purchasing cost
+    solution's one pass over its outputs.  The market purchasing cost
     (total revenue) equals the integral of lam times the system load, since
     outputs balance the load pointwise.  A revenue past the float range
     raises :class:`NumericError` naming the plant, the first in plant
@@ -226,14 +227,18 @@ def _simpson_pairs(edges: np.ndarray, kinks: np.ndarray, top: float = math.inf):
     inside it (``top``, where it cuts, must be a kink).  Returns the knots,
     the middles and ``sums(at_knots, mid, right=None)``: each interval's
     integral by one Simpson pair per piece (``right`` defaults to the next
-    knot's value), terms and then pieces (``np.bincount``) added in order."""
+    knot's value), terms and then pieces (``np.bincount``) added in order.
+    Fewer than two edges cut no interval: no knots, and empty float sums."""
+    first, last = (edges[0], min(edges[-1], top)) if len(edges) > 1 else (math.inf, -math.inf)
     knots = np.unique(np.concatenate([edges, kinks]))
-    knots = knots[(knots >= edges[0]) & (knots <= min(edges[-1], top))]
+    knots = knots[(knots >= first) & (knots <= last)]
     half, bins = (knots[1:] - knots[:-1]) / 2.0, edges.searchsorted(knots[:-1], side="right") - 1
+    n = max(len(edges) - 1, 0)
 
     def sums(at_knots: np.ndarray, mid: np.ndarray, right: np.ndarray | None = None) -> np.ndarray:
         terms = at_knots[:-1] + 4.0 * mid + (at_knots[1:] if right is None else right)
-        return np.bincount(bins, weights=half / 3.0 * terms, minlength=len(edges) - 1)
+        # With no piece, bincount gives integer zeros whatever the weights.
+        return np.bincount(bins, weights=half / 3.0 * terms, minlength=n).astype(float, copy=False)
 
     return knots, knots[:-1] + half, sums
 
@@ -301,7 +306,7 @@ def value_by_slice(sol: DispatchSolution, time_edges: Sequence[float] | None = N
     lam = sol.lambda_curve
     edges = _edges(lam.times if time_edges is None else time_edges, lam.horizon)
     ids, curves = np.array([p.id for p in sol.plants]), [sol.load, *sol.outputs.values()]
-    energy, value = _slice_sums(lam, curves, edges) if len(edges) > 1 else np.zeros((2, len(curves), 0))
+    energy, value = _slice_sums(lam, curves, edges)
     held = ~(energy[0] <= 0.0)  # slices with load; a NaN load energy is refused below
     lo, hi, unit = edges[:-1][held], edges[1:][held], value[0, held] / energy[0, held]
     energies = energy[1:, held].T  # (slices x plants)
@@ -336,7 +341,7 @@ def value_by_band(sol: DispatchSolution, band_edges: Sequence[float] | None = No
         # Default sorted({0.0, *curve.levels}): levels are >= 0, and + 0.0 turns a -0.0 one into 0.0.
         edges = np.union1d(curve.powers, [0.0]) + 0.0 if given is None else given
         m = MeasureFunction(curve)
-        energy, value = _band_sums(price, m, edges) if len(edges) > 1 else np.zeros((2, 0))
+        energy, value = _band_sums(price, m, edges)
         bad = np.flatnonzero(~(np.isfinite(energy) & np.isfinite(value)))
         if bad.size:
             y1, y2 = edges[bad[0] : bad[0] + 2].tolist()

@@ -1,12 +1,13 @@
-"""The (plants x knots) output block of a dispatch solution, and the cost
-and energy sums taken on it, against the per-curve formulas.
+"""A dispatch solution's outputs, made from the shadow price a block of
+plants at a time, and the cost and energy sums taken on those blocks,
+against the per-curve formulas.
 
-``DispatchSolution.block`` is the read-only array whose rows are the
-outputs' ``powers``.  Interior and clamped solutions alike fill it only
-when it is first read: until then each output is made from the shadow
-price on lookup, with the same bits.
+Interior and clamped solutions alike keep only the shadow price: each
+lookup in ``outputs`` makes its plant's read-only row from it, and the
+consumers that read every output make them a bounded block of rows at a
+time (``_Outputs.row_blocks``) with the same bits, and drop them.
 ``dispatch_cost`` and the settlements' energies come from one pass over
-the block per solution.  The reference below is the per-curve code that
+those blocks per solution.  The reference below is the per-curve code that
 pass replaced: each output's own arrays, one ``np.dot`` for its squares
 and ``LoadCurve.energy`` for its energy.  The same IEEE operations run on
 every cell and the same dot product on every row, so the results must be
@@ -15,7 +16,6 @@ equal bits.
 
 from __future__ import annotations
 
-import dataclasses
 import tracemalloc
 from unittest import mock
 
@@ -104,43 +104,28 @@ def test_cost_and_energy_from_the_block_equal_the_per_curve_formulas(block_entri
                 assert _bits(r.generation_cost for r in report.plants) == _bits(cost.values()), name
 
 
-def test_solved_block_is_the_read_only_array_behind_the_outputs():
-    rng = np.random.default_rng(7)
-    plants = random_plants(rng, 5)
-    for sol in (
-        solve_equilibrium(plants, random_monotone_load(rng, plants)),
-        solve_equilibrium(*_clamped_fleet(rng, 6), allow_clamp=True),
-    ):
-        block = sol.block
-        assert block.shape == (len(sol.plants), len(sol.times))
-        assert not block.flags.writeable and block is sol.block
-        assert sol.times is sol.lambda_curve.times
-        for j, p in enumerate(sol.plants):
-            powers = sol.outputs[p.id].powers
-            assert np.shares_memory(block, powers)
-            assert powers.tobytes() == block[j].tobytes()
-            assert sol.outputs[p.id].times is sol.times
-        with pytest.raises(ValueError):
-            block[0, 0] = 1.0
+def _wide_interior(n_plants: int = 200, n_knots: int = 20_000) -> tuple[list[Plant], LoadCurve]:
+    """A fleet and a monotone load that keeps it interior."""
+    rng = np.random.default_rng(10)
+    plants = random_plants(rng, n_plants)
+    times = np.linspace(0.0, 24.0, n_knots)
+    load = LoadCurve(times=times, powers=interior_demand_floor(plants) + np.cumsum(rng.uniform(0.0, 300.0, n_knots)))
+    return plants, load
 
 
 def test_interior_outputs_are_made_without_a_block():
     """200 plants x 20 000 knots: solving and reading every output never
-    holds the 32 MB (plants x knots) block, nor builds it."""
-    rng = np.random.default_rng(10)
-    plants = random_plants(rng, 200)
-    times = np.linspace(0.0, 24.0, 20_000)
-    load = LoadCurve(times=times, powers=interior_demand_floor(plants) + np.cumsum(rng.uniform(0.0, 300.0, len(times))))
+    holds the 32 MB (plants x knots) block of them all."""
+    plants, load = _wide_interior()
     tracemalloc.start()
     try:
         sol = solve_equilibrium(plants, load)
         for p in plants:
-            assert sol.outputs[p.id].powers.shape == times.shape
+            assert sol.outputs[p.id].powers.shape == load.times.shape
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sol.outputs._block is None
-    assert peak < 8 * len(plants) * len(times)
+    assert peak < 8 * len(plants) * len(load.times)
 
 
 def test_a_clamped_solve_holds_no_block():
@@ -160,40 +145,50 @@ def test_a_clamped_solve_holds_no_block():
     finally:
         tracemalloc.stop()
     assert sol.clamped and len(sol.times) > len(times)
-    assert sol.outputs._block is None
     assert peak < 8 * len(plants) * len(sol.times)
 
 
 def test_outputs_hold_the_block_rows_bits_before_and_after_it_is_built():
-    for name, sol in _solutions():
-        before = [sol.outputs[p.id].powers for p in sol.plants]
-        block = sol.block
-        after = [sol.outputs[p.id].powers for p in sol.plants]
-        assert _bits(np.concatenate(before)) == _bits(block.ravel()) == _bits(np.concatenate(after)), name
+    """Each lookup has the bits of its row in the blocks that the cost sums
+    and spot settlement read, before and after they have read them; small
+    blocks split a fleet over several."""
+    for block_entries in (dispatch._BLOCK_ENTRIES, 7):
+        for name, sol in _solutions():
+            before = [sol.outputs[p.id].powers for p in sol.plants]
+            with mock.patch.object(dispatch, "_BLOCK_ENTRIES", block_entries):
+                rows = [row for _, block in sol.outputs.row_blocks() for row in block]
+                settle_spot(sol)
+            after = [sol.outputs[p.id].powers for p in sol.plants]
+            assert _bits(np.concatenate(before)) == _bits(np.concatenate(rows)) == _bits(np.concatenate(after)), name
 
 
 def test_outputs_are_read_only_and_share_the_solution_times():
     for name, sol in _solutions():
-        for stage in ("before the block", "rows of the block"):
-            for p in sol.plants:
-                curve = sol.outputs[p.id]
-                assert curve.times is sol.times, (name, stage)
-                with pytest.raises(ValueError):
-                    curve.powers[0] = 1.0
-            sol.block  # builds it, for the second pass
+        assert sol.times is sol.lambda_curve.times, name
+        for p in sol.plants:
+            curve = sol.outputs[p.id]
+            assert curve.times is sol.times, name
+            with pytest.raises(ValueError):
+                curve.powers[0] = 1.0
 
 
-def test_a_replaced_copy_builds_its_own_block():
-    rng = np.random.default_rng(11)
-    plants = random_plants(rng, 4)
-    for sol in (
-        solve_equilibrium(plants, random_monotone_load(rng, plants)),
-        solve_equilibrium(*_clamped_fleet(rng, 5), allow_clamp=True),
-    ):
-        early = dataclasses.replace(sol)
-        block = sol.block
-        late = dataclasses.replace(sol)
-        for copy in (early, late):
-            assert copy == sol and copy.outputs._block is None
-            assert copy.block.tobytes() == block.tobytes()
-            assert not np.shares_memory(copy.block, block)
+@pytest.mark.parametrize("settle", [settle_spot, dispatch_cost], ids=["settle_spot", "dispatch_cost"])
+def test_settlement_holds_no_output_block(settle):
+    """200 plants x 20 000 knots: the cost sums and the spot revenues read
+    every output a few rows at a time and never hold the 32 MB (plants x
+    knots) block of them all."""
+    sol = solve_equilibrium(*_wide_interior())
+    tracemalloc.start()
+    try:
+        settle(sol)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
+
+
+def test_an_output_read_after_settlement_owns_only_its_row():
+    sol = solve_equilibrium(*_wide_interior(20, 2_000))
+    settle_spot(sol)
+    powers = sol.outputs[sol.plants[3].id].powers
+    assert powers.base is None and powers.nbytes == 8 * len(sol.times)

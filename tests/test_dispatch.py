@@ -304,8 +304,14 @@ def test_supply_threshold_past_the_float_range_is_refused_by_name():
         pytest.param(
             [Plant("a", QuadraticCost(1e308, 0.0, 0.0))],
             False,
-            (ValueError, r"^power values must be finite$"),
+            (NumericError, r"^every plant's 1/\(2 q2\) rounds to 0: plant 'a' has q2 = 1e\+308$"),
             id="zero-supply-slope",
+        ),
+        pytest.param(
+            [Plant("a", QuadraticCost(1e308, 0.0, 0.0)), Plant("b", QuadraticCost(9e307, 1.0, 0.0), p_max=5.0)],
+            True,
+            (NumericError, r"^every plant's 1/\(2 q2\) rounds to 0: plant 'a' has q2 = 1e\+308$"),
+            id="zero-supply-slope-clamped",
         ),
     ],
 )

@@ -1,15 +1,15 @@
-"""Dispatch outputs as one (plants x knots) block, against per-plant code.
+"""Dispatch outputs made a block of plants at a time, against per-plant code.
 
 ``solve_equilibrium`` decides the bound checks from the shadow price's
 NaN-ignoring extremes.  Every solution, interior or clamped, makes each
-output from lam when it is looked up and fills every output as a row of
-one block on first use.  The
-reference below is the per-plant code it replaced, returning plain
-arrays and curves rather than a solution: one array, one
-``np.any`` test per bound and one validated ``LoadCurve`` per plant, and
-per-plant clipping and clamp runs on the clamped path.  Its one addition is
-the merit-order entry-point rule, marked where it applies: an interior
-output a rounding below 0 that ``p_min``'s tolerance accepts runs at +0.0.
+output from lam when it is looked up, and the clamped solve finds its
+clamp events on blocks of rows.  The reference below is the per-plant
+code it replaced, returning plain arrays and curves rather than a
+solution: one array, one ``np.any`` test per bound and one validated
+``LoadCurve`` per plant, and per-plant clipping and clamp runs on the
+clamped path.  Its one addition is the merit-order entry-point rule,
+marked where it applies: an interior output a rounding below 0 that
+``p_min``'s tolerance accepts runs at +0.0.
 
 The same IEEE operations run on every cell, so results must be equal
 bits, refusals the same exception type and message, and clamp events the
@@ -220,10 +220,23 @@ _NEGATIVE_ZERO = (
 )
 
 
+# Clamped: g0's map (lam - q1) / (2 q2) overflows to inf at both knots and
+# p_max = 0 clips it back; a lookup outside the solve raises no warning.
+_CLIPPED_OVERFLOW = (
+    [
+        Plant("g0", QuadraticCost(3e-309, 0.0, 0.0), p_min=0.0, p_max=0.0),
+        Plant("g1", QuadraticCost(0.001, 0.5, 0.0)),
+    ],
+    LoadCurve([(0.0, 10.0), (1.0, 5e307)]),
+    True,
+)
+
+
 @settings(max_examples=600, deadline=None)
 @given(cases(), st.sampled_from([dispatch._BLOCK_ENTRIES, 1, 7]))
 @example(_ENTRY_POINT, dispatch._BLOCK_ENTRIES)
 @example(_NEGATIVE_ZERO, dispatch._BLOCK_ENTRIES)
+@example(_CLIPPED_OVERFLOW, dispatch._BLOCK_ENTRIES)
 def test_block_dispatch_matches_per_plant_reference(case, block_entries):
     plants, load, allow_clamp = case
     want = _outcome(lambda: ref_solve(plants, load, allow_clamp=allow_clamp))
@@ -238,23 +251,17 @@ def test_block_dispatch_matches_per_plant_reference(case, block_entries):
         assert times.tobytes() == want.lambda_curve.times.tobytes()
         assert got.lambda_curve.powers.tobytes() == want.lambda_curve.powers.tobytes()
         assert list(got.outputs) == list(want.outputs)
-        # An interior solution makes these from lam, before any block exists.
+        # Each lookup makes its output from lam.
         for p in plants:
             assert got.outputs[p.id].powers.tobytes() == want.outputs[p.id].powers.tobytes(), p.id
         assert list(map(_event_bits, got.clamp_events)) == list(map(_event_bits, want.clamp_events))
         assert got.clamped == want.clamped
         assert got.horizon == want.horizon and got.load is load
 
-        # Once the block is built, the outputs are its read-only rows, with
-        # the same bits, on one times array.
-        block = got.block
-    assert block.shape == (len(plants), len(times)) and not block.flags.writeable
-    for j, p in enumerate(plants):
+    # The outputs are read-only, on one times array.
+    for p in plants:
         curve = got.outputs[p.id]
-        assert curve.times is times
-        assert curve.powers.base is block and not curve.powers.flags.writeable
-        assert curve.powers.ctypes.data == block[j].ctypes.data
-        assert curve.powers.tobytes() == want.outputs[p.id].powers.tobytes(), p.id
+        assert curve.times is times and not curve.powers.flags.writeable
 
 
 def test_nan_cells_decide_no_bound():

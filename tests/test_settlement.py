@@ -789,3 +789,28 @@ def test_valuation_agrees_with_the_engines():
                 else:
                     with pytest.raises(UndefinedPriceError):
                         unit_energy_price_duration(price, m, y1, y2)
+
+
+@pytest.mark.parametrize("edges", [[], [0.5]], ids=repr)
+def test_valuation_kernels_give_float_empties_under_two_edges(edges, case_solution):
+    """Fewer than two edges cut no interval: both kernels return float64
+    empties, one row per curve for slices.  No edge used to fail at
+    ``edges[0]``, and one gave ``np.bincount``'s int64 zeros."""
+    from ctmarket.settlement import _band_sums, _slice_sums
+
+    sol, edges = case_solution, np.array(edges, dtype=float)
+    curves = [sol.load, *sol.outputs.values()]
+    for sums in _slice_sums(sol.lambda_curve, curves, edges):
+        assert sums.dtype == np.float64 and sums.shape == (len(curves), 0)
+    for sums in _band_sums(duration_price(sol), MeasureFunction(curves[1]), edges):
+        assert sums.dtype == np.float64 and sums.shape == (0,)
+
+
+def test_bands_wholly_above_the_peak_sum_to_float_zeros(case_solution):
+    """No knot lies in a band above the output's peak; its sums are float
+    zeros, not ``np.bincount``'s integer ones."""
+    from ctmarket.settlement import _band_sums
+
+    m = MeasureFunction(case_solution.outputs["plant1"])
+    for sums in _band_sums(duration_price(case_solution), m, np.array([1e6, 2e6, 3e6])):
+        assert sums.dtype == np.float64 and sums.tolist() == [0.0, 0.0]

@@ -13,11 +13,11 @@ of duration settlement (the mean over the plants), ``settle_duration``,
 ``cli.run_scenario`` and ``cli.emit_series`` with the CLI's flags for the
 shape (``--allow-clamp --mechanism spot`` on ``clamped_spot``,
 ``--mechanism both`` elsewhere).  Two more items time the cost's segment
-sums on the (plants x knots) output block in two summation orders, the
-same on either side: ``block_sums_dot`` (one ``np.dot`` per row, as
-``dispatch_cost`` adds) and ``block_sums_cumsum`` (a left-to-right
-``np.cumsum`` along each row, an order no BLAS build changes), with the
-largest relative difference between the two.
+sums on a (plants x knots) array of every output in two summation
+orders, the same on either side: ``block_sums_dot`` (one ``np.dot`` per
+row, as ``dispatch_cost`` adds) and ``block_sums_cumsum`` (a
+left-to-right ``np.cumsum`` along each row, an order no BLAS build
+changes), with the largest relative difference between the two.
 The shapes are the built-in case study, one ``settle_deep`` and one
 ``clamped_spot`` scenario of ``perfbench/workloads.py`` (seed 1, index
 0), and a seeded 50 x 2000 daily load built like ``settle_deep``.  A
@@ -26,18 +26,19 @@ fifth shape, ``dispatch_wide`` (300 x 10 000, monotone; seed 1, index
 solves the dispatch and samples every output at the load's knots.  A
 sixth, ``clamped_wide`` (3000 x 200; ``clamped_spot``'s generator at that
 size, seed 1, index 0), times one item, ``solve_equilibrium`` with
-clamping allowed: a wide active-set solve, whose (plants x knots) output
-block is far larger than anything the solve needs to hold.  Spot
+clamping allowed: a wide active-set solve, whose (plants x knots) array
+of every output is far larger than anything the solve needs to hold.  Spot
 settlement and slices take the dispatch of the load as given; duration
 settlement and bands take the dispatch of its duration curve, as the CLI
-does.  A solution may keep what it computed once, so every item that
+does.  A solution caches its cost and energy sums, so every item that
 takes a solution gets a fresh copy of it (``dataclasses.replace``) on
-each call, as a run settles each solution once.  A copy fills its own
-output block in the first item that reads it, so a change that moves
-that fill out of ``solve_equilibrium`` moves its cost into those items;
-``run_scenario`` holds both.  ``clamped_spot`` binds capacity bounds, so
-it has no duration price and only the dispatch, spot and CLI items are
-timed there.
+each call, as a run settles each solution once; the copy takes those
+sums again in the first item that reads them.  A solution keeps no
+output: every item that reads the outputs makes them from the shadow
+price, a few rows at a time, so ``settle_spot`` makes them twice, once
+for the cost sums and once for the revenue integrand.  ``clamped_spot``
+binds capacity bounds, so it has no duration price and only the
+dispatch, spot and CLI items are timed there.
 
 Each round runs every side in a fresh process, alternating which side
 runs first; a process times every item of every shape in an order
@@ -46,10 +47,10 @@ no item always runs after the same others.  An item is timed as the best
 of 5 blocks of repeated calls under ``perfbench/speed.Stopwatch``, in
 normalised seconds (CPU time scaled to a fixed host speed) and in wall
 seconds.  An item slower than ``SLOW_CALL`` per call is timed in one
-block of one call instead.  ``emit_series``, ``solve_and_sample`` and
-``solve_equilibrium`` also record ``tracemalloc_peak_bytes``: the peak of
-traced allocations during one untimed call, above what was held before
-it.  The file
+block of one call instead.  ``emit_series``, ``solve_and_sample``,
+``solve_equilibrium``, ``settle_spot`` and ``dispatch_cost`` also record
+``tracemalloc_peak_bytes``: the peak of traced allocations during one
+untimed call, above what was held before it.  The file
 reports, per item and side, the median and quartiles over the rounds,
 and the change of the medians.  Numpy is held to one thread, as the
 benchmark holds it.  Passing the same tree as ``--before`` and
@@ -72,7 +73,8 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SHAPES = ("case_study", "settle_deep", "clamped_spot", "daily_50x2000", "dispatch_wide", "clamped_wide")
-PEAKED = ("emit_series", "solve_and_sample", "solve_equilibrium")  # items whose tracemalloc peak is recorded
+# Items whose tracemalloc peak is recorded.
+PEAKED = ("emit_series", "solve_and_sample", "solve_equilibrium", "settle_spot", "dispatch_cost")
 BLOCKS = 5  # timed blocks per item and process; the best one counts
 BLOCK_SECONDS = 0.15  # rough length of one block
 SLOW_CALL = 1.0  # seconds per call above which one block of one call is timed
