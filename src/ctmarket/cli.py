@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .curves import duration_curve
+from .curves import _interpolate, duration_curve
 from .dispatch import DispatchSolution, solve_equilibrium
 from .errors import (
     DomainError,
@@ -177,7 +177,7 @@ def _build_timeseries(
     outputs = np.empty((len(sol.plants), len(grid)))
     for rows, block in sol.outputs.row_blocks():
         for out, row in zip(outputs[rows], block):
-            out[:] = np.interp(grid, lam.times, row)
+            out[:] = _interpolate(grid, lam.times, row)
     for column in [*columns, outputs]:
         _require_finite(f"a {TIMESERIES_FILE} cell", column)
     return [*columns, *outputs]

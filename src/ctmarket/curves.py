@@ -191,16 +191,22 @@ class LoadCurve:
             )
 
     def evaluate(self, t: float) -> float:
-        """Power at time ``t``: linear interpolation, exact at breakpoints."""
-        arr = np.asarray(float(t))
-        self._check_domain(arr)
-        return float(np.interp(arr, self._times, self._powers))
+        """Power at time ``t``: :meth:`sample` at one time."""
+        return float(self.sample(float(t)))
 
     def sample(self, ts) -> np.ndarray:
-        """Vectorised :meth:`evaluate` over an array of times."""
+        """Power at every time in ``ts``: linear interpolation, exact at
+        breakpoints.
+
+        Sampled at its own knots (a 1-D array equal to ``times``, element
+        by element), the curve returns a fresh copy of ``powers``: bit for
+        bit what interpolation gives there, with no search.
+        """
         arr = np.asarray(ts, dtype=float)
+        if arr.shape == self._times.shape and (arr is self._times or np.array_equal(arr, self._times)):
+            return self._powers.copy()
         self._check_domain(arr)
-        return np.interp(arr, self._times, self._powers)
+        return _interpolate(arr, self._times, self._powers)
 
     # ------------------------------------------------------------------
     # Level sets
@@ -239,6 +245,22 @@ class LoadCurve:
         t0, t1 = self._times[k - 1 : k + 1].tolist()
         p0, p1 = self._powers[k - 1 : k + 1].tolist()
         return t0 + (y - p0) * (t1 - t0) / (p1 - p0)
+
+
+def _interpolate(ts: np.ndarray, times: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """``np.interp(ts, times, powers)``, except where a cell at a finite time
+    comes out non-finite: inside a segment whose slope is past the float
+    range (a subnormal duration, say), that cell is taken in the form
+    ``p0 + rise * ((t - t0) / dt)``, which stays between the segment's ends."""
+    out = np.interp(ts, times, powers)
+    if np.isfinite(out).all():
+        return out
+    out, t = np.array(out).reshape(-1), np.reshape(ts, -1)
+    at = np.flatnonzero(~np.isfinite(out) & np.isfinite(t))
+    k = np.clip(times.searchsorted(t[at], side="right") - 1, 0, len(times) - 2)
+    t0, dt, rise = times[k], times[k + 1] - times[k], powers[k + 1] - powers[k]
+    out[at] = powers[k] + rise * ((t[at] - t0) / dt)
+    return out.reshape(np.shape(ts))
 
 
 def _segment_sum(part: Callable[[np.ndarray], np.ndarray], n_segments: int, ys) -> np.ndarray:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import LoadCurve
+from .curves import LoadCurve, _interpolate
 from .dispatch import DispatchSolution
 from .errors import DomainError, UnsupportedOperationError
 from .tolerances import DOMAIN_TOL
@@ -126,7 +126,7 @@ class DurationPrice:
         return out
 
     def _lambda_at(self, ts: np.ndarray) -> np.ndarray:
-        return np.interp(ts, self.lambda_curve.times, self.lambda_curve.powers)
+        return _interpolate(ts, self.lambda_curve.times, self.lambda_curve.powers)
 
     def time_view(self, t):
         """Price on the clock-time axis, for ``0 <= t < T``."""

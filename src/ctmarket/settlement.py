@@ -23,13 +23,14 @@ one Simpson pair per piece is exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .curves import LoadCurve, MeasureFunction
+from .curves import LoadCurve, MeasureFunction, _interpolate
 from .dispatch import DispatchSolution, checked_fsum, dispatch_cost
 from .errors import DomainError, NumericError, UndefinedPriceError
 from .pricing import DurationPrice, duration_price
@@ -124,7 +125,7 @@ def _output_integrals(sol: DispatchSolution) -> Iterator[float]:
     """Each output's spot revenue ``int lam P_j dt``, in plant order: one
     row-valued engine call per block of at most ``_BLOCK_ENTRIES`` samples
     (or one plant), each row bit for bit its plant's own call.  The
-    integrand fills one (rows x points) array, one ``np.interp`` per output
+    integrand fills one (rows x points) array, one interpolation per output
     row of the block; every row shares lam's times, so lam's domain check
     covers them all, and the engine checks the whole array once.  A
     non-finite integrand raises :class:`NumericError` naming its plant,
@@ -139,7 +140,7 @@ def _output_integrals(sol: DispatchSolution) -> Iterator[float]:
             lam_ts = lam.sample(ts)
             out = np.empty((len(rows), len(ts)))
             for j, row in enumerate(rows):
-                out[j] = np.interp(ts, times, row)
+                out[j] = _interpolate(ts, times, row)
             out *= lam_ts
             return out
 
@@ -243,17 +244,19 @@ def _simpson_pairs(edges: np.ndarray, kinks: np.ndarray, top: float = math.inf):
     return knots, knots[:-1] + half, sums
 
 
-def _slice_sums(lam: LoadCurve, curves: Sequence[LoadCurve], edges: np.ndarray):
-    """``(int P dt, int lam P dt)`` per slice of ``edges``, one row per ``P`` in ``curves``."""
+def _slice_sums(lam: LoadCurve, edges: np.ndarray, curves: Sequence[LoadCurve]):
+    """``pair(times, powers)``: ``(int P dt, int lam P dt)`` per slice of
+    ``edges`` for a curve ``P`` with knots among lam's and ``curves``'.
+    Every call cuts at the same knots: the edges and all those times."""
     kinks = [lam.times, *(c.times for c in curves if c.times is not lam.times)]
     knots, mids, sums = _simpson_pairs(edges, np.concatenate(kinks))
-    lam_k, lam_m = np.interp(knots, lam.times, lam.powers), np.interp(mids, lam.times, lam.powers)
-    energy, value = [], []
-    for c in curves:
-        p_k, p_m = np.interp(knots, c.times, c.powers), np.interp(mids, c.times, c.powers)
-        energy.append(sums(p_k, p_m))
-        value.append(sums(lam_k * p_k, lam_m * p_m))
-    return np.array(energy), np.array(value)
+    lam_k, lam_m = _interpolate(knots, lam.times, lam.powers), _interpolate(mids, lam.times, lam.powers)
+
+    def pair(times: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        p_k, p_m = _interpolate(knots, times, powers), _interpolate(mids, times, powers)
+        return sums(p_k, p_m), sums(lam_k * p_k, lam_m * p_m)
+
+    return pair
 
 
 def _band_sums(price: DurationPrice, m: MeasureFunction, edges: np.ndarray):
@@ -269,7 +272,8 @@ def unit_energy_price_spot(price: LoadCurve, plant_curve: LoadCurve, t1: float, 
     t1, t2 = edges = _edges([t1, t2], price.horizon)
     if not math.isclose(plant_curve.horizon, price.horizon, rel_tol=SAME_HORIZON_TOL):
         raise ValueError("price and trajectory horizons differ")
-    energy, value = (x.item() for x in _slice_sums(price, [plant_curve], edges))
+    pair = _slice_sums(price, edges, [plant_curve])
+    energy, value = (x.item() for x in pair(plant_curve.times, plant_curve.powers))
     if energy <= 0.0:
         raise UndefinedPriceError(f"no energy on [{t1:.6g}, {t2:.6g}] h: unit price undefined")
     return value / energy
@@ -305,8 +309,11 @@ def value_by_slice(sol: DispatchSolution, time_edges: Sequence[float] | None = N
     """
     lam = sol.lambda_curve
     edges = _edges(lam.times if time_edges is None else time_edges, lam.horizon)
-    ids, curves = np.array([p.id for p in sol.plants]), [sol.load, *sol.outputs.values()]
-    energy, value = _slice_sums(lam, curves, edges)
+    ids, load = np.array([p.id for p in sol.plants]), sol.load
+    # Every output shares lam's times, and only one is held at a time.
+    pair = _slice_sums(lam, edges, [load])
+    rows = (pair(c.times, c.powers) for c in itertools.chain([load], sol.outputs.values()))
+    energy, value = map(np.array, zip(*rows))
     held = ~(energy[0] <= 0.0)  # slices with load; a NaN load energy is refused below
     lo, hi, unit = edges[:-1][held], edges[1:][held], value[0, held] / energy[0, held]
     energies = energy[1:, held].T  # (slices x plants)

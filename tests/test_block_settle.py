@@ -32,6 +32,7 @@ from ctmarket import (
     settle_duration,
     settle_spot,
     solve_equilibrium,
+    value_by_slice,
 )
 from ctmarket import dispatch
 from ctmarket.dispatch import DispatchSolution
@@ -184,6 +185,20 @@ def test_settlement_holds_no_output_block(settle):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 8_000_000
+
+
+def test_slice_values_hold_no_output_block():
+    """200 plants x 20 000 knots in 24 hourly slices: the slice sums read
+    the outputs a few rows at a time, never all of them at once (35 MB)."""
+    sol = solve_equilibrium(*_wide_interior())
+    tracemalloc.start()
+    try:
+        table = value_by_slice(sol, np.arange(25.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.energy.size == 24 * len(sol.plants)
     assert peak < 8_000_000
 
 

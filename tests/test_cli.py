@@ -493,6 +493,29 @@ def test_tiny_horizon_names_horizon_under_duration(tmp_path, capsys):
     assert main(["--scenario", path, "--mechanism", "spot", "--quiet"]) == 0
 
 
+def test_steep_load_segment_writes_a_finite_series(tmp_path, capsys):
+    """A load rising by 100 MW over 1e-320 h has a slope past the float
+    range; every series cell inside it used to interpolate to inf, and
+    the run exited 1 naming the plant's spot settlement."""
+    path = write_scenario(
+        tmp_path,
+        {
+            "name": "steep",
+            "horizon": 1e-320,
+            "load": {"breakpoints": [[0.0, 100.0], [1e-320, 200.0]]},
+            "plants": [{"id": "a", "q2": 0.001, "q1": 0.1, "q0": 0.1}],
+        },
+    )
+    out_dir = tmp_path / "out"
+    assert main(["--scenario", path, "--mechanism", "spot", "--out-dir", str(out_dir), "--quiet"]) == 0
+    assert capsys.readouterr().err == ""
+    header, *rows = read_csv(out_dir / "timeseries.csv")
+    assert header == ["t", "load", "lambda", "pi_time", "P_a"] and len(rows) > 2
+    for row in rows:
+        load, lam, output = (float(row[k]) for k in (1, 2, 4))
+        assert 100.0 <= load <= 200.0 and 0.3 <= lam <= 0.5 and math.isclose(output, load, rel_tol=1e-12)
+
+
 def test_non_monotone_load_rearranged_for_duration(tmp_path, capsys):
     path = write_scenario(
         tmp_path,

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctmarket import (
     DomainError,
@@ -14,6 +17,7 @@ from ctmarket import (
     UnsupportedOperationError,
     duration_curve,
 )
+from ctmarket import curves as curves_module
 
 RAMP = LoadCurve([(0.0, 350.0), (1.0, 1050.0)])  # 350 * (1 + 2t)
 PLANT1 = LoadCurve([(0.0, 250.0), (1.0, 650.0)])  # 250 + 400t
@@ -87,6 +91,88 @@ class TestEvaluate:
     def test_sample_matches_evaluate(self):
         ts = np.linspace(0.0, 1.0, 17)
         assert np.allclose(VEE.sample(ts), [VEE.evaluate(t) for t in ts], atol=0)
+
+    def test_steep_segment_interpolates_finite(self):
+        """A rise of 100 over 1e-320 h has a slope past the float range;
+        inside it the curve is still between its ends (150 half-way), on
+        a rising or falling segment, and a NaN time stays NaN."""
+        for a, b in ((100.0, 200.0), (200.0, 100.0)):
+            steep = LoadCurve([(0.0, a), (1e-320, b)])
+            got = [steep.evaluate(5e-321), *steep.sample([5e-321, 0.0, np.nan])]
+            assert abs(got[0] - 150.0) <= 4.0 * np.spacing(150.0) and got[1] == got[0]
+            assert got[2] == a and np.isnan(got[3])
+            assert steep.sample(np.full((2, 3), 5e-321)).tolist() == [[got[0]] * 3] * 2
+
+
+@st.composite
+def knot_curves(draw) -> LoadCurve:
+    """Curves whose times span 5e-324 to 1e300 h and whose powers hold
+    -0.0, zeros, subnormals and values near the float maximum."""
+    inner = draw(st.lists(st.floats(5e-324, 1e300) | st.sampled_from([5e-324, 1e-320, 1e300]),
+                          min_size=1, max_size=11, unique=True))
+    extreme = st.sampled_from([-0.0, 0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.79e308])
+    powers = draw(st.lists(extreme | st.floats(0.0, 1.79e308), min_size=len(inner) + 1, max_size=len(inner) + 1))
+    return LoadCurve(times=[0.0, *sorted(inner)], powers=powers)
+
+
+def _bytes(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestSampleAtKnots:
+    """Sampled at its own knots, a curve returns a copy of its powers: the
+    bytes ``np.interp`` gives there, without interpolating."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(curve=knot_curves())
+    def test_knots_give_the_interpolated_bytes(self, curve):
+        t, p = curve.times, curve.powers
+        want = _bytes(np.interp(t, t, p))
+        spy = mock.patch.object(curves_module, "_interpolate", wraps=curves_module._interpolate)
+        with spy as interpolate:
+            for ts in (t, t.copy(), t.tolist()):
+                assert _bytes(curve.sample(ts)) == want
+        assert interpolate.call_count == 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(curve=knot_curves())
+    def test_result_is_a_fresh_writable_array(self, curve):
+        before = _bytes(curve.powers)
+        out = curve.sample(curve.times)
+        assert out.flags.writeable and not np.shares_memory(out, curve.powers)
+        out[:] = 7.0
+        assert _bytes(curve.powers) == before and _bytes(curve.sample(curve.times)) == before
+
+    @settings(max_examples=100, deadline=None)
+    @given(curve=knot_curves(), k=st.integers(0, 11))
+    def test_other_equal_length_times_interpolate(self, curve, k):
+        """Times holding another knot's value or a NaN in one place take the
+        interpolating path; one past the horizon is refused as before."""
+        t, p = curve.times, curve.powers
+        k %= len(t)
+        moved, nan, past = t.copy(), t.copy(), t.copy()
+        moved[k], nan[k], past[-1] = t[k - 1] if k else t[1], np.nan, 2.0 * t[-1] + 1.0
+        spy = mock.patch.object(curves_module, "_interpolate", wraps=curves_module._interpolate)
+        with spy as interpolate:
+            for ts in (moved, nan):
+                assert _bytes(curve.sample(ts)) == _bytes(np.interp(ts, t, p))
+            assert interpolate.call_count == 2
+        with pytest.raises(DomainError):
+            curve.sample(past)
+
+    def test_interior_and_clamped_outputs_at_the_solution_times(self, case_solution):
+        from test_settlement import _clamped_solution
+
+        clamped = _clamped_solution()
+        assert clamped.clamped and not case_solution.clamped
+        spy = mock.patch.object(curves_module, "_interpolate", wraps=curves_module._interpolate)
+        with spy as interpolate:
+            for sol in (case_solution, clamped):
+                for curve in (sol.lambda_curve, *sol.outputs.values()):
+                    want = _bytes(np.interp(sol.times, curve.times, curve.powers))
+                    assert _bytes(curve.sample(sol.times)) == want
+                    assert _bytes(curve.sample(np.array(sol.times))) == want
+        assert interpolate.call_count == 0
 
 
 class TestMeasure:

@@ -177,6 +177,17 @@ class TestDurationPrice:
         ):
             assert math.isfinite(got) and abs(got - want) <= 4.0 * math.ulp(want)
 
+    def test_time_view_is_finite_inside_a_steep_segment(self):
+        """Half-way through lam's 1e-320 h rise, pi = lam + G / (T - t) =
+        0.4 + 0.15: lam used to interpolate to inf there.  G is a subnormal
+        of about 10 bits, so the price is within 1e-3 of 0.55."""
+        T = 1e-320
+        sol = solve_equilibrium([Plant("a", QuadraticCost(0.001, 0.1, 0.1))], LoadCurve([(0.0, 100.0), (T, 200.0)]))
+        price = duration_price(sol)
+        got = [price.time_view(T / 2.0), *price.time_view([0.0, T / 2.0]), price.measure_view(T / 2.0)]
+        assert got[0] == got[2] == got[3] and got[1] == price.anchor
+        assert math.isfinite(got[0]) and abs(got[0] - 0.55) < 1e-3
+
 
 class TestUnitEnergyPriceSpot:
     def test_plant1_whole_cycle(self, case_solution):

@@ -233,20 +233,45 @@ class TestDurationSettlement:
         assert table.energy.size and np.isfinite(table.energy).all() and np.isfinite(table.unit_value).all()
 
     def test_overflowing_band_names_plant_and_band(self):
-        """A price rising over 1e-320 h has a slope past the float range, so
-        the shadow price interpolated inside that segment is inf and the
-        band integrand above the base block is not finite (the base block,
-        priced by G alone, is finite).  Settlement names the plant; band
-        values name the plant and the band, not just the abscissa."""
-        plants = [Plant("g1", QuadraticCost(0.001, 0.1, 0.1))]
+        """lam rises from 2e292 to 2e300 over 1e10 h, so pi(m) * m passes
+        the float range above the base block (which is finite at
+        2e292 * 100 MW * 1e10 h).  Settlement names the plant; band values
+        name the plant and the band, not just the abscissa."""
+        plants = [Plant("g1", QuadraticCost(1e290, 0.1, 0.1))]
         with np.errstate(all="ignore"):
-            sol = solve_equilibrium(plants, LoadCurve([(0.0, 100.0), (1e-320, 200.0)]))
+            sol = solve_equilibrium(plants, LoadCurve([(0.0, 100.0), (1e10, 1e10)]))
             with pytest.raises(NumericError, match="^the duration settlement of g1 is not finite: "):
                 settle_duration(sol)
-            band = r"^the duration value of g1 on \[99\.99999999999999, 200\.0\] MW is not finite: "
+            band = r"^the duration value of g1 on \[100\.0, 10000000000\.0\] MW is not finite: "
             with pytest.raises(NumericError, match=band) as err:
                 value_by_band(sol)
-        assert err.value.abscissa == 99.99999999999999
+        assert err.value.abscissa == 100.0
+
+    def test_steep_price_segment_settles(self):
+        """lam rises by 0.2 over 1e-320 h, a slope past the float range.
+        Inside that segment lam used to interpolate to inf, so duration
+        settlement and band values refused a solution whose integrals are
+        all below 1e-318; both are finite now, and the bands' energies
+        add up to the plant's."""
+        plants = [Plant("g1", QuadraticCost(0.001, 0.1, 0.1))]
+        sol = solve_equilibrium(plants, LoadCurve([(0.0, 100.0), (1e-320, 200.0)]))
+        report, table = settle_duration(sol), value_by_band(sol)
+        row = report.plants[0]
+        assert all(math.isfinite(x) and x > 0.0 for x in (row.revenue, row.generation_cost, row.energy))
+        assert table.energy.size == 2 and np.isfinite(table.unit_value).all()
+        assert math.isclose(float(table.energy.sum()), row.energy, rel_tol=1e-2)
+
+    def test_steep_price_segment_settles_at_spot(self):
+        """The same solution at the spot price: each output row used to
+        interpolate to inf inside the steep segment, so spot settlement and
+        slice values refused it; both are finite now and agree on the
+        plant's energy."""
+        plants = [Plant("g1", QuadraticCost(0.001, 0.1, 0.1))]
+        sol = solve_equilibrium(plants, LoadCurve([(0.0, 100.0), (1e-320, 200.0)]))
+        row, table = settle_spot(sol).plants[0], value_by_slice(sol)
+        assert all(math.isfinite(x) and x > 0.0 for x in (row.revenue, row.generation_cost, row.energy))
+        assert table.energy.size == 1 and np.isfinite(table.unit_value).all()
+        assert math.isclose(float(table.energy[0]), row.energy, rel_tol=1e-2)
 
 
 class TestValueDecomposition:
@@ -738,6 +763,16 @@ def _flat_levels(curve: LoadCurve) -> np.ndarray:
     return p[1:][p[1:] == p[:-1]]
 
 
+def _slice_arrays(lam: LoadCurve, curves: list[LoadCurve], edges: np.ndarray):
+    """``(int P dt, int lam P dt)`` by slice, a row per curve, all cut at
+    the same knots."""
+    from ctmarket.settlement import _slice_sums
+
+    pair = _slice_sums(lam, edges, curves)
+    energy, value = zip(*(pair(c.times, c.powers) for c in curves))
+    return np.array(energy), np.array(value)
+
+
 def _assert_close(got, want) -> None:
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape
@@ -752,7 +787,7 @@ def test_valuation_agrees_with_the_engines():
     flat level, and some above the peak).  Then unit band prices of
     non-monotone outputs, flats included, under their load's duration
     price."""
-    from ctmarket.settlement import _band_sums, _slice_sums
+    from ctmarket.settlement import _band_sums
 
     for k in range(50):
         rng = np.random.default_rng([2121, k])
@@ -762,7 +797,7 @@ def test_valuation_agrees_with_the_engines():
         edges = _random_edges(rng, sol.horizon, rng.choice(lam.times, 2))
         curves = [sol.load, *sol.outputs.values()]
         want = [[_engine_slice(lam, c, t1, t2) for t1, t2 in zip(edges, edges[1:])] for c in curves]
-        _assert_close(np.stack(_slice_sums(lam, curves, edges), axis=-1), want)
+        _assert_close(np.stack(_slice_arrays(lam, curves, edges), axis=-1), want)
         for c in sol.outputs.values():
             m = MeasureFunction(c)
             edges = _random_edges(rng, 1.3 * c.max_power, [*_flat_levels(c), *rng.choice(c.powers, 2)])
@@ -796,11 +831,11 @@ def test_valuation_kernels_give_float_empties_under_two_edges(edges, case_soluti
     """Fewer than two edges cut no interval: both kernels return float64
     empties, one row per curve for slices.  No edge used to fail at
     ``edges[0]``, and one gave ``np.bincount``'s int64 zeros."""
-    from ctmarket.settlement import _band_sums, _slice_sums
+    from ctmarket.settlement import _band_sums
 
     sol, edges = case_solution, np.array(edges, dtype=float)
     curves = [sol.load, *sol.outputs.values()]
-    for sums in _slice_sums(sol.lambda_curve, curves, edges):
+    for sums in _slice_arrays(sol.lambda_curve, curves, edges):
         assert sums.dtype == np.float64 and sums.shape == (len(curves), 0)
     for sums in _band_sums(duration_price(sol), MeasureFunction(curves[1]), edges):
         assert sums.dtype == np.float64 and sums.shape == (0,)

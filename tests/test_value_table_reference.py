@@ -3,10 +3,12 @@
 ``value_by_slice`` and ``value_by_band`` return one ``ValueTable`` of
 read-only columns, built by array masks a slice block or a plant at a time.
 The reference below is the code they replaced: it checked every edge pair
-one at a time, valued one segment at a time and kept a tuple of
-``ValueSegment`` rows.  On every input the table must hold exactly the
-reference's rows, bit for bit and in the same order, and refuse wherever
-the reference refuses, with the same exception type, message and abscissa.
+one at a time, valued one segment at a time, kept a tuple of
+``ValueSegment`` rows and summed the slices of the load and every output
+in one call that held all of their rows.  On every input the table must
+hold exactly the reference's rows, bit for bit and in the same order, and
+refuse wherever the reference refuses, with the same exception type,
+message and abscissa.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from ctmarket import (
     value_by_band,
     value_by_slice,
 )
-from ctmarket.settlement import _band_sums, _slice_sums
+from ctmarket.settlement import _band_sums, _simpson_pairs
 from ctmarket.tolerances import DOMAIN_TOL
 from test_settlement import _clamped_solution, _seeded_interior_solutions, _wide_instance
 
@@ -65,6 +67,19 @@ def _level_band(y1: float, y2: float) -> tuple[float, float]:
     return y1, y2
 
 
+def ref_slice_sums(lam: LoadCurve, curves: Sequence[LoadCurve], edges: np.ndarray):
+    """``(int P dt, int lam P dt)`` per slice of ``edges``, one row per ``P`` in ``curves``."""
+    kinks = [lam.times, *(c.times for c in curves if c.times is not lam.times)]
+    knots, mids, sums = _simpson_pairs(edges, np.concatenate(kinks))
+    lam_k, lam_m = np.interp(knots, lam.times, lam.powers), np.interp(mids, lam.times, lam.powers)
+    energy, value = [], []
+    for c in curves:
+        p_k, p_m = np.interp(knots, c.times, c.powers), np.interp(mids, c.times, c.powers)
+        energy.append(sums(p_k, p_m))
+        value.append(sums(lam_k * p_k, lam_m * p_m))
+    return np.array(energy), np.array(value)
+
+
 def ref_value_by_slice(
     sol: DispatchSolution, time_edges: Sequence[float] | None = None
 ) -> tuple[ValueSegment, ...]:
@@ -73,7 +88,7 @@ def ref_value_by_slice(
     slices = [_time_slice(lam.horizon, t1, t2) for t1, t2 in zip(edges, edges[1:])]
     if not slices:
         return ()
-    energy, value = _slice_sums(lam, [sol.load, *sol.outputs.values()], np.array(edges, dtype=float))
+    energy, value = ref_slice_sums(lam, [sol.load, *sol.outputs.values()], np.array(edges, dtype=float))
     rows: list[ValueSegment] = []
     for (t1, t2), (load_energy, *energies), load_value in zip(slices, energy.T.tolist(), value[0]):
         if load_energy <= 0.0:
@@ -277,7 +292,7 @@ def test_overflow_refusals_are_the_reference_refusals():
             ("spot", solve_equilibrium(two, LoadCurve([(0.0, 1e10), (1e300, 1e10)]))),
             ("spot", solve_equilibrium(pricey, LoadCurve([(0.0, 1e10), (1.0, 1e10)]))),
             ("duration", solve_equilibrium(
-                [Plant("g1", QuadraticCost(0.001, 0.1, 0.1))], LoadCurve([(0.0, 100.0), (1e-320, 200.0)])
+                [Plant("g1", QuadraticCost(1e290, 0.1, 0.1))], LoadCurve([(0.0, 100.0), (1e10, 1e10)])
             )),
             ("spot", solve_equilibrium(
                 [Plant("a", QuadraticCost(0.5, 0.0, 0.0))], LoadCurve([(0.0, 1e308), (5e-324, 1e308)])
@@ -287,3 +302,13 @@ def test_overflow_refusals_are_the_reference_refusals():
             with pytest.raises(NumericError):
                 _PAIRS[mechanism][1](sol)
             assert_same(mechanism, sol)
+
+
+def test_a_steep_price_segment_gives_the_reference_bands():
+    """lam rising by 0.2 over 1e-320 h: the bands are finite, as the
+    reference's are."""
+    steep = solve_equilibrium(
+        [Plant("g1", QuadraticCost(0.001, 0.1, 0.1))], LoadCurve([(0.0, 100.0), (1e-320, 200.0)])
+    )
+    assert value_by_band(steep).energy.size == 2
+    assert_same("duration", steep)
