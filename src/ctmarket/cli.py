@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .curves import _interpolate, duration_curve
+from .curves import duration_curve
 from .dispatch import DispatchSolution, solve_equilibrium
 from .errors import (
     DomainError,
@@ -175,9 +175,8 @@ def _build_timeseries(
     lam = sol.lambda_curve  # every output shares its times, so its domain check covers theirs
     columns = [grid, sol.load.sample(grid), lam.sample(grid), pi]
     outputs = np.empty((len(sol.plants), len(grid)))
-    for rows, block in sol.outputs.row_blocks():
-        for out, row in zip(outputs[rows], block):
-            out[:] = _interpolate(grid, lam.times, row)
+    for rows in sol.outputs.ranges(len(grid)):
+        outputs[rows] = sol.outputs.rows(rows, grid)
     for column in [*columns, outputs]:
         _require_finite(f"a {TIMESERIES_FILE} cell", column)
     return [*columns, *outputs]

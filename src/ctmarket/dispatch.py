@@ -17,9 +17,8 @@ levels where a plant enters or leaves a bound.  A clamped solution supports
 spot settlement only.
 
 Either way a solution keeps only the shadow price: each output is the
-plant's inverse marginal cost of it, clipped at a binding bound, made anew
-whenever it is read, one plant at a time or a bounded block of plants at a
-time, and never cached.
+plant's inverse marginal cost of it, clipped at a binding bound, made and
+sampled only here, one plant or a bounded block of plants at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .cost import QuadraticCost
-from .curves import LoadCurve
+from .curves import LoadCurve, _interpolate
 from .errors import InfeasibleDispatchError, NumericError, UnsupportedOperationError
 from .tolerances import CLAMPED_KNOT_TOL, DISPATCH_TOL
 
@@ -133,10 +132,12 @@ class DispatchSolution:
         dt = t[1:] - t[:-1]
         squares: list[float] = []
         energies: list[float] = []
-        for _, block in self.outputs.row_blocks():
+        for rows in self.outputs.ranges():
+            block = self.outputs.rows(rows)
             b0, b1 = block[:, :-1], block[:, 1:]
-            squares += [float(np.dot(dt, row)) / 3.0 for row in b0 * b0 + b0 * b1 + b1 * b1]
-            energies += [float(np.dot(dt, row)) / 2.0 for row in b0 + b1]
+            with np.errstate(over="ignore", invalid="ignore"):  # an inf sum is refused as a cost
+                squares += [float(np.dot(dt, row)) / 3.0 for row in b0 * b0 + b0 * b1 + b1 * b1]
+                energies += [float(np.dot(dt, row)) / 2.0 for row in b0 + b1]
         return squares, energies
 
 
@@ -202,8 +203,8 @@ def _violation_intervals(
 
 def _extremes(lam: np.ndarray, q1, scale, op, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Each plant's NaN-ignoring minimum and maximum output over the knots,
-    taken from the shadow price's own: the rows of :func:`_outputs_at`
-    at lam's extremes.
+    taken from the shadow price's own: the rows of :func:`_map` at
+    lam's extremes.
 
     Each output does not decrease with the price, and a non-decreasing map
     commutes with min and max, so each value is its plant's cell at lam's
@@ -213,35 +214,34 @@ def _extremes(lam: np.ndarray, q1, scale, op, lo, hi) -> tuple[np.ndarray, np.nd
     bound check would decide otherwise on the cell it hides.  A NaN in
     lam itself is refused by lam's own check, before any output's.
     """
-    return _outputs_at(np.array([[np.fmin.reduce(lam)], [np.fmax.reduce(lam)]]), q1, scale, op, lo, hi)
+    return _map(np.array([[np.fmin.reduce(lam)], [np.fmax.reduce(lam)]]), q1, scale, op, lo, hi)
 
 
-def _outputs_at(prices, q1, scale, op, lo, hi) -> np.ndarray:
-    """Every plant's output (a column each) at each price of a column:
-    ``op(price - q1_j, scale_j)`` clipped to ``[lo_j, hi_j]``."""
-    return _clip(op(prices - q1, scale), lo, hi)
-
-
-def _clip(raw, lo, hi):
-    """Set ``raw`` to ``min(max(raw, lo), hi)`` elementwise, in place and
-    keeping Python's tie rules; return it."""
-    np.copyto(raw, lo, where=lo > raw)
-    np.copyto(raw, hi, where=hi < raw)
-    return raw
+def _map(prices, q1, scale, op, lo, hi, binds=(True, True)) -> np.ndarray:
+    """The outputs at ``prices``, a fresh array broadcast from the
+    arguments: ``op(prices - q1, scale)`` clipped to ``[lo, hi]`` with
+    Python's ``min`` / ``max`` tie rules, a bound compared only where
+    ``binds`` says it can meet a cell.  A cell may overflow where a bound
+    clips it back into range, so numpy's floating-point warnings are off."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = prices - q1
+        op(out, scale, out=out)
+    if binds[0]:
+        np.copyto(out, lo, where=lo > out)
+    if binds[1]:
+        np.copyto(out, hi, where=hi < out)
+    return out
 
 
 class _Outputs(Mapping):
     """A solution's outputs by plant id, in plant order.
 
-    Row ``j`` is the plant's inverse marginal cost of the shadow price,
-    ``op(lam - q1_j, scale_j)``, clipped to ``[lo_j, hi_j]`` where a bound
-    binds.  A lookup makes its row on the spot, read-only, and
-    :meth:`row_blocks` makes every row a block of plants at a time; neither
-    keeps anything.  A bound of -inf (``lo``) or +inf (``hi``) meets no
-    cell, so its comparison is skipped.  The map may overflow where a
-    bound clips the cell back into range, so it runs with numpy's
-    floating-point warnings off; an output left out of range was refused
-    when the solution was made.
+    Row ``j`` is ``_map(lam, q1_j, scale_j, op, lo_j, hi_j)``: the plant's
+    inverse marginal cost of the shadow price, clipped where a bound
+    binds; a bound of -inf (``lo``) or +inf (``hi``) meets no cell.  A
+    lookup makes its plant's row, read-only, by :func:`_map` directly (by
+    way of :meth:`rows` it costs about 0.5 us more), and :meth:`rows` the
+    rows of a range from :meth:`ranges`; none is kept.
     """
 
     def __init__(self, plants: Sequence[Plant], times, lam, q1, scale, op, lo, hi) -> None:
@@ -249,34 +249,32 @@ class _Outputs(Mapping):
         self.times, self.lam, self.model = times, lam, (q1, scale, op, lo, hi)
         self._binds = lo > -_INF, hi < _INF
 
-    def row_blocks(self, width: int | None = None) -> Iterator[tuple[slice, np.ndarray]]:
-        """``(rows, outputs)`` for consecutive ranges of plants: a fresh
-        array of their outputs, a row each, of at most ``_BLOCK_ENTRIES``
-        entries when a row counts ``width`` (default: the knots), and at
-        least one row."""
-        q1, scale, op, lo, hi = self.model
+    def ranges(self, width: int | None = None) -> Iterator[slice]:
+        """Consecutive ranges of at least one plant whose rows of ``width``
+        entries (default: the knots) hold at most ``_BLOCK_ENTRIES``."""
         step = max(1, _BLOCK_ENTRIES // (width or len(self.times)))
-        for first in range(0, len(self._ids), step):
-            rows = slice(first, first + step)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # clipped below
-                out = self.lam - q1[rows, None]
-                op(out, scale[rows, None], out=out)
-            if self._binds[0][rows].any():
-                np.copyto(out, lo[rows, None], where=lo[rows, None] > out)
-            if self._binds[1][rows].any():
-                np.copyto(out, hi[rows, None], where=hi[rows, None] < out)
-            yield rows, out
+        return (slice(first, first + step) for first in range(0, len(self._ids), step))
+
+    def rows(self, plants: slice, ts: np.ndarray | None = None) -> np.ndarray:
+        """A fresh array of the outputs of a range of plants, a row each, at
+        the knots or at ``ts`` by one ``np.interp`` per row; a row that fails
+        the block's one finiteness test is taken again by ``_interpolate``."""
+        q1, scale, op, lo, hi = self.model
+        at, binds = (plants, None), (self._binds[0][plants].any(), self._binds[1][plants].any())
+        knots = _map(self.lam, q1[at], scale[at], op, lo[at], hi[at], binds)
+        if ts is None:
+            return knots
+        sampled = np.empty((len(knots), len(ts)))
+        for cell, row in zip(sampled, knots):
+            cell[:] = np.interp(ts, self.times, row)
+        for j in np.flatnonzero(~np.isfinite(sampled).all(axis=1)):
+            sampled[j] = _interpolate(ts, self.times, knots[j])
+        return sampled
 
     def __getitem__(self, pid: str) -> LoadCurve:
         j = self._ids[pid]
         q1, scale, op, lo, hi = self.model
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # clipped below
-            row = self.lam - q1[j]
-            op(row, scale[j], out=row)
-        if self._binds[0][j]:
-            np.copyto(row, lo[j], where=lo[j] > row)
-        if self._binds[1][j]:
-            np.copyto(row, hi[j], where=hi[j] < row)
+        row = _map(self.lam, q1[j], scale[j], op, lo[j], hi[j], (self._binds[0][j], self._binds[1][j]))
         row.setflags(write=False)
         return LoadCurve._adopt(self.times, row)
 
@@ -437,7 +435,7 @@ class _Fleet:
             last = min(first + rows, len(self.thr))
             v_lo, v_hi = edges[first:last, None], edges[first + 1 : last + 1, None]
             # Row by row the same pairwise sum as ``supply`` at each threshold.
-            self.supplies += _outputs_at(v_lo, *self.model).sum(axis=1).tolist()
+            self.supplies += _map(v_lo, *self.model).sum(axis=1).tolist()
             at_max = hi_thr <= v_lo
             at_min = ~at_max & (lo_thr >= v_hi)
             active = ~(at_max | at_min)
@@ -447,7 +445,7 @@ class _Fleet:
             self.num += _ordered_sums(np.where(active, offset, 0.0)).tolist()
 
     def supply(self, lam: float) -> float:
-        return float(_outputs_at(lam, *self.model).sum())
+        return float(_map(lam, *self.model).sum())
 
 
 def _infeasible(fleet: _Fleet, demand: float) -> InfeasibleDispatchError:
@@ -581,7 +579,8 @@ def _solve_clamped(plants: Sequence[Plant], load: LoadCurve) -> DispatchSolution
     outputs = _Outputs(plants, *_clamped_knots(fleet, load), *fleet.model)
     # The clamp events are found on a few rows at a time.
     events = []
-    for rows, block in outputs.row_blocks():
+    for rows in outputs.ranges():
+        block = outputs.rows(rows)
         events += _clamp_events(plants[rows], fleet.p_min[rows], fleet.p_max[rows], outputs.times, block)
     return _solution(plants, load, outputs, events)
 
@@ -595,6 +594,16 @@ def checked_fsum(values: Iterable[float], what: str) -> float:
         raise NumericError.out_of_range(what) from None
 
 
+def _costs(sol: DispatchSolution) -> DispatchCost:
+    """:func:`dispatch_cost` before its check of each plant's cost."""
+    squares, energies = sol._segment_sums
+    per = {
+        p.id: p.cost.q2 * square + p.cost.q1 * energy + p.cost.q0 * sol.horizon
+        for p, square, energy in zip(sol.plants, squares, energies)
+    }
+    return DispatchCost(per, checked_fsum(per.values(), "the total generation cost"))
+
+
 def dispatch_cost(sol: DispatchSolution) -> DispatchCost:
     """Per-plant generation cost over the cycle plus the market total.
 
@@ -604,11 +613,11 @@ def dispatch_cost(sol: DispatchSolution) -> DispatchCost:
     The segment sums come from one pass over the solution's outputs, a
     block of plants at a time, taken once per solution and shared with the
     settlements' energies.
-    A total past the float range raises :class:`NumericError` naming it.
+    A total past the float range raises :class:`NumericError` naming it,
+    and then a cost past it one naming the first such plant.
     """
-    squares, energies = sol._segment_sums
-    per = {
-        p.id: p.cost.q2 * square + p.cost.q1 * energy + p.cost.q0 * sol.horizon
-        for p, square, energy in zip(sol.plants, squares, energies)
-    }
-    return DispatchCost(per, checked_fsum(per.values(), "the total generation cost"))
+    costs = _costs(sol)
+    bad = [plant for plant, cost in costs.per_plant.items() if not math.isfinite(cost)]
+    if bad:
+        raise NumericError.out_of_range(f"the generation cost of {bad[0]}")
+    return costs

@@ -3,17 +3,18 @@
 Settlement reads the fleet and the spot price (the shadow price) from the
 dispatch solution; duration settlement and band values build the duration
 price from that shadow price, so a solution settles at its own price
-only.  The solution keeps no output: each is made from the shadow price
-whenever it is read, a bounded block of plants at a time.  Generation cost
-and energy come in closed form from one pass over the outputs, taken once
-per solution and shared by both mechanisms; only revenue differs between
-them.  Spot revenue integrates price times output over time, making the
-outputs again.  Duration revenue integrates ``pi(m(y)) * m(y)`` over the
-plant's output range and adds the base block ``[0, min output]``, settled
-at the anchor ``pi(T)``.  Revenues run on the quadrature engines at ``EXACT_CONFIG``, one Simpson pair per kink piece;
-spot revenue takes one row-valued call per block of plants (see
-:func:`_output_integrals`).  A unit energy price is ``int lam P dt / int P
-dt`` over a time slice or ``int pi(m) m dy / int m dy`` over a power band,
+only.  The solution keeps no output: dispatch makes each from the shadow
+price, and samples it, whenever it is read, a bounded block of plants at a
+time.  Generation cost and energy come in closed form from one pass over
+the outputs, taken once per solution and shared by both mechanisms; only
+revenue differs between them.  Spot revenue integrates price times output
+over time, the outputs sampled by dispatch again.  Duration revenue
+integrates ``pi(m(y)) * m(y)`` over the plant's output range and adds the
+base block ``[0, min output]``, settled at the anchor ``pi(T)``.  Revenues
+run on the quadrature engines at ``EXACT_CONFIG``, one Simpson pair per
+kink piece; spot revenue takes one row-valued call per block of plants
+(see :func:`_output_integrals`).  A unit energy price is ``int lam P dt /
+int P dt`` over a time slice or ``int pi(m) m dy / int m dy`` over a power band,
 and ``value_by_slice`` / ``value_by_band`` value every segment from those
 integrals in closed form, with no engine call, into one table of columns:
 cut at every knot (bands no higher than the curve's top, above which no
@@ -31,7 +32,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .curves import LoadCurve, MeasureFunction, _interpolate
-from .dispatch import DispatchSolution, checked_fsum, dispatch_cost
+from .dispatch import DispatchSolution, _costs, checked_fsum
 from .errors import DomainError, NumericError, UndefinedPriceError
 from .pricing import DurationPrice, duration_price
 from .quadrature import EXACT_CONFIG, lebesgue_integrate, riemann_integrate
@@ -95,6 +96,9 @@ def _assemble(mechanism: str, rows: list[PlantSettlement]) -> SettlementReport:
     total_cost = checked_fsum((r.generation_cost for r in rows), f"the {mechanism} total cost")
     total_revenue = checked_fsum((r.revenue for r in rows), f"the {mechanism} total revenue")
     total_profit = checked_fsum((r.profit for r in rows), f"the {mechanism} total profit")
+    for r in rows:
+        if not math.isfinite(r.generation_cost):
+            raise NumericError.out_of_range(f"the {mechanism} settlement of {r.plant}")
     return SettlementReport(
         mechanism=mechanism,
         plants=tuple(rows),
@@ -123,39 +127,35 @@ def _plant_row(
 
 def _output_integrals(sol: DispatchSolution) -> Iterator[float]:
     """Each output's spot revenue ``int lam P_j dt``, in plant order: one
-    row-valued engine call per block of at most ``_BLOCK_ENTRIES`` samples
-    (or one plant), each row bit for bit its plant's own call.  The
-    integrand fills one (rows x points) array, one interpolation per output
-    row of the block; every row shares lam's times, so lam's domain check
-    covers them all, and the engine checks the whole array once.  A
-    non-finite integrand raises :class:`NumericError` naming its plant,
-    after the revenues of the plants before it."""
+    row-valued engine call per range of plants whose integrand holds at
+    most ``_BLOCK_ENTRIES`` samples (or one plant), each row bit for bit
+    its plant's own call.  The integrand is the range's outputs sampled at
+    the engine's points (``_Outputs.rows``) times lam there; every row
+    shares lam's times, so lam's domain check covers them all, and the
+    engine checks the whole array once.  A non-finite integrand raises
+    :class:`NumericError` naming its plant, after the revenues of the
+    plants before it."""
     lam = sol.lambda_curve
-    times = lam.times
     # EXACT_CONFIG samples one Simpson pair, three points, per kink piece.
-    points = 3 * (len(times) - 1)
+    points = 3 * (len(lam.times) - 1)
 
-    def integrals(rows: np.ndarray) -> list[float]:
+    def integrals(rows: slice) -> list[float]:
         def values(ts: np.ndarray) -> np.ndarray:
-            lam_ts = lam.sample(ts)
-            out = np.empty((len(rows), len(ts)))
-            for j, row in enumerate(rows):
-                out[j] = _interpolate(ts, times, row)
-            out *= lam_ts
-            return out
+            return sol.outputs.rows(rows, ts) * lam.sample(ts)
 
-        return riemann_integrate(values, 0.0, sol.horizon, EXACT_CONFIG, breakpoints=times).tolist()
+        return riemann_integrate(values, 0.0, sol.horizon, EXACT_CONFIG, breakpoints=lam.times).tolist()
 
-    for rows, block in sol.outputs.row_blocks(points):
+    for rows in sol.outputs.ranges(points):
         try:
-            yield from integrals(block)
+            yield from integrals(rows)
         except NumericError as exc:
             # The plants before the bad row come first, as one call each would.
-            yield from integrals(block[: exc.row]) if exc.row else ()
+            yield from integrals(slice(rows.start, rows.start + exc.row)) if exc.row else ()
             where = f"the spot settlement of {sol.plants[rows][exc.row].id}"
             raise NumericError.out_of_range(where, exc.abscissa) from exc
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value past the float range is refused
 def settle_spot(sol: DispatchSolution) -> SettlementReport:
     """Settle each plant at the spot price: revenue = int lam(t) P_j(t) dt.
 
@@ -166,9 +166,10 @@ def settle_spot(sol: DispatchSolution) -> SettlementReport:
     (total revenue) equals the integral of lam times the system load, since
     outputs balance the load pointwise.  A revenue past the float range
     raises :class:`NumericError` naming the plant, the first in plant
-    order, and a market total past it one naming the total.
+    order, a market total past it one naming the total, and then a
+    generation cost past it one naming the first such plant.
     """
-    costs = dispatch_cost(sol)
+    costs = _costs(sol)
     energies = sol._segment_sums[1]
     rows = [
         _plant_row("spot", p.id, costs.per_plant[p.id], revenue, energy)
@@ -177,6 +178,7 @@ def settle_spot(sol: DispatchSolution) -> SettlementReport:
     return _assemble("spot", rows)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value past the float range is refused
 def settle_duration(sol: DispatchSolution) -> SettlementReport:
     """Settle each plant of ``sol`` at its market duration price.
 
@@ -185,13 +187,14 @@ def settle_duration(sol: DispatchSolution) -> SettlementReport:
     whole cycle, priced at the anchor.  Generation cost and energy are the
     same closed forms as under spot settlement, taken once per solution.
     A base block, level-band integrand or revenue past the float range
-    raises :class:`NumericError` naming the plant, and a market total past
-    it one naming the total.
+    raises :class:`NumericError` naming the plant, a market total past it
+    one naming the total, and then a generation cost past it one naming
+    the first such plant.
     A clamped dispatch has no duration price and raises
     :class:`UnsupportedOperationError`.
     """
     price = duration_price(sol)
-    costs = dispatch_cost(sol)
+    costs = _costs(sol)
     anchor, T, weight = price.anchor, sol.horizon, price.price_times_duration
     rows = []
     for p, energy in zip(sol.plants, sol._segment_sums[1]):

@@ -5,7 +5,7 @@ against the per-curve formulas.
 Interior and clamped solutions alike keep only the shadow price: each
 lookup in ``outputs`` makes its plant's read-only row from it, and the
 consumers that read every output make them a bounded block of rows at a
-time (``_Outputs.row_blocks``) with the same bits, and drop them.
+time (``_Outputs.rows``) with the same bits, and drop them.
 ``dispatch_cost`` and the settlements' energies come from one pass over
 those blocks per solution.  The reference below is the per-curve code that
 pass replaced: each output's own arrays, one ``np.dot`` for its squares
@@ -35,6 +35,7 @@ from ctmarket import (
     value_by_slice,
 )
 from ctmarket import dispatch
+from ctmarket.curves import _interpolate
 from ctmarket.dispatch import DispatchSolution
 
 
@@ -157,10 +158,48 @@ def test_outputs_hold_the_block_rows_bits_before_and_after_it_is_built():
         for name, sol in _solutions():
             before = [sol.outputs[p.id].powers for p in sol.plants]
             with mock.patch.object(dispatch, "_BLOCK_ENTRIES", block_entries):
-                rows = [row for _, block in sol.outputs.row_blocks() for row in block]
+                rows = [row for r in sol.outputs.ranges() for row in sol.outputs.rows(r)]
                 settle_spot(sol)
             after = [sol.outputs[p.id].powers for p in sol.plants]
             assert _bits(np.concatenate(before)) == _bits(np.concatenate(rows)) == _bits(np.concatenate(after)), name
+
+
+def _steep_solution():
+    """Three plants on a load that doubles in 1e-320 h.  The first and last
+    outputs rise too steeply for ``np.interp`` inside that segment, which
+    gives inf there; the middle plant's rise (about 7e-22 MW) does not."""
+    plants = [
+        Plant("a", QuadraticCost(0.001, 0.1, 0.1)),
+        Plant("b", QuadraticCost(1e20, 0.1, 0.1)),
+        Plant("c", QuadraticCost(0.002, 0.1, 0.1)),
+    ]
+    return solve_equilibrium(plants, LoadCurve([(0.0, 100.0), (1e-320, 200.0)]))
+
+
+def _sample_times(sol, rng: np.random.Generator) -> np.ndarray:
+    t = sol.times
+    return np.sort(np.concatenate([t, (t[:-1] + t[1:]) / 2.0, rng.uniform(0.0, sol.horizon, 20)]))
+
+
+@pytest.mark.parametrize("block_entries", [dispatch._BLOCK_ENTRIES, 7])
+def test_sampled_rows_have_the_bits_of_each_rows_interpolation(block_entries):
+    """``rows(r, ts)``, for every range and for each plant alone, has the
+    bits of ``_interpolate`` on that plant's own row, the steep rows that
+    ``np.interp`` makes infinite among them."""
+    rng = np.random.default_rng(30)
+    steep = _steep_solution()
+    steep_ts = np.array([0.0, 2.5e-321, 5e-321, 7.5e-321, 1e-320])
+    plain = [np.interp(steep_ts, steep.times, steep.outputs[p].powers) for p in "abc"]
+    assert [bool(np.isfinite(row).all()) for row in plain] == [False, True, False]
+    assert np.isfinite(steep.outputs.rows(slice(0, 3), steep_ts)).all()
+    cases = [("steep", steep, steep_ts)] + [(name, sol, _sample_times(sol, rng)) for name, sol in _solutions()]
+    with mock.patch.object(dispatch, "_BLOCK_ENTRIES", block_entries):
+        for name, sol, ts in cases:
+            want = [_interpolate(ts, sol.times, sol.outputs[p.id].powers) for p in sol.plants]
+            blocks = [sol.outputs.rows(r, ts) for r in sol.outputs.ranges(len(ts))]
+            alone = [sol.outputs.rows(slice(j, j + 1), ts)[0] for j in range(len(sol.plants))]
+            assert _bits(np.concatenate(want)) == _bits(np.concatenate([np.ravel(b) for b in blocks])), name
+            assert _bits(np.concatenate(want)) == _bits(np.concatenate(alone)), name
 
 
 def test_outputs_are_read_only_and_share_the_solution_times():

@@ -118,11 +118,10 @@ class TestSpotSettlement:
             Plant("plant1", QuadraticCost(0.0005, 0.07, 0.2)),
             Plant("plant2", QuadraticCost(0.001, 0.14, 0.4)),
         ]
-        # As in run_scenario: the float-range diagnostic replaces numpy's warnings.
-        with np.errstate(all="ignore"):
-            sol = solve_equilibrium(plants, LoadCurve([(0.0, 1e6), (1e300, 1e6)]))
-            with pytest.raises(NumericError, match="^the spot settlement of plant1 is not finite: "):
-                settle_spot(sol)
+        # The float-range diagnostic comes with no numpy warning before it.
+        sol = solve_equilibrium(plants, LoadCurve([(0.0, 1e6), (1e300, 1e6)]))
+        with pytest.raises(NumericError, match="^the spot settlement of plant1 is not finite: "):
+            settle_spot(sol)
 
     def test_first_plant_in_order_is_named(self):
         """plant1's integrand is finite but its revenue over 1e300 h is not;
@@ -132,13 +131,38 @@ class TestSpotSettlement:
             Plant("plant1", QuadraticCost(1.0, 0.0, 0.0)),
             Plant("plant2", QuadraticCost(1e-300, 0.0, 0.0)),
         ]
-        with np.errstate(all="ignore"):
-            sol = solve_equilibrium(plants, LoadCurve([(0.0, 3e304), (1e300, 3e304)]))
-            lam = sol.lambda_curve.powers[0]
-            assert math.isfinite(lam * sol.outputs["plant1"].powers[0])
-            assert lam * sol.outputs["plant2"].powers[0] == math.inf
-            with pytest.raises(NumericError, match="^the spot settlement of plant1 is not finite: "):
-                settle_spot(sol)
+        sol = solve_equilibrium(plants, LoadCurve([(0.0, 3e304), (1e300, 3e304)]))
+        lam = sol.lambda_curve.powers[0].item()
+        assert math.isfinite(lam * sol.outputs["plant1"].powers[0].item())
+        assert lam * sol.outputs["plant2"].powers[0].item() == math.inf
+        with pytest.raises(NumericError, match="^the spot settlement of plant1 is not finite: "):
+            settle_spot(sol)
+
+    @pytest.mark.parametrize(
+        "settle, what",
+        [
+            (dispatch_cost, "generation cost"),
+            (settle_spot, "spot settlement"),
+            (settle_duration, "duration settlement"),
+        ],
+    )
+    def test_a_cost_past_the_float_range_is_refused(self, settle, what):
+        """A fixed cost of 1e300 over 1e10 h: plant a's cost is inf.  Both
+        settlements used to report it with a profit of -inf and NaN rates."""
+        plants = [Plant("a", QuadraticCost(1.0, 1.0, 1e300)), Plant("b", QuadraticCost(1.0, 1.0, 0.0))]
+        sol = solve_equilibrium(plants, LoadCurve([(0.0, 10.0), (1e10, 20.0)]))
+        with pytest.raises(NumericError, match=f"^the {what} of a is not finite: "):
+            settle(sol)
+
+    @pytest.mark.parametrize("settle", [dispatch_cost, settle_spot, settle_duration])
+    def test_overflowing_squares_refuse_with_no_warning_first(self, settle):
+        """Outputs of about 1e155 MW: their squares, price times output and
+        the level-band sums pass the float range.  Under the suite's
+        warnings-as-errors, a numpy warning before the refusal fails."""
+        plants = [Plant("a", QuadraticCost(1.0, 0.0, 0.0)), Plant("b", QuadraticCost(1.0, 0.0, 0.0))]
+        sol = solve_equilibrium(plants, LoadCurve([(0.0, 1e155), (1.0, 2e155)]))
+        with pytest.raises(NumericError, match="^the [a-z ]+ of a is not finite: "):
+            settle(sol)
 
     def test_idle_plant_loses_standby_cost(self):
         plants = [

@@ -10,14 +10,16 @@ Times these items at four shapes (plants x load breakpoints):
 ``solve_equilibrium``, ``dispatch_cost``, one ``lebesgue_integrate`` call
 of duration settlement (the mean over the plants), ``settle_duration``,
 ``settle_spot``, ``value_by_slice``, ``value_by_band`` (default edges), and
-``cli.run_scenario`` and ``cli.emit_series`` with the CLI's flags for the
-shape (``--allow-clamp --mechanism spot`` on ``clamped_spot``,
-``--mechanism both`` elsewhere).  Two more items time the cost's segment
-sums on a (plants x knots) array of every output in two summation
-orders, the same on either side: ``block_sums_dot`` (one ``np.dot`` per
-row, as ``dispatch_cost`` adds) and ``block_sums_cumsum`` (a
-left-to-right ``np.cumsum`` along each row, an order no BLAS build
-changes), with the largest relative difference between the two.
+``cli.run_scenario``, ``cli._build_timeseries`` (``build_timeseries``: the
+timeseries.csv columns, every output sampled on the series grid) and
+``cli.emit_series`` with the CLI's flags for the shape (``--allow-clamp
+--mechanism spot`` on ``clamped_spot``, ``--mechanism both`` elsewhere).
+Two more items time the cost's segment sums on a (plants x knots) array
+of every output in two summation orders, the same on either side:
+``block_sums_dot`` (one ``np.dot`` per row, as ``dispatch_cost`` adds)
+and ``block_sums_cumsum`` (a left-to-right ``np.cumsum`` along each row,
+an order no BLAS build changes), with the largest relative difference
+between the two.
 The shapes are the built-in case study, one ``settle_deep`` and one
 ``clamped_spot`` scenario of ``perfbench/workloads.py`` (seed 1, index
 0), and a seeded 50 x 2000 daily load built like ``settle_deep``.  A
@@ -220,7 +222,7 @@ def _shape_items(shape: str, directory: Path) -> tuple[dict, dict]:
     import numpy as np
 
     import ctmarket as ct
-    from ctmarket.cli import emit_series, run_scenario
+    from ctmarket.cli import _build_timeseries, emit_series, run_scenario
     from ctmarket.quadrature import EXACT_CONFIG
 
     scenario = _scenario(shape)
@@ -234,12 +236,16 @@ def _shape_items(shape: str, directory: Path) -> tuple[dict, dict]:
     run = run_scenario(scenario)
     load, clamp = scenario.load_curve(), scenario.options.allow_clamp
     dot, cumsum = _block_sums(sol, "dot"), _block_sums(sol, "cumsum")
+    # As run_scenario: the duration price and m_floor only with duration pricing.
+    dprice = None if dsol is None else ct.duration_price(dsol)
+    m_floor = 0.0 if dsol is None else scenario.resolved_m_floor()
     items = {
         "solve_equilibrium": lambda: ct.solve_equilibrium(scenario.plants, load, allow_clamp=clamp),
         "dispatch_cost": lambda: ct.dispatch_cost(replace(sol)),
         "settle_spot": lambda: ct.settle_spot(replace(sol)),
         "value_by_slice": lambda: ct.value_by_slice(replace(sol)),
         "run_scenario": lambda: run_scenario(scenario),
+        "build_timeseries": lambda: _build_timeseries(sol, dprice, m_floor),
         "emit_series": lambda: emit_series(run, directory),
         "block_sums_dot": dot,
         "block_sums_cumsum": cumsum,
@@ -254,13 +260,12 @@ def _shape_items(shape: str, directory: Path) -> tuple[dict, dict]:
         "block_sums_max_rel_diff": gap,
     }
     if dsol is not None:
-        price = ct.duration_price(dsol)
         curves = [c for c in dsol.outputs.values() if c.max_power > c.min_power]
         measures = [ct.MeasureFunction(c) for c in curves]
 
         def lebesgue_calls() -> None:
             for c, m in zip(curves, measures):
-                ct.lebesgue_integrate(m, c.min_power, c.max_power, price.price_times_duration, EXACT_CONFIG)
+                ct.lebesgue_integrate(m, c.min_power, c.max_power, dprice.price_times_duration, EXACT_CONFIG)
 
         items["lebesgue_call"] = lebesgue_calls
         items["settle_duration"] = lambda: ct.settle_duration(replace(dsol))
