@@ -19,12 +19,13 @@ and ``value_by_slice`` / ``value_by_band`` value every segment from those
 integrals in closed form, with no engine call, into one table of columns:
 cut at every knot (bands no higher than the curve's top, above which no
 energy lies), each integrand is a polynomial of degree <= 2 on a piece, so
-one Simpson pair per piece is exact.
+one Simpson pair per piece is exact.  Slice values read the outputs in
+blocks of plants sampled by dispatch, one sum over each block; band values
+read one output's level sets at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -92,8 +93,7 @@ class ValueTable:
             column.setflags(write=False)
 
 
-def _assemble(mechanism: str, rows: list[PlantSettlement]) -> SettlementReport:
-    total_cost = checked_fsum((r.generation_cost for r in rows), f"the {mechanism} total cost")
+def _assemble(mechanism: str, rows: list[PlantSettlement], total_cost: float) -> SettlementReport:
     total_revenue = checked_fsum((r.revenue for r in rows), f"the {mechanism} total revenue")
     total_profit = checked_fsum((r.profit for r in rows), f"the {mechanism} total profit")
     for r in rows:
@@ -175,7 +175,7 @@ def settle_spot(sol: DispatchSolution) -> SettlementReport:
         _plant_row("spot", p.id, costs.per_plant[p.id], revenue, energy)
         for p, revenue, energy in zip(sol.plants, _output_integrals(sol), energies)
     ]
-    return _assemble("spot", rows)
+    return _assemble("spot", rows, costs.total)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a value past the float range is refused
@@ -208,7 +208,7 @@ def settle_duration(sol: DispatchSolution) -> SettlementReport:
                 where = f"the duration settlement of {p.id}"
                 raise NumericError.out_of_range(where, exc.abscissa) from exc
         rows.append(_plant_row("duration", p.id, costs.per_plant[p.id], revenue, energy))
-    return _assemble("duration", rows)
+    return _assemble("duration", rows, costs.total)
 
 
 def _edges(edges, horizon: float | None = None) -> np.ndarray:
@@ -231,8 +231,11 @@ def _simpson_pairs(edges: np.ndarray, kinks: np.ndarray, top: float = math.inf):
     inside it (``top``, where it cuts, must be a kink).  Returns the knots,
     the middles and ``sums(at_knots, mid, right=None)``: each interval's
     integral by one Simpson pair per piece (``right`` defaults to the next
-    knot's value), terms and then pieces (``np.bincount``) added in order.
-    Fewer than two edges cut no interval: no knots, and empty float sums."""
+    knot's value), of one row of values or of each row of a (rows x points)
+    block.  One ``np.bincount`` over the ids ``row * intervals + interval``
+    adds terms and then pieces in order, so each row of a block keeps the
+    bits of its own call.  Fewer than two edges cut no interval: no knots,
+    and empty float sums."""
     first, last = (edges[0], min(edges[-1], top)) if len(edges) > 1 else (math.inf, -math.inf)
     knots = np.unique(np.concatenate([edges, kinks]))
     knots = knots[(knots >= first) & (knots <= last)]
@@ -240,26 +243,24 @@ def _simpson_pairs(edges: np.ndarray, kinks: np.ndarray, top: float = math.inf):
     n = max(len(edges) - 1, 0)
 
     def sums(at_knots: np.ndarray, mid: np.ndarray, right: np.ndarray | None = None) -> np.ndarray:
-        terms = at_knots[:-1] + 4.0 * mid + (at_knots[1:] if right is None else right)
+        terms = at_knots[..., :-1] + 4.0 * mid + (at_knots[..., 1:] if right is None else right)
+        rows = math.prod(terms.shape[:-1])
+        ids = bins + n * np.arange(rows)[:, None]
         # With no piece, bincount gives integer zeros whatever the weights.
-        return np.bincount(bins, weights=half / 3.0 * terms, minlength=n).astype(float, copy=False)
+        out = np.bincount(ids.ravel(), weights=(half / 3.0 * terms).ravel(), minlength=rows * n)
+        return out.astype(float, copy=False).reshape(*terms.shape[:-1], n)
 
     return knots, knots[:-1] + half, sums
 
 
-def _slice_sums(lam: LoadCurve, edges: np.ndarray, curves: Sequence[LoadCurve]):
-    """``pair(times, powers)``: ``(int P dt, int lam P dt)`` per slice of
-    ``edges`` for a curve ``P`` with knots among lam's and ``curves``'.
-    Every call cuts at the same knots: the edges and all those times."""
-    kinks = [lam.times, *(c.times for c in curves if c.times is not lam.times)]
-    knots, mids, sums = _simpson_pairs(edges, np.concatenate(kinks))
+def _slice_sums(lam: LoadCurve, edges: np.ndarray, curve: LoadCurve):
+    """The slices of ``edges`` cut at every knot of lam and ``curve`` (the
+    knots, middles and ``sums`` of :func:`_simpson_pairs`), and ``curve``'s
+    ``int P dt`` and ``int lam P dt`` per slice."""
+    cut = knots, mids, sums = _simpson_pairs(edges, np.concatenate([lam.times, curve.times]))
     lam_k, lam_m = _interpolate(knots, lam.times, lam.powers), _interpolate(mids, lam.times, lam.powers)
-
-    def pair(times: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p_k, p_m = _interpolate(knots, times, powers), _interpolate(mids, times, powers)
-        return sums(p_k, p_m), sums(lam_k * p_k, lam_m * p_m)
-
-    return pair
+    p_k, p_m = _interpolate(knots, curve.times, curve.powers), _interpolate(mids, curve.times, curve.powers)
+    return cut, sums(p_k, p_m), sums(lam_k * p_k, lam_m * p_m)
 
 
 def _band_sums(price: DurationPrice, m: MeasureFunction, edges: np.ndarray):
@@ -275,8 +276,8 @@ def unit_energy_price_spot(price: LoadCurve, plant_curve: LoadCurve, t1: float, 
     t1, t2 = edges = _edges([t1, t2], price.horizon)
     if not math.isclose(plant_curve.horizon, price.horizon, rel_tol=SAME_HORIZON_TOL):
         raise ValueError("price and trajectory horizons differ")
-    pair = _slice_sums(price, edges, [plant_curve])
-    energy, value = (x.item() for x in pair(plant_curve.times, plant_curve.powers))
+    _, energy, value = _slice_sums(price, edges, plant_curve)
+    energy, value = energy.item(), value.item()
     if energy <= 0.0:
         raise UndefinedPriceError(f"no energy on [{t1:.6g}, {t2:.6g}] h: unit price undefined")
     return value / energy
@@ -312,14 +313,13 @@ def value_by_slice(sol: DispatchSolution, time_edges: Sequence[float] | None = N
     """
     lam = sol.lambda_curve
     edges = _edges(lam.times if time_edges is None else time_edges, lam.horizon)
-    ids, load = np.array([p.id for p in sol.plants]), sol.load
-    # Every output shares lam's times, and only one is held at a time.
-    pair = _slice_sums(lam, edges, [load])
-    rows = (pair(c.times, c.powers) for c in itertools.chain([load], sol.outputs.values()))
-    energy, value = map(np.array, zip(*rows))
-    held = ~(energy[0] <= 0.0)  # slices with load; a NaN load energy is refused below
-    lo, hi, unit = edges[:-1][held], edges[1:][held], value[0, held] / energy[0, held]
-    energies = energy[1:, held].T  # (slices x plants)
+    ids, outputs = np.array([p.id for p in sol.plants]), sol.outputs
+    (knots, mids, sums), load_energy, load_value = _slice_sums(lam, edges, sol.load)
+    # Every output shares lam's knots; dispatch samples them a block of plants at a time.
+    energy = [sums(outputs.rows(r, knots), outputs.rows(r, mids)) for r in outputs.ranges(len(knots))]
+    held = ~(load_energy <= 0.0)  # slices with load; a NaN load energy is refused below
+    lo, hi, unit = edges[:-1][held], edges[1:][held], load_value[held] / load_energy[held]
+    energies = np.concatenate(energy)[:, held].T  # (slices x plants)
     bad = np.flatnonzero(~np.isfinite(np.column_stack([energies, unit])))
     if bad.size:
         s, j = divmod(int(bad[0]), len(ids) + 1)

@@ -21,8 +21,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import interior_demand_floor, random_monotone_load, random_plants, random_wiggly_curve
+from conftest import fleets, interior_demand_floor, loads, random_monotone_load, random_plants, random_wiggly_curve
 from ctmarket import (
     LoadCurve,
     Plant,
@@ -37,6 +39,8 @@ from ctmarket import (
 from ctmarket import dispatch
 from ctmarket.curves import _interpolate
 from ctmarket.dispatch import DispatchSolution
+from ctmarket.settlement import _simpson_pairs
+from test_settlement import _clamped_solution
 
 
 def ref_cost_and_energy(sol: DispatchSolution) -> tuple[dict[str, float], dict[str, float]]:
@@ -246,3 +250,40 @@ def test_an_output_read_after_settlement_owns_only_its_row():
     settle_spot(sol)
     powers = sol.outputs[sol.plants[3].id].powers
     assert powers.base is None and powers.nbytes == 8 * len(sol.times)
+
+
+def _one_slice_revenues(sol: DispatchSolution) -> np.ndarray:
+    """Each output's ``int lam P dt`` over the whole horizon by the slice
+    kernel: one slice ``[0, T]`` cut at lam's knots, the outputs read a
+    block of plants at a time at the knots and the middles, times lam there."""
+    lam = sol.lambda_curve
+    knots, mids, sums = _simpson_pairs(np.array([0.0, sol.horizon]), lam.times)
+    at_knots, at_mids = lam.sample(knots), lam.sample(mids)
+    blocks = [
+        sums(sol.outputs.rows(r, knots) * at_knots, sol.outputs.rows(r, mids) * at_mids)
+        for r in sol.outputs.ranges(len(knots))
+    ]
+    return np.concatenate(blocks)[:, 0]
+
+
+def _assert_spot_revenues_are_the_slice_kernels(sol: DispatchSolution, name: str = "") -> None:
+    for block_entries in (dispatch._BLOCK_ENTRIES, 7):
+        with mock.patch.object(dispatch, "_BLOCK_ENTRIES", block_entries):
+            revenues = [r.revenue for r in settle_spot(sol).plants]
+            assert _bits(revenues) == _bits(_one_slice_revenues(sol)), (name, block_entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fleets(max_plants=12), st.data())
+def test_spot_revenues_are_the_one_slice_block_kernel_on_interior_draws(plants, data):
+    """Spot settlement's engine call and the valuation's block kernel over
+    one slice run the same Simpson pairs in the same order, so every
+    revenue has the same bits, at the usual row blocks and at blocks of
+    one or two plants."""
+    load = data.draw(loads(floor=interior_demand_floor(plants)))
+    _assert_spot_revenues_are_the_slice_kernels(solve_equilibrium(plants, load))
+
+
+def test_spot_revenues_are_the_one_slice_block_kernel_on_seeded_and_clamped_solutions():
+    for name, sol in [*_solutions(), ("clamped golden", _clamped_solution())]:
+        _assert_spot_revenues_are_the_slice_kernels(sol, name)

@@ -8,6 +8,8 @@
   original plant's.
 * Capacity bounds that never bind leave clamped dispatch equal to
   unconstrained dispatch: the same knots, the same price and outputs.
+* Duration revenue is two prices: each plant's base block at the lowest
+  shadow price and the rest of its energy at the highest.
 """
 
 from __future__ import annotations
@@ -109,3 +111,42 @@ def test_bounds_that_never_bind_leave_clamped_dispatch_unconstrained(instance, d
     _close(clamped.lambda_curve.powers, free.lambda_curve.powers)
     for p in plants:
         _close(clamped.outputs[p.id].powers, free.outputs[p.id].powers)
+
+
+# The worst relative gap between a plant's duration revenue and its
+# two-price form over 15 000 derandomized draws of each strategy below
+# (81 702 plants) was 1.185e-13: a load that rises in 0.01 h and then
+# stays flat for hours.  Against exact rationals the two-price form of the
+# same floats is within 5e-17 there; the gap is settlement's level-band
+# integral.  The test's draws are fixed (``derandomize``), so a rarer draw
+# past the measured worst cannot make it fail at random.
+TWO_PRICE_REL = 1.2e-13
+
+
+@st.composite
+def entry_point_instances(draw):
+    """A fleet and a load whose lowest demand puts the shadow price at the
+    highest ``q1``: that plant starts at its merit-order entry point, and
+    its row is floored at +0.0 wherever the solve lands a hair below it."""
+    plants = draw(fleets())
+    top = max(p.cost.q1 for p in plants)
+    floor = sum((top - p.cost.q1) / (2.0 * p.cost.q2) for p in plants)
+    return plants, draw(loads(floor=floor))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(interior_instances(), entry_point_instances()))
+def test_duration_revenue_is_two_prices(instance):
+    """``lam_min lo_j T + lam_max (E_j - lo_j T)`` on the duration dispatch,
+    with ``lo_j`` the plant's minimum output and ``E_j`` its energy.  A
+    plant at its entry point has ``lo_j`` = 0; its output leaves 0 at
+    ``lam = q1_j``, and the solve floors only a row that lands at most
+    ``DISPATCH_TOL`` below 0, so ``q1_j`` is within ``2 q2_j DISPATCH_TOL``
+    of lam_min."""
+    plants, load = instance
+    sol = solve_equilibrium(plants, duration_curve(load))
+    lam, T = sol.lambda_curve.powers, sol.horizon
+    for p, row in zip(sol.plants, settle_duration(sol).plants):
+        lo = sol.outputs[p.id].min_power
+        form = float(lam[0]) * lo * T + float(lam[-1]) * (row.energy - lo * T)
+        assert abs(row.revenue - form) <= TWO_PRICE_REL * abs(row.revenue), p.id

@@ -788,12 +788,11 @@ def _flat_levels(curve: LoadCurve) -> np.ndarray:
 
 
 def _slice_arrays(lam: LoadCurve, curves: list[LoadCurve], edges: np.ndarray):
-    """``(int P dt, int lam P dt)`` by slice, a row per curve, all cut at
-    the same knots."""
+    """``(int P dt, int lam P dt)`` by slice, a row per curve, each cut at
+    lam's knots and its own."""
     from ctmarket.settlement import _slice_sums
 
-    pair = _slice_sums(lam, edges, curves)
-    energy, value = zip(*(pair(c.times, c.powers) for c in curves))
+    energy, value = zip(*(_slice_sums(lam, edges, c)[1:] for c in curves))
     return np.array(energy), np.array(value)
 
 

@@ -53,12 +53,12 @@ of 5 blocks of repeated calls under ``perfbench/speed.Stopwatch``, in
 normalised seconds (CPU time scaled to a fixed host speed) and in wall
 seconds.  An item slower than ``SLOW_CALL`` per call is timed in one
 block of one call instead.  ``emit_series``, ``solve_and_sample``,
-``solve_equilibrium``, ``settle_spot`` and ``dispatch_cost`` also record
-``tracemalloc_peak_bytes``: the peak of traced allocations during one
-untimed call, above what was held before it.  The file
-reports, per item and side, the median and quartiles over the rounds,
-and the change of the medians.  Numpy is held to one thread, as the
-benchmark holds it.  Passing the same tree as ``--before`` and
+``solve_equilibrium``, ``settle_spot``, ``dispatch_cost`` and
+``value_by_slice`` also record ``tracemalloc_peak_bytes``: the peak of
+traced allocations during one untimed call, above what was held before
+it.  The file reports, per item and side, the median and quartiles over
+the rounds, and the change of the medians.  Numpy is held to one thread,
+as the benchmark holds it.  Passing the same tree as ``--before`` and
 ``--after`` (an A/A run) shows how far two sides differ on identical
 code.  Quartiles need at least two rounds.
 """
@@ -79,7 +79,7 @@ PERFBENCH = ROOT / "perfbench"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SHAPES = ("case_study", "settle_deep", "clamped_spot", "daily_50x2000", "dispatch_wide", "clamped_wide")
 # Items whose tracemalloc peak is recorded.
-PEAKED = ("emit_series", "solve_and_sample", "solve_equilibrium", "settle_spot", "dispatch_cost")
+PEAKED = ("emit_series", "solve_and_sample", "solve_equilibrium", "settle_spot", "dispatch_cost", "value_by_slice")
 BLOCKS = 5  # timed blocks per item and process; the best one counts
 BLOCK_SECONDS = 0.15  # rough length of one block
 SLOW_CALL = 1.0  # seconds per call above which one block of one call is timed
