@@ -16,9 +16,11 @@ the exact active-set dispatch instead, subdividing time at the shadow-price
 levels where a plant enters or leaves a bound.  A clamped solution supports
 spot settlement only.
 
-Either way a solution keeps only the shadow price: each output is the
-plant's inverse marginal cost of it, clipped at a binding bound, made and
-sampled only here, one plant or a bounded block of plants at a time.
+Either way a solution holds only its outputs and its load, and the outputs
+keep only the fleet, the shadow price and the clamp events: each output is
+the plant's inverse marginal cost of the price, clipped at a binding bound,
+made and sampled only here, one plant or a bounded block of plants at a
+time.
 """
 
 from __future__ import annotations
@@ -85,41 +87,63 @@ class ClampEvent(NamedTuple):
     bound: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DispatchSolution:
     """Equilibrium dispatch: shadow-price curve plus per-plant trajectories,
     as :func:`solve_equilibrium` returns it.
 
-    ``plants`` is the fleet solved; ``outputs`` maps each plant id, in that
-    order, to its trajectory.  ``lambda_curve`` and every
-    output are array-backed :class:`LoadCurve` values on one knot grid:
-    they share a single read-only ``times`` array (the load's own for an
-    interior solution), and only their ``powers`` differ.  Each output is
-    the plant's inverse marginal cost of the shadow price, clipped at a
-    binding capacity bound: each lookup in ``outputs`` makes a fresh
-    read-only row from the shadow price, which the solution does not keep.
-    Only the cost and energy sums (``_segment_sums``) are cached.
-    ``clamped`` marks solutions where a capacity bound is active on an
-    interval (``clamp_events`` lists them); duration pricing refuses such
-    solutions.
+    A solution holds two values: ``outputs``, which maps each plant id, in
+    fleet order, to its trajectory, and the ``load`` solved against.  Every
+    other attribute is a read-only view of those two, so no copy
+    (``dataclasses.replace``) can set one apart from the rest: the fleet
+    ``plants``, the shadow price ``lambda_curve`` and the ``clamp_events``
+    are held by the outputs, ``clamped`` says whether there are any, and
+    ``horizon`` is the load's.  ``lambda_curve`` and every output are
+    array-backed :class:`LoadCurve` values on one knot grid, ``times``
+    (the load's own for an interior solution).  Each lookup in ``outputs``
+    makes a fresh read-only row from the shadow price, which the solution
+    does not keep; only the cost and energy sums (``_segment_sums``) are
+    cached, per instance.  Duration pricing refuses a ``clamped`` solution.
+    Solutions compare by identity: two fleets that differ only in ``q0``
+    give equal outputs but settle to different costs.
     """
 
-    lambda_curve: LoadCurve
     outputs: Mapping[str, LoadCurve]
-    plants: tuple[Plant, ...]
     load: LoadCurve
-    horizon: float
-    clamped: bool = False
-    clamp_events: tuple[ClampEvent, ...] = ()
 
     def __post_init__(self) -> None:
         if not isinstance(self.outputs, _Outputs):
             raise TypeError("a DispatchSolution is made only by solve_equilibrium")
 
     @property
+    def lambda_curve(self) -> LoadCurve:
+        """The shadow price lam(t)."""
+        return self.outputs.lambda_curve
+
+    @property
+    def plants(self) -> tuple[Plant, ...]:
+        """The fleet solved, in output order."""
+        return self.outputs.plants
+
+    @property
+    def horizon(self) -> float:
+        """The load's horizon ``T``."""
+        return self.load.horizon
+
+    @property
+    def clamp_events(self) -> tuple[ClampEvent, ...]:
+        """Each maximal run of knots at which an output sits at a bound."""
+        return self.outputs.events
+
+    @property
+    def clamped(self) -> bool:
+        """Whether a capacity bound is active on some interval."""
+        return bool(self.outputs.events)
+
+    @property
     def times(self) -> np.ndarray:
         """The knot times that the shadow price and every output share."""
-        return self.lambda_curve.times
+        return self.outputs.times
 
     @cached_property
     def _segment_sums(self) -> tuple[list[float], list[float]]:
@@ -234,7 +258,9 @@ def _map(prices, q1, scale, op, lo, hi, binds=(True, True)) -> np.ndarray:
 
 
 class _Outputs(Mapping):
-    """A solution's outputs by plant id, in plant order.
+    """A solution's outputs by plant id, in plant order, with what they are
+    made from: the fleet ``plants``, the shadow price ``lambda_curve`` and,
+    for a clamped solve, the clamp ``events`` (empty otherwise).
 
     Row ``j`` is ``_map(lam, q1_j, scale_j, op, lo_j, hi_j)``: the plant's
     inverse marginal cost of the shadow price, clipped where a bound
@@ -242,12 +268,29 @@ class _Outputs(Mapping):
     lookup makes its plant's row, read-only, by :func:`_map` directly (by
     way of :meth:`rows` it costs about 0.5 us more), and :meth:`rows` the
     rows of a range from :meth:`ranges`; none is kept.
+
+    Construction checks the shadow price and then the outputs in plant
+    order as :class:`LoadCurve` checks them, the outputs from their
+    :func:`_extremes`; the first refusal is its own ``ValueError``.  With
+    ``clamped`` the events are then found on a few rows at a time, with
+    ``lo`` and ``hi`` as each plant's bounds.
     """
 
-    def __init__(self, plants: Sequence[Plant], times, lam, q1, scale, op, lo, hi) -> None:
-        self._ids = {p.id: j for j, p in enumerate(plants)}
+    def __init__(self, plants: Sequence[Plant], times, lam, q1, scale, op, lo, hi, clamped=False) -> None:
+        self.plants = tuple(plants)
+        self._ids = {p.id: j for j, p in enumerate(self.plants)}
+        lam.setflags(write=False)
+        self.lambda_curve = LoadCurve(times=times, powers=lam)
         self.times, self.lam, self.model = times, lam, (q1, scale, op, lo, hi)
         self._binds = lo > -_INF, hi < _INF
+        low, high = _extremes(lam, *self.model)
+        bad = np.flatnonzero(~np.isfinite(low) | ~np.isfinite(high) | (low < 0.0))
+        if bad.size:
+            LoadCurve(times=times, powers=self[self.plants[bad[0]].id].powers)  # raises
+        ranges = self.ranges() if clamped else ()
+        self.events = tuple(
+            e for r in ranges for e in _clamp_events(self.plants[r], lo[r], hi[r], times, self.rows(r))
+        )
 
     def ranges(self, width: int | None = None) -> Iterator[slice]:
         """Consecutive ranges of at least one plant whose rows of ``width``
@@ -286,32 +329,6 @@ class _Outputs(Mapping):
 
     def __repr__(self) -> str:
         return repr(dict(self))
-
-
-def _solution(plants: Sequence[Plant], load: LoadCurve, outputs: _Outputs, events=()) -> DispatchSolution:
-    """The solution with ``outputs``, on the shared, already-validated
-    axis ``outputs.times``.
-
-    The shadow price and then the outputs in plant order are checked as
-    :class:`LoadCurve` checks them, the outputs from their
-    :func:`_extremes`; the first refusal is its own ``ValueError``.
-    """
-    times, lam = outputs.times, outputs.lam
-    lam.setflags(write=False)
-    lambda_curve = LoadCurve(times=times, powers=lam)
-    lo, hi = _extremes(lam, *outputs.model)
-    bad = np.flatnonzero(~np.isfinite(lo) | ~np.isfinite(hi) | (lo < 0.0))
-    if bad.size:
-        LoadCurve(times=times, powers=outputs[plants[bad[0]].id].powers)  # raises
-    return DispatchSolution(
-        lambda_curve=lambda_curve,
-        outputs=outputs,
-        plants=tuple(plants),
-        load=load,
-        horizon=load.horizon,
-        clamped=bool(events),
-        clamp_events=tuple(events),
-    )
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")  # the checks refuse what overflows
@@ -353,7 +370,7 @@ def solve_equilibrium(
         # plant at its merit-order entry point: it runs at +0.0.
         floor = np.where(lo < 0.0, 0.0, -_INF)
         outputs = _Outputs(plants, times, lam, q1, inv2a, np.multiply, floor, np.full(len(plants), _INF))
-        return _solution(plants, load, outputs)
+        return DispatchSolution(outputs, load)
 
     if allow_clamp:
         return _solve_clamped(plants, load)
@@ -576,13 +593,8 @@ def _clamp_events(
 
 def _solve_clamped(plants: Sequence[Plant], load: LoadCurve) -> DispatchSolution:
     fleet = _Fleet(plants)
-    outputs = _Outputs(plants, *_clamped_knots(fleet, load), *fleet.model)
-    # The clamp events are found on a few rows at a time.
-    events = []
-    for rows in outputs.ranges():
-        block = outputs.rows(rows)
-        events += _clamp_events(plants[rows], fleet.p_min[rows], fleet.p_max[rows], outputs.times, block)
-    return _solution(plants, load, outputs, events)
+    outputs = _Outputs(plants, *_clamped_knots(fleet, load), *fleet.model, clamped=True)
+    return DispatchSolution(outputs, load)
 
 
 def checked_fsum(values: Iterable[float], what: str) -> float:

@@ -96,16 +96,19 @@ class ValueTable:
 def _assemble(mechanism: str, rows: list[PlantSettlement], total_cost: float) -> SettlementReport:
     total_revenue = checked_fsum((r.revenue for r in rows), f"the {mechanism} total revenue")
     total_profit = checked_fsum((r.profit for r in rows), f"the {mechanism} total profit")
-    for r in rows:
-        if not math.isfinite(r.generation_cost):
-            raise NumericError.out_of_range(f"the {mechanism} settlement of {r.plant}")
+    market_rate = total_profit / total_cost if total_cost > 0.0 else None
+    # Each plant's cost, then each plant's profit rate, then the market's.
+    numbers = [(r.plant, r.generation_cost) for r in rows] + [(r.plant, r.profit_rate) for r in rows]
+    for name, x in [*numbers, ("total", market_rate)]:
+        if x is not None and not math.isfinite(x):
+            raise NumericError.out_of_range(f"the {mechanism} settlement of {name}")
     return SettlementReport(
         mechanism=mechanism,
         plants=tuple(rows),
         total_cost=total_cost,
         total_revenue=total_revenue,
         total_profit=total_profit,
-        market_profit_rate=total_profit / total_cost if total_cost > 0.0 else None,
+        market_profit_rate=market_rate,
     )
 
 
@@ -166,8 +169,10 @@ def settle_spot(sol: DispatchSolution) -> SettlementReport:
     (total revenue) equals the integral of lam times the system load, since
     outputs balance the load pointwise.  A revenue past the float range
     raises :class:`NumericError` naming the plant, the first in plant
-    order, a market total past it one naming the total, and then a
-    generation cost past it one naming the first such plant.
+    order, a market total past it one naming the total, then a generation
+    cost past it one naming the first such plant, then a profit rate (a
+    tiny cost) past it one naming the first such plant, and last a market
+    profit rate past it one naming ``total``.
     """
     costs = _costs(sol)
     energies = sol._segment_sums[1]
@@ -188,8 +193,9 @@ def settle_duration(sol: DispatchSolution) -> SettlementReport:
     same closed forms as under spot settlement, taken once per solution.
     A base block, level-band integrand or revenue past the float range
     raises :class:`NumericError` naming the plant, a market total past it
-    one naming the total, and then a generation cost past it one naming
-    the first such plant.
+    one naming the total, then a generation cost past it one naming the
+    first such plant, then a profit rate past it one naming the first such
+    plant, and last a market profit rate past it one naming ``total``.
     A clamped dispatch has no duration price and raises
     :class:`UnsupportedOperationError`.
     """

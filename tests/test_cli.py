@@ -398,6 +398,23 @@ def test_invalid_load_exits_1_with_one_line_per_problem(capsys, case):
     assert captured.err == (INVALID / f"{case}.stderr").read_text()
 
 
+NON_FINITE = Path(__file__).parent / "data" / "non_finite"
+
+
+@pytest.mark.parametrize("mechanism", [[], ["--mechanism", "both"]], ids=["spot", "both"])
+@pytest.mark.parametrize("case", ["profit_rate", "market_rate"])
+def test_non_finite_profit_rate_exits_1_with_its_line(capsys, case, mechanism):
+    """``data/non_finite/<case>.json`` settles to a plant's (``tiny``) or the
+    market's profit rate of inf: settlement refuses it with exactly the line
+    of ``<case>.stderr``.  Both scenarios clamp, and with ``--mechanism
+    both`` the run used to exit 2 on the duration refusal; spot now names
+    the number first."""
+    assert main(["--scenario", str(NON_FINITE / f"{case}.json"), *mechanism]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (NON_FINITE / f"{case}.stderr").read_text()
+
+
 def test_load_at_merit_order_entry_point_exits_0(tmp_path, capsys):
     """The load starts one ulp below 280 MW, where plant3 enters the merit
     order; its output of about -1e-16 used to end in ``error: power values

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
@@ -14,7 +15,12 @@ from ctmarket import (
     NumericError,
     Plant,
     QuadraticCost,
+    UnsupportedOperationError,
+    builtin_case_study,
     dispatch_cost,
+    duration_price,
+    settle_duration,
+    settle_spot,
     solve_equilibrium,
 )
 from conftest import random_monotone_load, random_plants
@@ -347,13 +353,52 @@ def test_a_solution_is_not_built_from_a_mapping_of_curves(case_solution):
     ``solve_equilibrium`` makes the outputs a solution holds."""
     curves = {pid: case_solution.outputs[pid] for pid in case_solution.outputs}
     with pytest.raises(TypeError, match="^a DispatchSolution is made only by solve_equilibrium$"):
-        DispatchSolution(
-            lambda_curve=case_solution.lambda_curve,
-            outputs=curves,
-            plants=case_solution.plants,
-            load=case_solution.load,
-            horizon=case_solution.horizon,
-        )
+        DispatchSolution(outputs=curves, load=case_solution.load)
+
+
+def _interior_and_clamped():
+    """The case study, and a fleet whose cheap plant sits at p_max for most of the cycle."""
+    plants = [
+        Plant("small", QuadraticCost(0.0005, 0.1, 0.0), p_max=300.0),
+        Plant("big", QuadraticCost(0.001, 0.1, 0.0)),
+    ]
+    clamped = solve_equilibrium(plants, LoadCurve([(0.0, 100.0), (1.0, 900.0)]), allow_clamp=True)
+    assert clamped.clamped
+    case = builtin_case_study()
+    return [solve_equilibrium(case.plant_objects(), case.load_curve()), clamped]
+
+
+@pytest.mark.parametrize("sol", _interior_and_clamped(), ids=["interior", "clamped"])
+def test_a_solution_holds_only_its_outputs_and_its_load(sol):
+    """Every other attribute is read from those two, so no copy can set it
+    apart from the rest."""
+    assert [f.name for f in dataclasses.fields(DispatchSolution)] == ["outputs", "load"]
+    for name in ("clamped", "horizon", "plants", "lambda_curve", "clamp_events"):
+        with pytest.raises(TypeError):
+            dataclasses.replace(sol, **{name: getattr(sol, name)})
+    assert sol.plants == sol.outputs.plants and list(sol.outputs) == [p.id for p in sol.plants]
+    assert sol.lambda_curve is sol.outputs.lambda_curve and sol.times is sol.lambda_curve.times
+    assert sol.clamp_events == sol.outputs.events and sol.clamped == bool(sol.clamp_events)
+    assert sol.horizon == sol.load.horizon
+
+
+@pytest.mark.parametrize("sol", _interior_and_clamped(), ids=["interior", "clamped"])
+def test_a_copy_reads_the_same_and_takes_its_own_sums(sol):
+    spot = settle_spot(sol)
+    copy = dataclasses.replace(sol)
+    assert copy is not sol and "_segment_sums" in vars(sol) and "_segment_sums" not in vars(copy)
+    for name in ("outputs", "load", "lambda_curve", "plants", "clamp_events", "times"):
+        assert getattr(copy, name) is getattr(sol, name), name
+    assert (copy.horizon, copy.clamped) == (sol.horizon, sol.clamped)
+    assert settle_spot(copy) == spot and "_segment_sums" in vars(copy)
+    assert copy._segment_sums is not sol._segment_sums
+    # Solutions compare by identity: equal fields need not settle alike.
+    assert copy != sol and sol == sol
+    # ``clamped`` is read from the clamp events, so a clamped copy is refused
+    # duration pricing as its original is.
+    for call in (duration_price, settle_duration) if sol.clamped else ():
+        with pytest.raises(UnsupportedOperationError, match="^duration pricing is undefined for bound-clamped"):
+            call(copy)
 
 
 @pytest.mark.parametrize("clamp", [False, True], ids=["interior", "clamped"])

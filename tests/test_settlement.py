@@ -45,6 +45,7 @@ from conftest import (
 )
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+NON_FINITE = Path(__file__).parent / "data" / "non_finite"
 
 # Antiderivative oracles for the regression scenario, kept independent of
 # the quadrature path they check.
@@ -153,6 +154,16 @@ class TestSpotSettlement:
         sol = solve_equilibrium(plants, LoadCurve([(0.0, 10.0), (1e10, 20.0)]))
         with pytest.raises(NumericError, match=f"^the {what} of a is not finite: "):
             settle(sol)
+
+    @pytest.mark.parametrize("case, name", [("profit_rate", "tiny"), ("market_rate", "total")])
+    def test_a_profit_rate_past_the_float_range_is_refused(self, case, name):
+        """A cost of about 1e-318 (plant ``tiny``) or a market cost of 1e-307
+        under a finite profit: settlement used to report a rate of inf, and
+        only the command line's second pass over the report refused it."""
+        scenario = validate(json.loads((NON_FINITE / f"{case}.json").read_text()))
+        sol = solve_equilibrium(scenario.plant_objects(), scenario.load_curve(), allow_clamp=True)
+        with pytest.raises(NumericError, match=f"^the spot settlement of {name} is not finite: "):
+            settle_spot(sol)
 
     @pytest.mark.parametrize("settle", [dispatch_cost, settle_spot, settle_duration])
     def test_overflowing_squares_refuse_with_no_warning_first(self, settle):
