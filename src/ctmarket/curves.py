@@ -8,14 +8,16 @@ the curve sharing the original's measure function that the load-duration
 pricing mechanism operates on.
 
 On a non-decreasing curve -- every curve duration settlement integrates
--- the measure at a level comes from one ``searchsorted`` on the curve's
-own arrays: the time after the segment holding the level, plus that
-segment's fraction.  Each value is within a few ulps of the exact one, but
-its bits are not those of a segment-by-segment sum.  On any other curve,
-and in :func:`duration_curve` for every curve, level-set sums run over
-every segment at once and add the per-segment contributions in segment
-order (a sequential ``cumsum`` down the segment axis), so each result is
+-- the measure at a level is the time after the segment holding the level,
+plus that segment's fraction: one ``searchsorted`` on the curve's powers
+and one gather from segment tables built once per measure function.  Each
+value is within a few ulps of the exact one, but its bits are not those
+of a segment-by-segment sum.  On any other curve, and in
+:func:`duration_curve` for every curve, level-set sums run over every
+segment at once and add the per-segment contributions in segment order (a
+sequential ``cumsum`` down the segment axis), so each result is
 bit-for-bit the one a plain segment-by-segment loop gives.
+:func:`duration_curve` then lays out the rearranged points as arrays.
 """
 
 from __future__ import annotations
@@ -293,13 +295,14 @@ class MeasureFunction:
     breakpoint levels of the underlying curve; between consecutive levels
     ``m`` is affine, which the quadrature engine exploits for exactness.
 
-    The per-segment geometry -- duration, top power, power span and
-    flatness, as column vectors -- and whether the curve is non-decreasing
-    are computed once, at construction.  On a non-decreasing curve,
-    ``sample``, calls and ``limit_from_below`` locate each level with one
-    ``searchsorted`` (cost O(levels x log segments)); their values are
-    within a few ulps of the exact ones, not bit-for-bit a segment-order
-    sum.  On any other curve they sum over the segments in segment order.
+    The per-segment geometry -- duration, top power, power span, flatness
+    and the time after the segment -- is computed once, at construction,
+    into one table padded at each end by a flat segment of zero duration.
+    On a non-decreasing curve, ``sample``, calls and ``limit_from_below``
+    locate each level with one ``searchsorted`` and read its segment's
+    column (cost O(levels x log segments)); their values are within a few
+    ulps of the exact ones, not bit-for-bit a segment-order sum.  On any
+    other curve they sum over the segments in segment order.
     """
 
     curve: LoadCurve
@@ -307,20 +310,33 @@ class MeasureFunction:
     _hi: np.ndarray = field(init=False, repr=False, compare=False)
     _width: np.ndarray = field(init=False, repr=False, compare=False)
     _is_flat: np.ndarray = field(init=False, repr=False, compare=False)
-    _sorted: bool = field(init=False, repr=False, compare=False)
+    _flats: int = field(init=False, repr=False, compare=False)
+    _table: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        p0, p1 = self.curve.powers[:-1, None], self.curve.powers[1:, None]
-        flat = p0 == p1
-        hi = np.maximum(p0, p1)
+        t, p = self.curve.times, self.curve.powers
+        # Segment k's duration, top power, width and the time after it,
+        # T - t[k + 1], in column k + 1.  Columns 0 and n + 1 pad the curve
+        # with a flat segment of zero duration, with T and 0.0 after them.
+        table = np.zeros((4, len(p) + 1))
+        dt, hi, width, after = table[:, 1:-1]
+        np.subtract(t[1:], t[:-1], out=dt)
+        np.maximum(p[:-1], p[1:], out=hi)
+        rise = p[1:] - p[:-1]
+        flat = rise == 0.0
         # A flat segment's width is never divided by; 1.0 keeps it finite.
-        width = np.where(flat, 1.0, hi - np.minimum(p0, p1))
+        np.abs(rise, out=width)
+        np.copyto(width, 1.0, where=flat)
+        np.subtract(t[-1], t[1:], out=after)
+        table[2, 0] = table[2, -1] = 1.0
+        table[3, 0] = t[-1]
         for name, arr in (
-            ("_dt", (self.curve.times[1:] - self.curve.times[:-1])[:, None]),
-            ("_hi", hi),
-            ("_width", width),
-            ("_is_flat", flat),
-            ("_sorted", self.curve.is_non_decreasing),
+            ("_dt", dt[:, None]),
+            ("_hi", hi[:, None]),
+            ("_width", width[:, None]),
+            ("_is_flat", flat[:, None]),
+            ("_flats", np.count_nonzero(flat)),
+            ("_table", table if (rise >= 0.0).all() else None),
         ):
             object.__setattr__(self, name, arr)
 
@@ -370,37 +386,37 @@ class MeasureFunction:
     def _above(self, ys) -> np.ndarray:
         """``m`` at every level in ``ys``.
 
-        On a non-decreasing curve, with ``j`` the last knot at or below
-        ``y``, ``m(y) = (T - t[j+1]) + dt_j * clip((p[j+1] - y) / width_j)``:
-        every later segment lies wholly above ``y``, every earlier one at
-        or below it.
+        On a non-decreasing curve, with ``r`` the number of knots at or
+        below ``y``, ``m(y) = (T - t[r]) + dt * clip((top - y) / width)``
+        of segment ``r - 1``, read from column ``r`` of the table: every
+        later segment lies wholly above ``y``, every earlier one at or
+        below it.  The pads give ``T`` below the curve and ``0.0`` above
+        it.  A NaN level, past the top pad, gives NaN, the fraction a
+        sloped segment adds at it, or 0.0 on an all-flat curve.
         """
-        if not self._sorted:
+        if self._table is None:
             return self._strict(ys)
         ys = np.asarray(ys, dtype=float)
-        t, p = self.curve.times, self.curve.powers
-        n, T = len(self._dt), t[-1]
-        r = p.searchsorted(ys, side="right")
-        j = np.minimum(np.maximum(r - 1, 0), n - 1)
-        # The segment-order sum's own term for segment j, overflow and all.
-        # Where it is used (0 < r <= n) the fraction lies in [0, 1], so
-        # maximum and minimum give the clip's bits there.
-        with np.errstate(over="ignore"):
-            frac = (self._hi[:, 0][j] - ys) / self._width[:, 0][j]
-        part = self._dt[:, 0][j] * np.minimum(np.maximum(frac, 0.0), 1.0)
-        total = np.where(r == 0, T, np.where(r > n, 0.0, (T - t[np.minimum(r, n)]) + part))
-        if self._is_flat.all():
-            return total
-        # A sloped segment's fraction at a NaN level is NaN.
-        return np.where(np.isnan(ys), np.nan, total)
+        dt, hi, width, after = self._table.take(self.curve.powers.searchsorted(ys, side="right"), axis=-1)
+        # The segment-order sum's own term for the segment.  Its fraction
+        # lies in [0, 1] but on the pads, where the clip keeps 0 * (-y) from
+        # making a NaN of an infinite level.
+        frac = (hi - ys) / width
+        total = after + dt * np.minimum(np.maximum(frac, 0.0), 1.0)
+        if self._flats == len(self._dt):
+            return np.where(np.isnan(ys), 0.0, total)
+        return total
 
     def _at(self, ys) -> np.ndarray:
-        """Flat time at every level in ``ys``.
+        """Flat time at every level in ``ys``: zeros on a curve with no flat
+        segment.
 
         On a non-decreasing curve the knots sitting at ``y`` are consecutive:
         from the first one at or above ``y`` to the last one at or below it.
         """
-        if not self._sorted:
+        if not self._flats:
+            return np.zeros(np.shape(ys))
+        if self._table is None:
             return self._flat(ys)
         ys = np.asarray(ys, dtype=float)
         t, p = self.curve.times, self.curve.powers
@@ -449,29 +465,37 @@ def duration_curve(curve: LoadCurve) -> LoadCurve:
     level ``y`` the strict measure ``m`` and the flat time ``d`` pin the
     piece of ``Q`` carrying that level to ``[T - m - d, T - m]``; between
     consecutive levels the measure is affine, so ``Q`` is linear there.
+    The points are laid out as arrays.  Two rules then run point by point,
+    each only where one vectorised test finds a point it applies to: a
+    point within ``DURATION_KNOT_TOL`` of the last one kept is dropped,
+    and so is a point collinear with its neighbours.
     """
     T = curve.horizon
     measure = MeasureFunction(curve)
     levels = np.unique(curve.powers)
     m = measure._strict(levels)
     d = measure._flat(levels)
-    starts = np.clip(T - m - d, 0.0, T).tolist()
-    ends = np.clip(T - m, 0.0, T).tolist()
-    raw: list[tuple[float, float]] = []
-    for start, end, y, flat in zip(starts, ends, levels.tolist(), d.tolist()):
-        raw.append((start, y))
-        if flat > 0.0:
-            raw.append((end, y))
+    # Each level's start point, then its end point where it carries flat time.
+    spans = np.column_stack([np.clip(T - m - d, 0.0, T), np.clip(T - m, 0.0, T)])
+    kept = np.column_stack([np.full(len(d), True), d > 0.0]).ravel()
+    times, powers = spans.ravel()[kept], np.repeat(levels, 2)[kept]
     # Mathematically the first point is (0, min level) and the last (T, max
     # level); snap float drift from the measure sums.
-    raw[0] = (0.0, raw[0][1])
-    raw[-1] = (T, raw[-1][1])
-    pts = [raw[0]]
+    times[0], times[-1] = 0.0, T
     tol = DURATION_KNOT_TOL * max(T, 1.0)
-    for t, y in raw[1:]:
-        if t <= pts[-1][0] + tol:
-            continue
-        pts.append((t, y))
-    if pts[-1][0] != T:
-        pts.append((T, curve.max_power))
-    return LoadCurve(_merge_collinear(pts))
+    if not (times[1:] > times[:-1] + tol).all():
+        # A point within ``tol`` of the last one kept is dropped.
+        raw = list(zip(times.tolist(), powers.tolist()))
+        pts = [raw[0]]
+        for t, y in raw[1:]:
+            if t <= pts[-1][0] + tol:
+                continue
+            pts.append((t, y))
+        if pts[-1][0] != T:
+            pts.append((T, curve.max_power))
+        times, powers = map(np.array, zip(*pts))
+    dt, dp = times[1:] - times[:-1], powers[1:] - powers[:-1]
+    if (dp[:-1] * dt[1:] == dp[1:] * dt[:-1]).any():
+        pts = _merge_collinear(list(zip(times.tolist(), powers.tolist())))
+        times, powers = map(np.array, zip(*pts))
+    return LoadCurve(times=times, powers=powers)

@@ -271,7 +271,9 @@ class _Outputs(Mapping):
 
     Construction checks the shadow price and then the outputs in plant
     order as :class:`LoadCurve` checks them, the outputs from their
-    :func:`_extremes`; the first refusal is its own ``ValueError``.  With
+    :func:`_extremes`, kept as ``extremes``: a row of each plant's minimum
+    output and one of its maximum, equal to its row's own ``min`` and
+    ``max``.  The first refusal is its own ``ValueError``.  With
     ``clamped`` the events are then found on a few rows at a time, with
     ``lo`` and ``hi`` as each plant's bounds.
     """
@@ -283,7 +285,7 @@ class _Outputs(Mapping):
         self.lambda_curve = LoadCurve(times=times, powers=lam)
         self.times, self.lam, self.model = times, lam, (q1, scale, op, lo, hi)
         self._binds = lo > -_INF, hi < _INF
-        low, high = _extremes(lam, *self.model)
+        self.extremes = low, high = _extremes(lam, *self.model)
         bad = np.flatnonzero(~np.isfinite(low) | ~np.isfinite(high) | (low < 0.0))
         if bad.size:
             LoadCurve(times=times, powers=self[self.plants[bad[0]].id].powers)  # raises
@@ -517,7 +519,9 @@ def _lambda_for_demand(fleet: _Fleet, demand: float) -> float:
 def _clamped_knots(fleet: _Fleet, load: LoadCurve) -> tuple[np.ndarray, np.ndarray]:
     """The clamped solution's knot times (read-only) and shadow price at
     each: the load's breakpoints plus every time the price crosses a
-    supply threshold, located analytically."""
+    supply threshold, located analytically.  A knot within
+    ``CLAMPED_KNOT_TOL`` of the one before it merges into it, except the
+    load's last breakpoint, which replaces a crossing that close to it."""
     thr = fleet.thr
     t_tol = CLAMPED_KNOT_TOL * max(load.horizon, 1.0)
     knots: list[tuple[float, float]] = []
@@ -557,6 +561,10 @@ def _clamped_knots(fleet: _Fleet, load: LoadCurve) -> tuple[np.ndarray, np.ndarr
 
     if n < len(load.powers):
         raise _infeasible(fleet, float(load.powers[n]))
+    if knots[-1][0] != times[-1]:
+        # The last breakpoint merged into a crossing within ``t_tol`` of it:
+        # the breakpoint stays, so the price ends at the load's last time.
+        knots[-1] = (times[-1], lams[-1])
     knot_times = np.array([t for t, _ in knots])
     knot_times.setflags(write=False)
     return knot_times, np.array([v for _, v in knots])

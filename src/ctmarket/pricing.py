@@ -150,7 +150,8 @@ class DurationPrice:
         ms = np.asarray(m, dtype=float)
         T = self.horizon
         tol = DOMAIN_TOL * max(T, 1.0)
-        if (ms < -tol).any() or (ms > T + tol).any():
+        # NaN-ignoring extremes: a NaN duration passes, as it always has.
+        if ms.size and (np.fmin.reduce(ms, axis=None) < -tol or np.fmax.reduce(ms, axis=None) > T + tol):
             raise DomainError(f"duration must lie in [0, {T!r}]")
         ts = T - ms
         out = self._lambda_at(ts) * ms + self._correction(ts)

@@ -27,6 +27,7 @@ adds the flat time at the pieces' right edges.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -95,14 +96,19 @@ def _evaluate(f: Callable, xs: np.ndarray) -> np.ndarray:
 _SHORT_PIECE = 8
 
 
+# A few counts recur in every call (three points per piece at
+# EXACT_CONFIG); the bound keeps fine configs' many counts from piling up.
+@functools.lru_cache(maxsize=64)
 def _weights(count: int, simpson: bool) -> np.ndarray:
-    """Rule weights of one piece's ``count`` points: 1, 4, 2, ..., 4, 1
-    under Simpson, all 1 under midpoint."""
+    """Rule weights of one piece's ``count`` points, read-only: 1, 4, 2,
+    ..., 4, 1 under Simpson, all 1 under midpoint."""
     if not simpson:
-        return np.ones(count)
-    w = np.full(count, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
+        w = np.ones(count)
+    else:
+        w = np.full(count, 2.0)
+        w[1::2] = 4.0
+        w[0] = w[-1] = 1.0
+    w.setflags(write=False)
     return w
 
 
@@ -165,10 +171,14 @@ def _composite(
     width = hi - lo
     simpson = cfg.rule == "simpson"
     # A piece's share of [a, b] is at most 1; the bounds keep an overflowing
-    # share (inf) from casting to a negative count.
-    n = np.rint(cfg.n_panels * width / (b - a))
-    n = np.minimum(np.maximum(n, 2 if simpson else 1), cfg.n_panels).astype(np.int64)
-    n += n % 2 if simpson else 0
+    # share (inf) from casting to a negative count.  Under two Simpson
+    # panels the floor and the cap are both 2, so every count is 2.
+    if simpson and cfg.n_panels == 2:
+        n = np.full(len(width), 2, dtype=np.int64)
+    else:
+        n = np.rint(cfg.n_panels * width / (b - a))
+        n = np.minimum(np.maximum(n, 2 if simpson else 1), cfg.n_panels).astype(np.int64)
+        n += n % 2 if simpson else 0
     h = width / n
     counts = n + 1 if simpson else n
     stops = counts.cumsum()

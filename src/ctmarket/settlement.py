@@ -203,13 +203,13 @@ def settle_duration(sol: DispatchSolution) -> SettlementReport:
     costs = _costs(sol)
     anchor, T, weight = price.anchor, sol.horizon, price.price_times_duration
     rows = []
-    for p, energy in zip(sol.plants, sol._segment_sums[1]):
-        curve = sol.outputs[p.id]
-        lo, hi = curve.min_power, curve.max_power
+    # Each output's minimum and maximum, as dispatch checked them.
+    for p, energy, lo, hi in zip(sol.plants, sol._segment_sums[1], *sol.outputs.extremes.tolist()):
         revenue = anchor * lo * T
         if hi > lo:
             try:
-                revenue += lebesgue_integrate(MeasureFunction(curve), lo, hi, weight, EXACT_CONFIG)
+                measure = MeasureFunction(sol.outputs[p.id])
+                revenue += lebesgue_integrate(measure, lo, hi, weight, EXACT_CONFIG)
             except NumericError as exc:
                 where = f"the duration settlement of {p.id}"
                 raise NumericError.out_of_range(where, exc.abscissa) from exc

@@ -427,6 +427,30 @@ def test_load_at_merit_order_entry_point_exits_0(tmp_path, capsys):
     assert rows[1][rows[0].index("P_plant3")] == "0.0"
 
 
+@pytest.mark.parametrize("k", [1, 50, 100])
+def test_clamped_series_ends_once_at_the_horizon(tmp_path, capsys, k):
+    """A supply-threshold crossing within ``CLAMPED_KNOT_TOL`` of T used to
+    end the shadow price 1 ulp or more before T, and timeseries.csv had two
+    rows that close: the price's last time and T."""
+    from ctmarket.tolerances import GRID_TOL
+
+    plants = [
+        {"id": "a", "q2": 0.001, "q1": 0.1, "q0": 0.0, "p_max": 100.0},
+        {"id": "b", "q2": 0.001, "q1": 0.2, "q0": 0.0},
+    ]
+    load = [[0.0, 100.0], [0.5, 300.0], [1.0, 150.0 - k * 2.8e-14]]
+    path = write_scenario(
+        tmp_path, {"name": "edge", "horizon": 1.0, "load": {"breakpoints": load}, "plants": plants}
+    )
+    out_dir = tmp_path / "out"
+    flags = ["--allow-clamp", "--mechanism", "spot", "--out-dir", str(out_dir), "--quiet"]
+    assert main(["--scenario", path, *flags]) == 0
+    assert capsys.readouterr().err == ""
+    times = [float(row[0]) for row in read_csv(out_dir / "timeseries.csv")[1:]]
+    assert times[-1] == 1.0
+    assert min(b - a for a, b in zip(times, times[1:])) > GRID_TOL * 1.0
+
+
 def test_nan_output_before_crossing_names_plant_and_bound(tmp_path, capsys):
     """lam is [NaN, 0]: load + offset overflows at t = 0 only.  A NaN
     output before the knot past p_min used to start no violation interval,

@@ -167,6 +167,26 @@ class TestClampedDispatch:
         assert events[0].start == pytest.approx(0.5, abs=1e-9)
         assert events[0].end == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("k", [1, 50, 100])
+    def test_the_price_keeps_the_loads_last_time(self, k):
+        """Plant a meets p_max = 100 where the price reaches 0.3, within
+        ``CLAMPED_KNOT_TOL`` of T.  That crossing used to take the load's
+        last breakpoint in, so the price ended 1 ulp or more before T; now
+        the breakpoint stays and the crossing goes."""
+        plants = [
+            Plant("a", QuadraticCost(0.001, 0.1, 0.0), p_max=100.0),
+            Plant("b", QuadraticCost(0.001, 0.2, 0.0)),
+        ]
+        load = LoadCurve([(0.0, 100.0), (0.5, 300.0), (1.0, 150.0 - k * 2.8e-14)])
+        sol = solve_equilibrium(plants, load, allow_clamp=True)
+        assert sol.clamped
+        lam = sol.lambda_curve
+        assert lam.times.tolist() == [0.0, 0.125, 0.5, load.horizon]
+        fleet = dispatch._Fleet(plants)
+        assert lam.powers[-1] == dispatch._lambda_for_demand(fleet, float(load.powers[-1]))
+        for p in plants:
+            assert sol.outputs[p.id].horizon == load.horizon
+
     def test_matches_pointwise_bisection_oracle(self):
         """Clamped trajectories agree with an independent bisection solve of
         sum_j clip((lam - q1_j)/(2 q2_j)) = demand at every probe time."""

@@ -9,7 +9,9 @@ Usage, from the root of a checkout::
 Times these items at four shapes (plants x load breakpoints):
 ``solve_equilibrium``, ``dispatch_cost``, one ``lebesgue_integrate`` call
 of duration settlement (the mean over the plants), ``settle_duration``,
-``settle_spot``, ``value_by_slice``, ``value_by_band`` (default edges), and
+``settle_spot``, ``value_by_slice``, ``value_by_band`` (default edges),
+``duration_curve`` (the rearrangement of a load that is not
+non-decreasing, on the shapes that have one), and
 ``cli.run_scenario``, ``cli._build_timeseries`` (``build_timeseries``: the
 timeseries.csv columns, every output sampled on the series grid) and
 ``cli.emit_series`` with the CLI's flags for the shape (``--allow-clamp
@@ -268,6 +270,8 @@ def _shape_items(shape: str, directory: Path) -> tuple[dict, dict]:
                 ct.lebesgue_integrate(m, c.min_power, c.max_power, dprice.price_times_duration, EXACT_CONFIG)
 
         items["lebesgue_call"] = lebesgue_calls
+        if not load.is_non_decreasing:
+            items["duration_curve"] = lambda: ct.duration_curve(load)
         items["settle_duration"] = lambda: ct.settle_duration(replace(dsol))
         items["value_by_band"] = lambda: ct.value_by_band(replace(dsol))
         info["lebesgue_calls_per_item"] = len(curves)
